@@ -13,19 +13,14 @@
 //     cache — the service-overhead / repeat-traffic-throughput datapoint.
 //   - SteadyReplay/unison: the measured-interval hot loop in isolation — a
 //     prewarmed machine replaying events with no setup in the timed
-//     region, batching forced off so the cell stays comparable with
-//     pre-batching records. Its allocs/op is the zero-allocation contract:
-//     the run fails (exit 1) if it exceeds -max-steady-allocs, which
-//     defaults to 0.
-//   - ReplayBatched/unison: the same cell on the batched drain path
-//     (the default machine mode), with batched_vs_serial recording the
-//     back-to-back speedup over SteadyReplay. The run fails (exit 1) if
-//     the ratio falls below -min-batched-ratio.
-//   - ReplayTelemetry/unison: the batched hot loop with epoch-sliced
+//     region. Its allocs/op is the zero-allocation contract: the run
+//     fails (exit 1) if it exceeds -max-steady-allocs, which defaults
+//     to 0.
+//   - ReplayTelemetry/unison: the same hot loop with epoch-sliced
 //     telemetry armed (the Run/BeginRun cursor, since Replay never
-//     records). telemetry_vs_batched is the back-to-back throughput
+//     records). telemetry_vs_steady is the back-to-back throughput
 //     ratio; the run fails (exit 1) if recording costs more than
-//     -max-telemetry-overhead of the batched cell's events/s.
+//     -max-telemetry-overhead of the steady cell's events/s.
 //
 // Usage:
 //
@@ -95,8 +90,7 @@ func main() {
 	label := flag.String("label", "HEAD", "label for this record")
 	quick := flag.Bool("quick", false, "CI-sized run: shorter traces, one pass")
 	maxSteadyAllocs := flag.Int64("max-steady-allocs", 0, "fail if SteadyReplay allocs/op exceed this (negative disables)")
-	minBatchedRatio := flag.Float64("min-batched-ratio", 0.8, "fail if ReplayBatched events/s fall below this fraction of SteadyReplay's (negative disables)")
-	maxTeleOverhead := flag.Float64("max-telemetry-overhead", 0.02, "fail if ReplayTelemetry events/s fall more than this fraction below ReplayBatched's (negative disables)")
+	maxTeleOverhead := flag.Float64("max-telemetry-overhead", 0.02, "fail if ReplayTelemetry events/s fall more than this fraction below SteadyReplay's (negative disables)")
 	flag.Parse()
 
 	accesses := 60_000
@@ -113,19 +107,19 @@ func main() {
 		Benchmarks:     map[string]Measurement{},
 	}
 
-	// The three steady cells: the prewarmed hot loop alone. One op = batch
+	// The two steady cells: the prewarmed hot loop alone. One op = batch
 	// events on every core; setup happens before the timer starts. The
 	// steady cells run first, ahead of the minutes-long Fig7 cells, so the
 	// hot-loop numbers come from a freshly started, minimally perturbed
 	// process.
 	//
-	// Their exit guards police few-percent ratios, which single 1-second
+	// The telemetry guard polices a few-percent ratio, which single 1-second
 	// samples cannot resolve on a shared host — run-to-run swings of ±15%
 	// are routine on a noisy-neighbor container. So the cells are measured
-	// as many short timing samples taken round-robin across the three
+	// as many short timing samples taken round-robin across the two
 	// loops. The headline ns/op is each loop's minimum sample (the
 	// quiet-host cost — every sample a neighbor or GC perturbed is
-	// discarded). The guarded ratios are estimated directly from paired
+	// discarded). The guarded ratio is estimated directly from paired
 	// samples: each round's loops run ~10ms apart, so slow host drift
 	// hits both sides of a pair equally and cancels in the quotient; the
 	// median over all rounds then shrugs off the asymmetric spikes. The
@@ -133,35 +127,26 @@ func main() {
 	// different rounds, so ±3% estimator noise lands straight in a 2%
 	// guard band.
 	//
-	// The three machines also advance in lockstep: identical prewarm and
+	// The two machines also advance in lockstep: identical prewarm and
 	// identical op counts at every stage, never an adaptive benchmark
 	// loop. Per-event cost varies with trace phase (miss rates drift as
 	// the stream moves through its working set), so two machines at
 	// different stream positions measure different workloads — lockstep
-	// keeps every sampled pair on the same trace segment, leaving the
-	// drain mode as the only difference between cells.
+	// keeps every sampled pair on the same trace segment, leaving
+	// telemetry as the only difference between cells.
 	const steadyBatch = 5_000
 	steadyCores := 16
 
-	// SteadyReplay: batching forced off so the cell keeps its meaning
-	// across records — every pre-batching record measured the
-	// one-Access-per-request schedule.
 	m := steadyMachine(steadyCores, 2.0/3.0)
-	m.SetBatching(false)
 	m.Replay(20_000)
 
-	// ReplayBatched: the batched drain path (the default) — design
-	// accesses accumulate in serial order and flush through AccessBatch.
-	mb := steadyMachine(steadyCores, 2.0/3.0)
-	mb.Replay(20_000)
-
-	// ReplayTelemetry: the batched hot loop with telemetry recording every
+	// ReplayTelemetry: the same hot loop with telemetry recording every
 	// 10k retired events per core. Replay() never arms telemetry, so this
 	// cell drives the same loop through the BeginRun/RunTo cursor with
 	// WarmupFrac 0 (measurement — and therefore recording — from step 0).
 	// The run is sized so the timed region never reaches TotalSteps: every
 	// timed op advances exactly steadyBatch events per core, the same work
-	// as the cells above.
+	// as the steady cell.
 	const teleRunAccesses = 40_000_000
 	mt := steadyMachine(steadyCores, 0)
 	mt.SetTelemetry(telemetry.Spec{EpochEvents: 10_000}, nil)
@@ -171,7 +156,6 @@ func main() {
 
 	steadyOps := []func(){
 		func() { m.Replay(steadyBatch) },
-		func() { mb.Replay(steadyBatch) },
 		func() {
 			teleTarget += uint64(steadyBatch) * uint64(steadyCores)
 			mt.RunTo(teleTarget)
@@ -213,55 +197,39 @@ func main() {
 			}
 		}
 	}
-	serialNs, batchedNs, teleNs := minNs[0], minNs[1], minNs[2]
-	batchedVsSerial := medianRatio(rounds[0], rounds[1])
-	teleVsBatched := medianRatio(rounds[1], rounds[2])
+	steadyNs, teleNs := minNs[0], minNs[1]
+	teleVsSteady := medianRatio(rounds[0], rounds[1])
 	if teleTarget >= mt.TotalSteps() {
 		fatal(fmt.Errorf("telemetry cell exhausted its run budget (%d steps): numbers are clamped junk", teleTarget))
 	}
 
 	steady := Measurement{
-		NsPerOp:      serialNs,
+		NsPerOp:      steadyNs,
 		AllocsPerOp:  allocs[0],
 		BytesPerOp:   bytes[0],
-		EventsPerSec: float64(steadyBatch*steadyCores) / serialNs * 1e9,
+		EventsPerSec: float64(steadyBatch*steadyCores) / steadyNs * 1e9,
 	}
 	rec.Benchmarks["SteadyReplay/unison"] = steady
 	fmt.Printf("%-28s %12.0f ns/op  %8.2fM events/s  %4d allocs/op\n",
 		"SteadyReplay/unison", steady.NsPerOp, steady.EventsPerSec/1e6, steady.AllocsPerOp)
 
-	// batched_vs_serial is the in-process speedup over the SteadyReplay
-	// cell — the paired-median ratio, so the comparison survives both
-	// day-to-day machine drift and within-run host noise.
-	batched := Measurement{
-		NsPerOp:      batchedNs,
-		AllocsPerOp:  allocs[1],
-		BytesPerOp:   bytes[1],
-		EventsPerSec: float64(steadyBatch*steadyCores) / batchedNs * 1e9,
-		Metrics: map[string]float64{
-			"batched_vs_serial": batchedVsSerial,
-		},
-	}
-	rec.Benchmarks["ReplayBatched/unison"] = batched
-	fmt.Printf("%-28s %12.0f ns/op  %8.2fM events/s  %4d allocs/op  %.2fx vs serial cell\n",
-		"ReplayBatched/unison", batched.NsPerOp, batched.EventsPerSec/1e6, batched.AllocsPerOp,
-		batchedVsSerial)
-
-	// telemetry_vs_batched is the whole cost of epoch slicing on the hot
-	// path: the paired-median throughput ratio over ReplayBatched.
+	// telemetry_vs_steady is the whole cost of epoch slicing on the hot
+	// path: the paired-median throughput ratio over SteadyReplay, so the
+	// comparison survives both day-to-day machine drift and within-run
+	// host noise.
 	tele := Measurement{
 		NsPerOp:      teleNs,
-		AllocsPerOp:  allocs[2],
-		BytesPerOp:   bytes[2],
+		AllocsPerOp:  allocs[1],
+		BytesPerOp:   bytes[1],
 		EventsPerSec: float64(steadyBatch*steadyCores) / teleNs * 1e9,
 		Metrics: map[string]float64{
-			"telemetry_vs_batched": teleVsBatched,
+			"telemetry_vs_steady": teleVsSteady,
 		},
 	}
 	rec.Benchmarks["ReplayTelemetry/unison"] = tele
-	fmt.Printf("%-28s %12.0f ns/op  %8.2fM events/s  %4d allocs/op  %.3fx vs batched cell\n",
+	fmt.Printf("%-28s %12.0f ns/op  %8.2fM events/s  %4d allocs/op  %.3fx vs steady cell\n",
 		"ReplayTelemetry/unison", tele.NsPerOp, tele.EventsPerSec/1e6, tele.AllocsPerOp,
-		teleVsBatched)
+		teleVsSteady)
 
 	// Fig7Performance: speedup per design over the shared no-cache
 	// baseline, exactly the bench_test.go cell.
@@ -526,19 +494,9 @@ func main() {
 			steady.AllocsPerOp, *maxSteadyAllocs)
 		os.Exit(1)
 	}
-	if *maxSteadyAllocs >= 0 && batched.AllocsPerOp > *maxSteadyAllocs {
-		fmt.Fprintf(os.Stderr, "bench: batched replay allocates %d times per op (max %d): the zero-allocation hot-path contract regressed\n",
-			batched.AllocsPerOp, *maxSteadyAllocs)
-		os.Exit(1)
-	}
-	if *minBatchedRatio >= 0 && batchedVsSerial < *minBatchedRatio {
-		fmt.Fprintf(os.Stderr, "bench: batched replay ran at %.2fx the serial cell (min %.2fx): the batched drain path regressed\n",
-			batchedVsSerial, *minBatchedRatio)
-		os.Exit(1)
-	}
-	if *maxTeleOverhead >= 0 && teleVsBatched < 1-*maxTeleOverhead {
-		fmt.Fprintf(os.Stderr, "bench: telemetry replay ran at %.3fx the batched cell (floor %.3fx): epoch recording is no longer near-free\n",
-			teleVsBatched, 1-*maxTeleOverhead)
+	if *maxTeleOverhead >= 0 && teleVsSteady < 1-*maxTeleOverhead {
+		fmt.Fprintf(os.Stderr, "bench: telemetry replay ran at %.3fx the steady cell (floor %.3fx): epoch recording is no longer near-free\n",
+			teleVsSteady, 1-*maxTeleOverhead)
 		os.Exit(1)
 	}
 }

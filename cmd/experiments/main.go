@@ -176,14 +176,12 @@ func main() {
 	telemetryFlag := flag.Bool("telemetry", false, "record epoch-sliced counter timelines on the speedup figures and write per-epoch CSVs (fig7_epochs.csv, fig8_epochs.csv); figure CSVs stay byte-identical")
 	epochEvents := flag.Int("epoch-events", 0, "telemetry epoch length in retired events per core (0 = default; implies -telemetry)")
 	server := flag.String("server", "", "unisonserved base URL(s), comma-separated for a cluster (e.g. http://127.0.0.1:8080,http://127.0.0.1:8081); route all simulations through the service")
-	serialAccess := flag.Bool("serial-access", false, "force one-at-a-time design lookups instead of the batched AccessBatch drain (A/B verification; output is byte-identical)")
 	flag.Parse()
 
 	if *list {
 		printIndex(os.Stdout)
 		return
 	}
-	uc.SerialDesignAccess = *serialAccess
 
 	opt := options{accesses: *accesses, seed: *seed, outDir: *out, jobs: *jobs, segments: *segments}
 	if *server != "" {

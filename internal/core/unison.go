@@ -139,30 +139,7 @@ type Unison struct {
 	// otherwise.
 	setShift int
 
-	// plan is the reusable AccessBatch scratch; wpStamp/wpGen invalidate
-	// way-predictor probes made in a batch's plan phase when an earlier
-	// commit in the same batch retrained the probed entry (see commit).
-	plan    []unisonPlan
-	wpStamp []uint32
-	wpGen   uint32
-
 	st unisonStats
-}
-
-// unisonPlan is the precomputed, purely address-dependent part of one
-// access: the residue page decomposition, set and stacked-row mapping, and
-// the way-predictor probe. Everything else — table lookup, promotion,
-// predictor training, DRAM timing — depends on the commits of earlier
-// requests and stays in commit.
-type unisonPlan struct {
-	page    uint64
-	row     uint64
-	set     uint64
-	ch      int32
-	bank    int32
-	predWay int32
-	wpIdx   int32
-	off     int8
 }
 
 // unisonStats extends the shared counters with Unison-specific events.
@@ -234,8 +211,6 @@ func New(cfg Config, stacked, offchip *dram.Controller) (*Unison, error) {
 	if rowsPerSet == 1 && setsPerRow&(setsPerRow-1) == 0 {
 		d.setShift = bits.TrailingZeros64(setsPerRow)
 	}
-	d.wpStamp = make([]uint32, d.wp.Entries())
-	d.wpGen = 1 // stamps start at 0: nothing is stale yet
 	return d, nil
 }
 
@@ -291,73 +266,15 @@ func (d *Unison) lookupBytes() int {
 
 // Access implements dramcache.Design.
 func (d *Unison) Access(r dramcache.Request) dramcache.Response {
-	var p unisonPlan
-	d.planOne(r.Addr, &p)
-	return d.commit(r, &p)
-}
-
-// AccessBatch implements dramcache.Design: the plan phase runs the pure
-// address work — residue divmod, set and row mapping, way-predictor table
-// probes — over the whole batch in a tight loop, then the commit phase
-// replays the batch in arrival order against page-table, predictor and
-// DRAM controller state. Probes a same-batch commit retrained are redone
-// from the live table, so results are bit-identical to serial Access.
-func (d *Unison) AccessBatch(reqs []dramcache.Request, resps []dramcache.Response) {
-	if len(reqs) > cap(d.plan) {
-		d.plan = make([]unisonPlan, len(reqs))
-	}
-	plans := d.plan[:len(reqs)]
-	for i := range reqs {
-		d.planOne(reqs[i].Addr, &plans[i])
-	}
-	d.wpGen++
-	for i := range reqs {
-		resps[i] = d.commit(reqs[i], &plans[i])
-	}
-}
-
-// planOne computes the address-only plan for one request.
-func (d *Unison) planOne(a mem.Addr, p *unisonPlan) {
-	page, off := d.PageOf(a)
+	page, off := d.PageOf(r.Addr)
+	bit := predictor.Footprint(1) << off
 	set := d.table.SetOf(page)
 	ch, bank, row := d.rowOf(set)
+
 	// The way prediction and the residue address mapping both happen
 	// off the critical path (overlapped with the L2 access, §III-A.7),
 	// so the request reaches the stacked DRAM at r.At.
-	idx := d.wp.Index(page)
-	*p = unisonPlan{
-		page:    page,
-		row:     row,
-		set:     set,
-		ch:      int32(ch),
-		bank:    int32(bank),
-		predWay: int32(d.wp.PredictIndexed(idx)),
-		wpIdx:   int32(idx),
-		off:     int8(off),
-	}
-}
-
-// wpTrain updates the way predictor and stamps the entry so planned
-// probes of the same entry later in the current batch know to re-probe.
-func (d *Unison) wpTrain(page uint64, way int) {
-	idx := d.wp.Index(page)
-	d.wp.UpdateIndexed(idx, way)
-	d.wpStamp[idx] = d.wpGen
-}
-
-// commit services one planned request against live state.
-func (d *Unison) commit(r dramcache.Request, pl *unisonPlan) dramcache.Response {
-	page, off := pl.page, int(pl.off)
-	bit := predictor.Footprint(1) << off
-	set := pl.set
-	ch, bank, row := int(pl.ch), int(pl.bank), pl.row
-
-	predWay := int(pl.predWay)
-	if d.wpStamp[pl.wpIdx] == d.wpGen {
-		// An earlier commit in this batch retrained the probed entry; the
-		// serial path would have seen the new value, so probe again.
-		predWay = d.wp.PredictIndexed(int(pl.wpIdx))
-	}
+	predWay := d.wp.Predict(page)
 
 	// Overlapped tag + predicted-way data read: one row activation, one
 	// combined burst.
@@ -406,7 +323,7 @@ func (d *Unison) accessPresent(r dramcache.Request, page uint64, off int, bit pr
 	wayCorrect := way == predWay
 	if !d.cfg.DisableWayPrediction && !d.cfg.SerializeTagData {
 		d.wp.Record(wayCorrect)
-		d.wpTrain(page, way)
+		d.wp.Update(page, way)
 		if !wayCorrect {
 			d.st.wayMispredicts++
 			// Re-read the correct way. The row was just activated, so
@@ -506,7 +423,7 @@ func (d *Unison) triggerMiss(r dramcache.Request, page uint64, off int, set uint
 		Valid:     true,
 	}
 	d.table.Promote(set, way)
-	d.wpTrain(page, way)
+	d.wp.Update(page, way)
 
 	// Write the footprint and the page's metadata (tag, vectors,
 	// PC+offset — Figure 2) into the stacked row, off the critical path
@@ -540,6 +457,11 @@ func (d *Unison) evict(p *dramcache.PageState, at uint64) {
 		d.st.offWriteBytes += uint64(n) * mem.BlockSize
 	}
 	p.Valid = false
+}
+
+// AccessBatch implements dramcache.Design via the serial adapter.
+func (d *Unison) AccessBatch(reqs []dramcache.Request, resps []dramcache.Response) {
+	dramcache.SerialAccess(d, reqs, resps)
 }
 
 // Snapshot implements dramcache.Design.

@@ -29,28 +29,7 @@ type Alloy struct {
 	tads    []uint64
 	numTADs uint64
 
-	// plan is the reusable AccessBatch scratch; mpStamp/mpGen invalidate
-	// MAP-I probes made in a batch's plan phase when an earlier commit in
-	// the same batch trained the probed counter (see commit).
-	plan    []alloyPlan
-	mpStamp []uint32
-	mpGen   uint32
-
 	st baseStats
-}
-
-// alloyPlan is the precomputed, purely address-dependent part of one
-// access: the direct-mapped slot, its stacked-row mapping, and the MAP-I
-// probe. The TAD presence check and all timing stay in commit — an
-// earlier request in the batch can fill or evict the same slot.
-type alloyPlan struct {
-	block    uint64
-	slot     uint64
-	row      uint64
-	ch       int32
-	bank     int32
-	mpIdx    int32
-	predMiss bool
 }
 
 const (
@@ -66,15 +45,12 @@ func NewAlloy(capacityBytes uint64, cores int, stacked, offchip *dram.Controller
 	if rows == 0 {
 		return nil, fmt.Errorf("dramcache: alloy capacity %d smaller than one row", capacityBytes)
 	}
-	mp := predictor.NewMissPredictor(cores, 256)
 	return &Alloy{
 		stacked: stacked,
 		offchip: offchip,
-		mp:      mp,
+		mp:      predictor.NewMissPredictor(cores, 256),
 		tads:    make([]uint64, rows*TADsPerRow),
 		numTADs: rows * TADsPerRow,
-		mpStamp: make([]uint32, cores*mp.Entries()),
-		mpGen:   1, // stamps start at 0: nothing is stale yet
 	}, nil
 }
 
@@ -106,79 +82,23 @@ func (d *Alloy) writeTAD(slot uint64, at uint64) dram.Result {
 
 // Access implements Design.
 func (d *Alloy) Access(r Request) Response {
-	var p alloyPlan
-	d.planOne(&r, &p)
-	return d.commit(r, &p)
-}
-
-// AccessBatch implements Design: the plan phase runs the pure address
-// work — slot and row mapping plus MAP-I table probes — over the whole
-// batch, then the commit phase replays the batch in arrival order against
-// TAD and DRAM controller state. Probes a same-batch commit trained are
-// redone from the live counters, so results are bit-identical to serial
-// Access.
-func (d *Alloy) AccessBatch(reqs []Request, resps []Response) {
-	if len(reqs) > cap(d.plan) {
-		d.plan = make([]alloyPlan, len(reqs))
-	}
-	plans := d.plan[:len(reqs)]
-	for i := range reqs {
-		d.planOne(&reqs[i], &plans[i])
-	}
-	d.mpGen++
-	for i := range reqs {
-		resps[i] = d.commit(reqs[i], &plans[i])
-	}
-}
-
-// planOne computes the address-only plan for one request.
-func (d *Alloy) planOne(r *Request, p *alloyPlan) {
 	block := r.Addr.Block()
 	slot := d.slot(block)
-	ch, bank, row := d.rowOf(slot)
-	idx := d.mp.Index(r.PC)
-	*p = alloyPlan{
-		block:    block,
-		slot:     slot,
-		row:      row,
-		ch:       int32(ch),
-		bank:     int32(bank),
-		mpIdx:    int32(idx),
-		predMiss: d.mp.PredictMissIndexed(r.Core, idx),
-	}
-}
-
-// mpTrain updates the MAP-I counter and stamps it so planned probes of
-// the same entry later in the current batch know to re-probe.
-func (d *Alloy) mpTrain(core, idx int, predictedMiss, actualMiss bool) {
-	d.mp.UpdateIndexed(core, idx, predictedMiss, actualMiss)
-	d.mpStamp[core*d.mp.Entries()+idx] = d.mpGen
-}
-
-// commit services one planned request against live state.
-func (d *Alloy) commit(r Request, pl *alloyPlan) Response {
-	block, slot := pl.block, pl.slot
 	entry := d.tads[slot]
 	present := entry>>2 == block && entry&3 != tadInvalid
 
 	if r.Write {
-		return d.write(r, block, slot, present, pl)
+		return d.write(r, block, slot, present)
 	}
 	d.st.reads++
 
-	idx := int(pl.mpIdx)
-	predMiss := pl.predMiss
-	if d.mpStamp[r.Core*d.mp.Entries()+idx] == d.mpGen {
-		// An earlier commit in this batch trained the probed counter; the
-		// serial path would have seen the new value, so probe again.
-		predMiss = d.mp.PredictMissIndexed(r.Core, idx)
-	}
+	predMiss := d.mp.PredictMiss(r.Core, r.PC)
 	probeAt := r.At + d.mp.Latency()
-	tad := d.stacked.Do(dram.Request{Channel: int(pl.ch), Bank: int(pl.bank), Row: pl.row, Bytes: tadBytes, At: probeAt})
+	tad := d.readTAD(slot, probeAt)
 
 	if present {
 		d.st.readHits++
-		d.mpTrain(r.Core, idx, predMiss, false)
+		d.mp.Update(r.Core, r.PC, predMiss, false)
 		if predMiss {
 			// False miss: the off-chip fetch was already launched in
 			// parallel and its data is discarded — pure wasted traffic
@@ -192,7 +112,7 @@ func (d *Alloy) commit(r Request, pl *alloyPlan) Response {
 	// Miss path: a correctly predicted miss overlaps the off-chip fetch
 	// with the (verification) probe; a mispredicted one serializes behind
 	// the probe (§II-A).
-	d.mpTrain(r.Core, idx, predMiss, true)
+	d.mp.Update(r.Core, r.PC, predMiss, true)
 	d.st.triggerMisses++
 	launchAt := tad.Done
 	if predMiss {
@@ -202,18 +122,18 @@ func (d *Alloy) commit(r Request, pl *alloyPlan) Response {
 	d.st.offReadBytes += mem.BlockSize
 	// The fill is charged at the demand timestamp; see Footprint.Access
 	// for why future-dated background reservations would be wrong.
-	d.fill(block, slot, probeAt, false, pl)
+	d.fill(block, slot, probeAt, false)
 	return Response{DoneAt: off.Done, Hit: false}
 }
 
 // write absorbs an L2 dirty writeback. The full block arrives with the
 // request, so allocation needs no off-chip fetch; a conflicting dirty
 // victim is written back.
-func (d *Alloy) write(r Request, block, slot uint64, present bool, pl *alloyPlan) Response {
+func (d *Alloy) write(r Request, block, slot uint64, present bool) Response {
 	d.st.writes++
-	res := d.stacked.Do(dram.Request{Channel: int(pl.ch), Bank: int(pl.bank), Row: pl.row, Bytes: tadBytes, Write: true, At: r.At})
+	res := d.writeTAD(slot, r.At)
 	if !present {
-		d.fill(block, slot, r.At, true, pl)
+		d.fill(block, slot, r.At, true)
 	} else {
 		d.tads[slot] = block<<2 | tadDirty
 	}
@@ -222,7 +142,7 @@ func (d *Alloy) write(r Request, block, slot uint64, present bool, pl *alloyPlan
 
 // fill installs block into slot at cycle at (off the critical path),
 // evicting and writing back any dirty conflicting TAD.
-func (d *Alloy) fill(block, slot uint64, at uint64, dirty bool, pl *alloyPlan) {
+func (d *Alloy) fill(block, slot uint64, at uint64, dirty bool) {
 	if old := d.tads[slot]; old&3 == tadDirty {
 		victim := old >> 2
 		d.offchip.Access(uint64(mem.BlockAddr(victim)), at, mem.BlockSize, true)
@@ -235,7 +155,7 @@ func (d *Alloy) fill(block, slot uint64, at uint64, dirty bool, pl *alloyPlan) {
 	d.tads[slot] = block<<2 | state
 	if !dirty {
 		// The demand fill writes the TAD into the stacked row.
-		d.stacked.Do(dram.Request{Channel: int(pl.ch), Bank: int(pl.bank), Row: pl.row, Bytes: tadBytes, Write: true, At: at})
+		d.writeTAD(slot, at)
 	}
 }
 
@@ -244,6 +164,9 @@ func (d *Alloy) Contains(block uint64) bool {
 	e := d.tads[d.slot(block)]
 	return e>>2 == block && e&3 != tadInvalid
 }
+
+// AccessBatch implements Design via the serial adapter.
+func (d *Alloy) AccessBatch(reqs []Request, resps []Response) { SerialAccess(d, reqs, resps) }
 
 // Snapshot implements Design.
 func (d *Alloy) Snapshot() Snapshot {

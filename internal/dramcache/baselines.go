@@ -5,22 +5,11 @@ import (
 	"unisoncache/internal/mem"
 )
 
-// mapPlan is the precomputed DRAM address mapping for one baseline access.
-// Controller.Access is exactly MapAddr followed by Do, so hoisting the
-// mapping into a batch plan phase and issuing Do in arrival order is
-// bit-identical to the serial path.
-type mapPlan struct {
-	row  uint64
-	ch   int32
-	bank int32
-}
-
 // Ideal is the latency-optimized reference of Figures 7 and 8: a DRAM cache
 // that never misses and pays no tag overhead — functionally die-stacked
 // main memory. Every access is a single stacked-DRAM block transfer.
 type Ideal struct {
 	stacked *dram.Controller
-	plan    []mapPlan
 	st      baseStats
 }
 
@@ -44,30 +33,8 @@ func (d *Ideal) Access(r Request) Response {
 	return Response{DoneAt: res.Done, Hit: true}
 }
 
-// AccessBatch implements Design: the address mapping vectorizes over the
-// batch; the timing-ordered Do calls replay in arrival order.
-func (d *Ideal) AccessBatch(reqs []Request, resps []Response) {
-	if len(reqs) > cap(d.plan) {
-		d.plan = make([]mapPlan, len(reqs))
-	}
-	plans := d.plan[:len(reqs)]
-	for i := range reqs {
-		ch, bank, row := d.stacked.MapAddr(uint64(reqs[i].Addr))
-		plans[i] = mapPlan{row: row, ch: int32(ch), bank: int32(bank)}
-	}
-	for i := range reqs {
-		r := &reqs[i]
-		pl := &plans[i]
-		res := d.stacked.Do(dram.Request{Channel: int(pl.ch), Bank: int(pl.bank), Row: pl.row, Bytes: mem.BlockSize, Write: r.Write, At: r.At})
-		if r.Write {
-			d.st.writes++
-		} else {
-			d.st.reads++
-			d.st.readHits++
-		}
-		resps[i] = Response{DoneAt: res.Done, Hit: true}
-	}
-}
+// AccessBatch implements Design via the serial adapter.
+func (d *Ideal) AccessBatch(reqs []Request, resps []Response) { SerialAccess(d, reqs, resps) }
 
 // Snapshot implements Design.
 func (d *Ideal) Snapshot() Snapshot { return d.st.snapshot(d.Name()) }
@@ -79,7 +46,6 @@ func (d *Ideal) ResetStats() { d.st.reset() }
 // It is the denominator of every speedup in Figures 7 and 8.
 type None struct {
 	offchip *dram.Controller
-	plan    []mapPlan
 	st      baseStats
 }
 
@@ -104,31 +70,8 @@ func (d *None) Access(r Request) Response {
 	return Response{DoneAt: res.Done, Hit: false}
 }
 
-// AccessBatch implements Design: the address mapping vectorizes over the
-// batch; the timing-ordered Do calls replay in arrival order.
-func (d *None) AccessBatch(reqs []Request, resps []Response) {
-	if len(reqs) > cap(d.plan) {
-		d.plan = make([]mapPlan, len(reqs))
-	}
-	plans := d.plan[:len(reqs)]
-	for i := range reqs {
-		ch, bank, row := d.offchip.MapAddr(uint64(reqs[i].Addr))
-		plans[i] = mapPlan{row: row, ch: int32(ch), bank: int32(bank)}
-	}
-	for i := range reqs {
-		r := &reqs[i]
-		pl := &plans[i]
-		res := d.offchip.Do(dram.Request{Channel: int(pl.ch), Bank: int(pl.bank), Row: pl.row, Bytes: mem.BlockSize, Write: r.Write, At: r.At})
-		if r.Write {
-			d.st.writes++
-			d.st.offWriteBytes += mem.BlockSize
-		} else {
-			d.st.reads++
-			d.st.offReadBytes += mem.BlockSize
-		}
-		resps[i] = Response{DoneAt: res.Done, Hit: false}
-	}
-}
+// AccessBatch implements Design via the serial adapter.
+func (d *None) AccessBatch(reqs []Request, resps []Response) { SerialAccess(d, reqs, resps) }
 
 // Snapshot implements Design.
 func (d *None) Snapshot() Snapshot { return d.st.snapshot(d.Name()) }

@@ -10,11 +10,11 @@ import (
 	"unisoncache/internal/stats"
 )
 
-// batchEquivalence drives a serial and a batched copy of the same design
-// through one request stream — Access per request on one, AccessBatch in
-// random-size batches on the other — and requires bit-identical responses,
-// statistics and checkpoint bytes. This is the contract AccessBatch
-// documents: batching is a pure performance transform.
+// batchEquivalence drives two copies of the same design through one
+// request stream — Access per request on one, AccessBatch in random-size
+// batches on the other — and requires bit-identical responses, statistics
+// and checkpoint bytes. This is the contract AccessBatch documents: Access
+// applied once per request in slice order.
 func batchEquivalence(t *testing.T, build func(t *testing.T) Design) {
 	t.Helper()
 	serial := build(t)

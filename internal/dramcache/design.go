@@ -44,12 +44,10 @@ type Design interface {
 	// Access services one request, advancing DRAM timing state.
 	Access(Request) Response
 	// AccessBatch services len(reqs) requests, writing resps[i] for
-	// reqs[i]. It must be bit-identical to calling Access once per request
-	// in slice order: designs split the work into a vectorizable plan
-	// phase (address mapping, tag/row precompute, predictor table probes)
-	// and a commit phase that replays the batch in arrival order against
-	// DRAM controller and table state. resps must be at least as long as
-	// reqs. SerialAccess is the default one-at-a-time adapter.
+	// reqs[i], exactly as calling Access once per request in slice order.
+	// resps must be at least as long as reqs. Every design implements it
+	// with SerialAccess; the replay engine issues each request through
+	// Access, and the method stays for existing wrappers that time it.
 	AccessBatch(reqs []Request, resps []Response)
 	// Snapshot returns the current statistics.
 	Snapshot() Snapshot
@@ -65,9 +63,7 @@ type Design interface {
 }
 
 // SerialAccess implements AccessBatch as one Access call per request, in
-// order. It is the default adapter for designs without a vectorized plan
-// phase (and the reference semantics every batched path must reproduce
-// bit-for-bit).
+// order.
 func SerialAccess(d Design, reqs []Request, resps []Response) {
 	for i := range reqs {
 		resps[i] = d.Access(reqs[i])

@@ -26,25 +26,7 @@ type Footprint struct {
 	table   *PageTable
 
 	tagLatency uint64
-
-	// plan is the reusable AccessBatch scratch (see footprintPlan).
-	plan []footprintPlan
-
-	st baseStats
-}
-
-// footprintPlan is the precomputed, purely address-dependent part of one
-// access: page decomposition, set index and the tag-SRAM-adjusted start
-// time. The footprint predictor is NOT probed here — it is only consulted
-// on trigger misses, and whether an access triggers depends on page-table
-// state earlier batch entries may change, so the probe stays in commit.
-// The data row likewise depends on the commit-time way.
-type footprintPlan struct {
-	page uint64
-	set  uint64
-	t1   uint64
-	bit  predictor.Footprint
-	off  int8
+	st         baseStats
 }
 
 // FCConfig parameterizes NewFootprint.
@@ -112,46 +94,13 @@ func pageAddr(page uint64, pageBlocks int) mem.Addr {
 
 // Access implements Design.
 func (d *Footprint) Access(r Request) Response {
-	var p footprintPlan
-	d.planOne(&r, &p)
-	return d.commit(r, &p)
-}
-
-// AccessBatch implements Design: page decomposition, set indexing and the
-// tag-latency offset vectorize over the batch; the commit phase replays the
-// batch in arrival order against page-table, predictor and DRAM state, so
-// results are bit-identical to serial Access.
-func (d *Footprint) AccessBatch(reqs []Request, resps []Response) {
-	if len(reqs) > cap(d.plan) {
-		d.plan = make([]footprintPlan, len(reqs))
-	}
-	plans := d.plan[:len(reqs)]
-	for i := range reqs {
-		d.planOne(&reqs[i], &plans[i])
-	}
-	for i := range reqs {
-		resps[i] = d.commit(reqs[i], &plans[i])
-	}
-}
-
-// planOne computes the address-only plan for one request.
-func (d *Footprint) planOne(r *Request, p *footprintPlan) {
 	block := r.Addr.Block()
 	page := block / FCPageBlocks
 	off := int(block % FCPageBlocks)
-	*p = footprintPlan{
-		page: page,
-		set:  d.table.SetOf(page),
-		// Every path first pays the SRAM tag lookup (Table IV).
-		t1:  r.At + d.tagLatency,
-		bit: predictor.Footprint(1) << off,
-		off: int8(off),
-	}
-}
-
-// commit services one planned request against live state.
-func (d *Footprint) commit(r Request, pl *footprintPlan) Response {
-	page, set, t1, bit, off := pl.page, pl.set, pl.t1, pl.bit, int(pl.off)
+	bit := predictor.Footprint(1) << off
+	set := d.table.SetOf(page)
+	// Every path first pays the SRAM tag lookup (Table IV).
+	t1 := r.At + d.tagLatency
 
 	if way, ok := d.table.Lookup(set, page); ok {
 		p := d.table.Page(set, way)
@@ -277,6 +226,9 @@ func (d *Footprint) evict(p *PageState, at uint64) {
 	}
 	p.Valid = false
 }
+
+// AccessBatch implements Design via the serial adapter.
+func (d *Footprint) AccessBatch(reqs []Request, resps []Response) { SerialAccess(d, reqs, resps) }
 
 // Snapshot implements Design.
 func (d *Footprint) Snapshot() Snapshot {

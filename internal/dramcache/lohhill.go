@@ -107,12 +107,8 @@ func (d *LohHill) Access(r Request) Response {
 	return Response{DoneAt: off.Done, Hit: false}
 }
 
-// AccessBatch implements Design via the serial adapter: Loh-Hill is a
-// §II-A strawman kept off every hot path, so it takes no vectorized plan
-// phase.
-func (d *LohHill) AccessBatch(reqs []Request, resps []Response) {
-	SerialAccess(d, reqs, resps)
-}
+// AccessBatch implements Design via the serial adapter.
+func (d *LohHill) AccessBatch(reqs []Request, resps []Response) { SerialAccess(d, reqs, resps) }
 
 // install places block into its set, writing back a dirty LRU victim.
 func (d *LohHill) install(set, block uint64, at uint64, dirty bool) {

@@ -77,34 +77,10 @@ func (p *MissPredictor) PredictMiss(core int, pc uint64) bool {
 	return p.tables[core][p.index(pc)] >= 4
 }
 
-// Index returns the per-core table entry probed for pc. Batched plan
-// phases precompute it once for the probe, the update and the stale-probe
-// invalidation stamp.
-func (p *MissPredictor) Index(pc uint64) int { return int(p.index(pc)) }
-
-// PredictMissIndexed returns the prediction stored at a precomputed Index.
-func (p *MissPredictor) PredictMissIndexed(core, idx int) bool {
-	return p.tables[core][idx] >= 4
-}
-
-// Entries returns the per-core table size (sizes batch invalidation
-// scratch).
-func (p *MissPredictor) Entries() int {
-	if len(p.tables) == 0 {
-		return 0
-	}
-	return len(p.tables[0])
-}
-
 // Update trains the counter with the actual outcome and records Table V
 // accounting for the prediction that was made.
 func (p *MissPredictor) Update(core int, pc uint64, predictedMiss, actualMiss bool) {
-	p.UpdateIndexed(core, int(p.index(pc)), predictedMiss, actualMiss)
-}
-
-// UpdateIndexed is Update with a precomputed Index.
-func (p *MissPredictor) UpdateIndexed(core, idx int, predictedMiss, actualMiss bool) {
-	i := idx
+	i := p.index(pc)
 	c := p.tables[core][i]
 	if actualMiss {
 		if c < 7 {

@@ -65,26 +65,6 @@ func (p *WayPredictor) Update(page uint64, way int) {
 	p.table[mem.XORFoldHash(page, p.hashBits)] = uint8(way) & p.wayMask
 }
 
-// Index returns the table entry probed for page. Batched plan phases
-// precompute it once and reuse it for the probe, the update and the
-// stale-probe invalidation stamp.
-func (p *WayPredictor) Index(page uint64) int {
-	return int(mem.XORFoldHash(page, p.hashBits))
-}
-
-// PredictIndexed returns the prediction stored at a precomputed Index.
-func (p *WayPredictor) PredictIndexed(idx int) int {
-	return int(p.table[idx] & p.wayMask)
-}
-
-// UpdateIndexed trains the entry at a precomputed Index.
-func (p *WayPredictor) UpdateIndexed(idx, way int) {
-	p.table[idx] = uint8(way) & p.wayMask
-}
-
-// Entries returns the table size (sizes batch invalidation scratch).
-func (p *WayPredictor) Entries() int { return len(p.table) }
-
 // Record notes a prediction outcome for Table V accounting.
 func (p *WayPredictor) Record(correct bool) { p.stats.Accuracy.Add(correct) }
 

@@ -69,7 +69,6 @@ func (m *Machine) LoadState(r *checkpoint.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	const maxInt = int(^uint(0) >> 1)
 	if accesses > uint64(maxInt) || warm > accesses || phase > 2 ||
 		step > accesses*uint64(len(m.cores)) {
 		return fmt.Errorf("sim: snapshot run cursor (accesses %d, warm %d, phase %d, step %d) is inconsistent", accesses, warm, phase, step)

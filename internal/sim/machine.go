@@ -92,38 +92,23 @@ type Machine struct {
 	// run mid-flight and a restored machine continue it bit-identically.
 	run runState
 
-	// batching enables the drain path: steps defer their design accesses
-	// into breqs — appended in the tournament's serial order, so the
-	// pending batch is always a consecutive slice of the serial request
-	// sequence — and flush through Design.AccessBatch only when a response
-	// is actually needed. Every flush point just splits that sequence at a
-	// batch boundary — AccessBatch is bit-identical to serial Access by
-	// contract — so toggling this changes performance only.
-	// SetBatching(false) forces the one-at-a-time reference path.
-	batching bool
-	breqs    []dramcache.Request
-	bresps   []dramcache.Response
-
 	// teleSpec arms epoch-sliced telemetry (SetTelemetry); tele is the
 	// run's recorder, created lazily when the measurement phase first
 	// advances so machines restored from a checkpoint — which never call
 	// BeginRun — record too. With the zero spec the dispatch in RunTo
-	// selects the untouched continuePhase loop: telemetry disabled costs
-	// nothing.
+	// selects plain continuePhase, which never enters the clamp-and-park
+	// driver: telemetry disabled costs nothing.
 	teleSpec telemetry.Spec
 	teleEmit func(telemetry.Epoch)
 	tele     *telemetry.Recorder
-	// teleClamp is continueTelemetry's scratch: per core, the events
-	// withheld from remaining while the countdown is clamped at the core's
-	// next epoch boundary. Always all-zero outside continueTelemetry, so
-	// it never enters checkpoints.
-	teleClamp []int
+	// clamp is clampAndPark's scratch: per core, the events withheld from
+	// remaining while the countdown is clamped at the core's next
+	// boundary. Always all-zero outside clampAndPark, so it never enters
+	// checkpoints.
+	clamp []int
 }
 
-// designBatchCap bounds the pending design batch (and its preallocated
-// response scratch): a full batch flushes early, which is always legal, so
-// the drain stays zero-alloc no matter how long a core runs uncontested.
-const designBatchCap = 64
+const maxInt = int(^uint(0) >> 1)
 
 // runState tracks a full run's progress in global steps — events executed
 // across all cores in the one serial min-clock-first schedule. Because
@@ -169,11 +154,12 @@ type coreState struct {
 
 // nextEvent returns the core's next event, refilling the prefetch slab
 // when it empties. Refills never request more than budget events — the
-// core's remaining demand in the current replay phase — so a finite
-// source sized exactly to the run is never over-pulled, the same contract
-// the pre-batching per-event machine honored. The pointer aims into the
-// slab and is valid until the next call — the hot loop reads a couple of
-// fields and moves on, so no copy is needed.
+// core's countdown in the current replay phase, at most its remaining
+// demand — so a finite source sized exactly to the run is never
+// over-pulled, the same contract the pre-batching per-event machine
+// honored. The pointer aims into the slab and is valid until the next
+// call — the hot loop reads a couple of fields and moves on, so no copy is
+// needed.
 func (c *coreState) nextEvent(budget int) *trace.Event {
 	if c.pos >= c.n {
 		want := eventBatch
@@ -215,10 +201,7 @@ func New(cfg Config, sources []trace.Source, design dramcache.Design, stacked, o
 	m := &Machine{cfg: cfg, l2: l2, design: design, stacked: stacked, offchip: offchip}
 	m.cores = make([]coreState, cfg.Cores)
 	m.remaining = make([]int, cfg.Cores)
-	m.teleClamp = make([]int, cfg.Cores)
-	m.batching = true
-	m.breqs = make([]dramcache.Request, 0, designBatchCap)
-	m.bresps = make([]dramcache.Response, designBatchCap)
+	m.clamp = make([]int, cfg.Cores)
 	m.leaves = 1
 	for m.leaves < cfg.Cores {
 		m.leaves *= 2
@@ -406,109 +389,77 @@ func (m *Machine) replay(eventsPerCore int) {
 
 // continuePhase executes up to budget steps of the current phase's
 // tournament schedule, drawing the per-core demand from m.remaining, and
-// returns the steps executed. The tournament tree is a pure function of
-// the live cores' clocks (exhausted cores sit at +inf), so rebuilding it
-// here from the persisted remaining/clock state resumes the schedule at
-// exactly the step where the previous call — or a restored checkpoint —
-// left off: chunked execution is bit-identical to one uninterrupted loop.
-// Everything it touches is preallocated; the loop allocates nothing.
+// returns the steps executed. With no boundaries to observe, a park is just
+// a core exhausting its budget, so the loop re-enters until the budget or
+// the live cores run out. Re-entry — like resuming after an earlier call or
+// a restored checkpoint — is exact because the tournament tree is rebuilt
+// from the persisted remaining/clock state: chunked execution is
+// bit-identical to one uninterrupted loop.
 func (m *Machine) continuePhase(budget uint64) uint64 {
-	remaining := m.remaining
-	live := m.buildTree()
-	tree, leaves, shift, mask := m.tree, m.leaves, m.shift, uint64(m.leaves-1)
 	var steps uint64
-	if m.batching {
-		// Batched drain: steps append their design requests to the pending
-		// batch instead of issuing them one at a time. The tournament picks
-		// winners in the one serial min-clock-first order, so the batch is
-		// always a consecutive slice of the serial request sequence — even
-		// across interleave boundaries — and flushing it anywhere is
-		// bit-identical by AccessBatch's contract. Only a load read needs
-		// its response on the spot (the core stalls on it), so it flushes
-		// the batch it terminates inline; everything else rides along until
-		// that, capacity, or the chunk boundary below.
-		for live > 0 && steps < budget {
-			best := int(tree[1] & mask)
-			m.stepDeferred(best, remaining[best])
-			steps++
-			if remaining[best]--; remaining[best] == 0 {
-				tree[leaves+best] = ^uint64(0)
-				live--
-			} else {
-				tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
-			}
-			for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-				tree[n] = minKey(tree[2*n], tree[2*n+1])
-			}
-		}
-		m.flushDesign()
-		return steps
-	}
-	for live > 0 && steps < budget {
-		best := int(tree[1] & mask)
-		m.step(best, remaining[best])
-		steps++
-		if remaining[best]--; remaining[best] == 0 {
-			tree[leaves+best] = ^uint64(0)
-			live--
-		} else {
-			tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
-		}
-		// Replay best's matches up the tree.
-		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-			tree[n] = minKey(tree[2*n], tree[2*n+1])
+	for steps < budget {
+		n, parked := m.runUntilPark(budget - steps)
+		steps += n
+		if parked < 0 {
+			break
 		}
 	}
 	return steps
 }
 
 // continueTelemetry is continuePhase for a telemetry-armed measurement
-// phase: the identical tournament schedule (batched or serial step per
-// m.batching) with the sampled-replay boundary-crossing mechanics woven
-// in. Boundaries are pure per-core counter snapshots taken as each core
-// crosses them — no barrier, so the event interleaving (and therefore the
-// run's Results) is bit-identical to the plain loop. When a boundary
-// completes (every core crossed it), the pending design batch is flushed —
-// legal anywhere by AccessBatch's contract — and the machine-wide
-// statistics row is recorded: after the flush the state equals the serial
-// reference state after the crossing step, which makes the snapshot
-// independent of batching, chunking, and segmentation. Sync repositions
-// the recorder's cursors from the persisted remaining budgets, so chunked
-// and checkpoint-restored execution resumes recording exactly where the
-// schedule stands; boundaries crossed before a restored segment are
-// skipped (their cells belong to the earlier segment's recorder).
-//
-// The recording itself costs no per-step work: every live core's
-// countdown is clamped at its next epoch boundary and the unmodified
-// tournament loop runs until a core parks — reaches its clamped zero —
-// which by construction happens exactly at that core's boundary. The
-// loop stops the instant the parking step completes, so no other core
-// runs ahead of the parked core's post-boundary events and the
-// concatenated schedule is the uninterrupted one (the same chunking
-// property RunTo already rests on). The parked core's snapshot is
-// recorded, its withheld budget restored, and the loop re-enters.
+// phase: clamp-and-park over the recorder's epoch boundaries. Sync first
+// repositions the recorder's cursors from the persisted remaining budgets,
+// so chunked and checkpoint-restored execution resumes recording exactly
+// where the schedule stands; boundaries crossed before a restored segment
+// are skipped (their cells belong to the earlier segment's recorder).
 func (m *Machine) continueTelemetry(budget uint64) uint64 {
-	rec := m.tele
 	meas := m.run.accesses - m.run.warm
-	remaining := m.remaining
-	rec.Sync(func(c int) int { return meas - remaining[c] })
-	clamp := m.teleClamp
+	m.tele.Sync(func(c int) int { return meas - m.remaining[c] })
+	return m.clampAndPark(budget, meas, epochBounds{m})
+}
+
+// boundaries is a per-core list of event offsets, counted from the start
+// of the phase, that clampAndPark observes. Telemetry epochs and sampled
+// windows are the two lists.
+type boundaries interface {
+	// next returns core c's next uncrossed boundary (maxInt once none
+	// remain). It is always above the core's consumed count.
+	next(c int) int
+	// cross records core c standing at consumed events, crossing every
+	// boundary at or below it, and reports whether the phase goes on.
+	cross(c, consumed int) bool
+}
+
+// clampAndPark runs up to budget steps of the current phase while
+// observing b's boundaries with no per-step check: it lowers every live
+// core's countdown to the core's next boundary, withholding the excess in
+// m.clamp, and runs the park loop. A core whose clamped countdown reaches
+// zero stands exactly on its boundary, and the loop stops right after that
+// step, so no other core runs ahead of the parked core's post-boundary
+// events and the concatenated schedule is the uninterrupted one — the same
+// chunking property RunTo rests on. The driver restores the withheld
+// budgets, records the crossing, and re-enters. total is the phase's
+// per-core budget, so core c has consumed total-remaining[c] events.
+// Returns the steps executed; a crossing that reports false ends the phase
+// right after the step that made it.
+func (m *Machine) clampAndPark(budget uint64, total int, b boundaries) uint64 {
+	remaining, clamp := m.remaining, m.clamp
 	var steps uint64
 	for steps < budget {
-		// Clamp live countdowns at each core's next boundary. A core past
-		// its last boundary has Next == maxInt, never clamps, and simply
-		// exhausts; the final bound sits at meas, so the last real park
-		// coincides with natural exhaustion and records the closing epoch.
+		// A core past its last boundary never clamps and simply exhausts;
+		// exhaustion parks too, so a boundary at total is crossed like any
+		// other.
 		for c, rem := range remaining {
 			if rem <= 0 {
 				continue
 			}
-			if k := rec.Next(c) - (meas - rem); k < rem {
+			if k := b.next(c) - (total - rem); k < rem {
 				clamp[c] = rem - k
 				remaining[c] = k
 			}
 		}
-		n, parked := m.continueUntilPark(budget - steps)
+		n, parked := m.runUntilPark(budget - steps)
 		steps += n
 		for c := range remaining {
 			remaining[c] += clamp[c]
@@ -517,72 +468,58 @@ func (m *Machine) continueTelemetry(budget uint64) uint64 {
 		if parked < 0 {
 			break // budget exhausted or no live cores
 		}
-		consumed := meas - remaining[parked]
-		pc := &m.cores[parked]
-		if b, complete := rec.Cross(parked, consumed, pc.instr-pc.instr0, pc.clock-pc.clock0); complete {
-			m.flushDesign()
-			rec.Global(b, telemetry.GlobalRow{
-				Design:  m.design.Snapshot(),
-				Stacked: m.stacked.Stats(),
-				Offchip: m.offchip.Stats(),
-				L2:      m.l2.Stats(),
-			})
+		if !b.cross(parked, total-remaining[parked]) {
+			break
 		}
-	}
-	if m.batching {
-		m.flushDesign()
 	}
 	return steps
 }
 
-// continueUntilPark is continuePhase with one extra exit: the moment any
-// core's countdown reaches zero the loop returns that core's index
-// (-1 when it ran out of budget or live cores instead). The telemetry
-// driver clamps countdowns at epoch boundaries, so a park is a boundary
-// arrival caught at the exact global step it happens; the loop bodies are
-// otherwise identical to continuePhase's, which is what keeps a
-// telemetry-armed run's schedule — and therefore its Results — bit-
-// identical to a plain one.
-func (m *Machine) continueUntilPark(budget uint64) (uint64, int) {
+// epochBounds adapts the run's telemetry recorder to clampAndPark. When a
+// crossing completes a boundary — every core has crossed it — the
+// machine-wide statistics row is recorded: the state is then exactly the
+// state after the completing step, independent of chunking and
+// segmentation.
+type epochBounds struct{ m *Machine }
+
+func (e epochBounds) next(c int) int { return e.m.tele.Next(c) }
+
+func (e epochBounds) cross(c, consumed int) bool {
+	m := e.m
+	pc := &m.cores[c]
+	if b, complete := m.tele.Cross(c, consumed, pc.instr-pc.instr0, pc.clock-pc.clock0); complete {
+		m.tele.Global(b, telemetry.GlobalRow{
+			Design:  m.design.Snapshot(),
+			Stacked: m.stacked.Stats(),
+			Offchip: m.offchip.Stats(),
+			L2:      m.l2.Stats(),
+		})
+	}
+	return true
+}
+
+// runUntilPark is the replay loop, the one place events execute: it steps
+// the live core with the smallest clock, ties broken toward the lowest
+// index, until budget steps have run or some core's countdown reaches zero
+// ("parks"). It returns the steps executed and the parked core's index, or
+// -1 when the budget or the live cores ran out first. The park exit is the
+// existing exhausted-core branch, so the hot path carries no extra checks.
+func (m *Machine) runUntilPark(budget uint64) (uint64, int) {
+	if m.buildTree() == 0 {
+		return 0, -1
+	}
 	remaining := m.remaining
-	live := m.buildTree()
 	tree, leaves, shift, mask := m.tree, m.leaves, m.shift, uint64(m.leaves-1)
 	var steps uint64
-	if m.batching {
-		for live > 0 && steps < budget {
-			best := int(tree[1] & mask)
-			m.stepDeferred(best, remaining[best])
-			steps++
-			if remaining[best]--; remaining[best] == 0 {
-				// Park: seal the leaf, settle the tree, and return from the
-				// cold branch so the hot path carries no extra checks.
-				tree[leaves+best] = ^uint64(0)
-				for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-					tree[n] = minKey(tree[2*n], tree[2*n+1])
-				}
-				m.flushDesign()
-				return steps, best
-			}
-			tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
-			for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-				tree[n] = minKey(tree[2*n], tree[2*n+1])
-			}
-		}
-		m.flushDesign()
-		return steps, -1
-	}
-	for live > 0 && steps < budget {
+	for steps < budget {
 		best := int(tree[1] & mask)
 		m.step(best, remaining[best])
 		steps++
 		if remaining[best]--; remaining[best] == 0 {
-			tree[leaves+best] = ^uint64(0)
-			for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-				tree[n] = minKey(tree[2*n], tree[2*n+1])
-			}
-			return steps, best
+			return steps, best // the next entry rebuilds the tree
 		}
 		tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
+		// Replay best's matches up the tree.
 		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
 			tree[n] = minKey(tree[2*n], tree[2*n+1])
 		}
@@ -609,45 +546,6 @@ func (m *Machine) buildTree() int {
 		tree[n] = minKey(tree[2*n], tree[2*n+1])
 	}
 	return live
-}
-
-// deferDesign queues a design request on the pending batch, flushing first
-// if the scratch is full (an early flush just splits the serial sequence
-// at a different batch boundary, which AccessBatch's contract makes free).
-func (m *Machine) deferDesign(r dramcache.Request) {
-	if len(m.breqs) == cap(m.breqs) {
-		m.flushDesign()
-	}
-	m.breqs = append(m.breqs, r)
-}
-
-// flushDesign drives the pending batch through the design. A lone request
-// skips the batch path entirely — Access and a size-1 AccessBatch are
-// bit-identical, and most drains end with one or two requests pending.
-func (m *Machine) flushDesign() {
-	switch n := len(m.breqs); n {
-	case 0:
-	case 1:
-		m.design.Access(m.breqs[0])
-		m.breqs = m.breqs[:0]
-	default:
-		m.design.AccessBatch(m.breqs, m.bresps[:n])
-		m.breqs = m.breqs[:0]
-	}
-}
-
-// flushDesignTail flushes the pending batch and returns the response of
-// its final request (the load read the draining core is stalled on).
-func (m *Machine) flushDesignTail() dramcache.Response {
-	n := len(m.breqs)
-	if n == 1 {
-		r := m.design.Access(m.breqs[0])
-		m.breqs = m.breqs[:0]
-		return r
-	}
-	m.design.AccessBatch(m.breqs, m.bresps[:n])
-	m.breqs = m.breqs[:0]
-	return m.bresps[n-1]
 }
 
 // minKey plays one tournament match on packed clock<<shift|core keys: the
@@ -710,13 +608,14 @@ type Interval struct {
 // continuous min-clock-first schedule while measuring windows along the
 // way: window w spans each core's events [starts[w], starts[w]+length),
 // offsets relative to this call. Boundaries are pure per-core counter
-// snapshots taken as each core crosses them — the schedule is exactly
-// Replay's, with no synchronization barrier at any boundary. That is the
-// load-bearing property: pausing the replay at window edges (a separate
-// Replay call per window) re-synchronizes the cores' event counts, which
-// reorders how the shared L2 and DRAM reservations resolve and shifts
-// measured UIPC by whole percents per barrier; a sampled run must
-// replay the same event interleaving the full run would.
+// snapshots taken by clamp-and-park as each core reaches them — the
+// schedule is exactly Replay's, with no synchronization barrier at any
+// boundary. That is the load-bearing property: pausing the replay at
+// window edges (a separate Replay call per window) re-synchronizes the
+// cores' event counts, which reorders how the shared L2 and DRAM
+// reservations resolve and shifts measured UIPC by whole percents per
+// barrier; a sampled run must replay the same event interleaving the full
+// run would.
 //
 // After the last core finishes window w, measured(w, iv) is invoked; if
 // it returns false the replay stops right there (the adaptive early
@@ -725,87 +624,86 @@ type Interval struct {
 // window. No statistics are reset at any boundary, so CollectResults
 // still covers the whole region since BeginMeasurement.
 //
-// Windows must be ascending, non-overlapping, and end at or before
-// eventsPerCore. Returns the maximum per-core event count consumed.
+// Windows must be non-empty, ascending, non-overlapping, and end at or
+// before eventsPerCore. Returns the maximum per-core event count consumed.
 func (m *Machine) ReplaySampled(eventsPerCore int, starts []int, length int, measured func(w int, iv Interval) bool) int {
 	if eventsPerCore <= 0 || len(starts) == 0 {
 		return 0
 	}
-	// Per-core boundary cursors and snapshots. Boundary 2w is window w's
-	// start, boundary 2w+1 its end.
 	cores := len(m.cores)
-	bounds := make([]int, 0, 2*len(starts))
-	for _, s := range starts {
-		bounds = append(bounds, s, s+length)
+	ws := &windowSet{
+		m:        m,
+		bounds:   make([]int, 0, 2*len(starts)),
+		snaps:    make([]CoreInterval, 2*len(starts)*cores),
+		cursor:   make([]int, cores),
+		endLeft:  make([]int, len(starts)),
+		measured: measured,
 	}
-	snaps := make([]CoreInterval, len(bounds)*cores) // snaps[b*cores+c]
-	cursor := make([]int, cores)                     // next boundary index per core
-	endLeft := make([]int, len(starts))              // cores yet to finish window w
-	for w := range endLeft {
-		endLeft[w] = cores
+	for w, s := range starts {
+		ws.bounds = append(ws.bounds, s, s+length)
+		ws.endLeft[w] = cores
 	}
-
-	remaining := m.remaining
-	for i := range remaining {
-		remaining[i] = eventsPerCore
+	for i := range m.remaining {
+		m.remaining[i] = eventsPerCore
 	}
-	live := m.buildTree()
-	tree, leaves, shift, mask := m.tree, m.leaves, m.shift, uint64(m.leaves-1)
-
 	// Boundary offset 0 (a window starting immediately) is crossed by
-	// every core before any event runs.
+	// every core before any event runs; no window ends there.
 	for c := range m.cores {
-		m.crossBoundaries(c, 0, bounds, cursor, snaps)
+		ws.cross(c, 0)
 	}
-
+	m.clampAndPark(^uint64(0), eventsPerCore, ws)
 	consumedMax := 0
-	for live > 0 {
-		best := int(tree[1] & mask)
-		m.step(best, remaining[best])
-		consumed := eventsPerCore - remaining[best] + 1
-		if consumed > consumedMax {
-			consumedMax = consumed
-		}
-		if w, done := m.crossBoundaries(best, consumed, bounds, cursor, snaps); done {
-			if endLeft[w]--; endLeft[w] == 0 {
-				// Only now — once the last core has crossed the window's
-				// end — are all of the window's snapshot rows written.
-				if !measured(w, windowOf(snaps[2*w*cores:], cores)) {
-					return consumedMax
-				}
-			}
-		}
-		if remaining[best]--; remaining[best] == 0 {
-			tree[leaves+best] = ^uint64(0)
-			live--
-		} else {
-			tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
-		}
-		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-			tree[n] = minKey(tree[2*n], tree[2*n+1])
-		}
+	for _, rem := range m.remaining {
+		consumedMax = max(consumedMax, eventsPerCore-rem)
 	}
 	return consumedMax
 }
 
-// crossBoundaries records core c's counters for every boundary at or
-// below consumed, and reports the window whose END boundary was just
-// crossed (done), if any.
-func (m *Machine) crossBoundaries(c, consumed int, bounds []int, cursor []int, snaps []CoreInterval) (window int, done bool) {
-	cores := len(m.cores)
-	for cursor[c] < len(bounds) && bounds[cursor[c]] <= consumed {
-		b := cursor[c]
-		snaps[b*cores+c] = CoreInterval{Instructions: m.cores[c].instr, Cycles: m.cores[c].clock}
-		cursor[c]++
-		if b%2 == 1 {
-			window, done = b/2, true
-		}
-	}
-	return window, done
+// windowSet is ReplaySampled's boundary list: boundary 2w is window w's
+// start, boundary 2w+1 its end.
+type windowSet struct {
+	m        *Machine
+	bounds   []int
+	snaps    []CoreInterval // [b*cores+c]: core c's counters at boundary b
+	cursor   []int          // per core: next boundary to cross
+	endLeft  []int          // per window: cores yet to cross its end
+	measured func(w int, iv Interval) bool
 }
 
-// windowOf assembles a window's metrics from its start/end snapshot rows.
-func windowOf(rows []CoreInterval, cores int) Interval {
+func (s *windowSet) next(c int) int {
+	if s.cursor[c] < len(s.bounds) {
+		return s.bounds[s.cursor[c]]
+	}
+	return maxInt
+}
+
+func (s *windowSet) cross(c, consumed int) bool {
+	cores := len(s.cursor)
+	pc := &s.m.cores[c]
+	window := -1
+	for s.cursor[c] < len(s.bounds) && s.bounds[s.cursor[c]] <= consumed {
+		b := s.cursor[c]
+		s.snaps[b*cores+c] = CoreInterval{Instructions: pc.instr, Cycles: pc.clock}
+		s.cursor[c]++
+		if b%2 == 1 {
+			window = b / 2
+		}
+	}
+	if window < 0 {
+		return true
+	}
+	if s.endLeft[window]--; s.endLeft[window] > 0 {
+		return true
+	}
+	// Only now — once the last core has crossed the window's end — are
+	// all of the window's snapshot rows written.
+	return s.measured(window, s.interval(window))
+}
+
+// interval assembles window w's metrics from its start/end snapshot rows.
+func (s *windowSet) interval(w int) Interval {
+	cores := len(s.cursor)
+	rows := s.snaps[2*w*cores:]
 	iv := Interval{PerCore: make([]CoreInterval, cores)}
 	for c := 0; c < cores; c++ {
 		start, end := rows[c], rows[cores+c]
@@ -872,101 +770,6 @@ func (m *Machine) step(i, budget int) {
 		c.stall += stall
 	}
 }
-
-// stepDeferred is step with design accesses deferred onto the pending
-// batch instead of issued one at a time. L1 and L2 lookups still run in
-// step order — they decide whether design requests exist at all — but the
-// design only sees requests at flush points. Writes and store fetches need
-// no response (stores retire through the write buffer; their DoneAt is
-// never read), so they stay queued — across interleave boundaries, since
-// deferral in step order keeps the batch a consecutive slice of the serial
-// sequence no matter which cores contributed; a load read is the one
-// request whose response the core must stall on, so it flushes the batch
-// it terminates.
-func (m *Machine) stepDeferred(i, budget int) {
-	c := &m.cores[i]
-	ev := c.nextEvent(budget)
-	c.clock += uint64(ev.Gap)
-	c.instr += uint64(ev.Gap) + 1
-
-	block := ev.Addr.Block()
-	if r := c.l1.Access(block, ev.Write); r.Hit {
-		return // L1 hits are pipelined away.
-	} else if r.Writeback {
-		m.l2WriteDeferred(r.WritebackBlock, c.clock, i)
-	}
-
-	// L1 miss: look up the shared L2.
-	at := c.clock + c.l1.Latency()
-	l2r := m.l2.Access(block, false)
-	var doneAt uint64
-	if l2r.Hit {
-		doneAt = at + m.l2.Latency()
-	} else {
-		if l2r.Writeback {
-			m.deferDesign(dramcache.Request{
-				Addr:  mem.BlockAddr(l2r.WritebackBlock),
-				Core:  i,
-				Write: true,
-				At:    at + m.l2.Latency(),
-			})
-		}
-		req := dramcache.Request{
-			Addr: ev.Addr,
-			PC:   ev.PC,
-			Core: i,
-			At:   at + m.l2.Latency(),
-		}
-		if ev.Write {
-			m.deferDesign(req)
-			return // Store miss: the fetch's completion time is never read.
-		}
-		var resp dramcache.Response
-		if len(m.breqs) == 0 {
-			// Nothing pending: the lone read goes straight through — a
-			// size-1 batch and Access are the same request sequence.
-			resp = m.design.Access(req)
-		} else {
-			m.deferDesign(req)
-			resp = m.flushDesignTail()
-		}
-		doneAt = resp.DoneAt
-		if doneAt > at+m.l2.Latency() {
-			c.latSum += doneAt - (at + m.l2.Latency())
-			c.latN++
-		}
-	}
-
-	if ev.Write {
-		return // Stores retire through the write buffer.
-	}
-	lat := doneAt - c.clock
-	if lat > m.cfg.HideCycles {
-		stall := (lat - m.cfg.HideCycles) / m.cfg.MLP
-		c.clock += stall
-		c.stall += stall
-	}
-}
-
-// l2WriteDeferred is l2Write with the design-bound victim deferred onto
-// the pending batch.
-func (m *Machine) l2WriteDeferred(block uint64, at uint64, core int) {
-	r := m.l2.Access(block, true)
-	if r.Writeback {
-		m.deferDesign(dramcache.Request{
-			Addr:  mem.BlockAddr(r.WritebackBlock),
-			Core:  core,
-			Write: true,
-			At:    at + m.l2.Latency(),
-		})
-	}
-}
-
-// SetBatching toggles the batched drain path (on by default). Off forces
-// the serial one-Access-per-request reference schedule; results are
-// bit-identical either way, so the switch exists for A/B verification and
-// for isolating the design hot path in profiles.
-func (m *Machine) SetBatching(on bool) { m.batching = on }
 
 // l2Write absorbs an L1 dirty victim into the L2, forwarding any L2 victim
 // to the DRAM cache.

@@ -59,13 +59,3 @@ func BenchmarkSteadyReplay(b *testing.B) {
 		m.Replay(5_000)
 	}
 }
-
-func BenchmarkSteadyReplaySerial(b *testing.B) {
-	m := steadyUnisonMachine(b, 16)
-	m.SetBatching(false)
-	m.Replay(20_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Replay(5_000)
-	}
-}

@@ -318,7 +318,7 @@ func newMachine(r Run) (*sim.Machine, Run, error) {
 	cfg := sim.Default()
 	cfg.Cores = r.Cores
 	// The proportional-scaling methodology shrinks the L2 with the same
-	// divisor (floor 256 KB) so the L2:DRAM-cache capacity ratio — which
+	// divisor (floor 128 KB) so the L2:DRAM-cache capacity ratio — which
 	// controls how much re-reference traffic the DRAM cache actually sees
 	// — stays faithful to the full-scale system.
 	if scaledL2 := cfg.L2.SizeBytes / r.ScaleDivisor; scaledL2 >= 128<<10 {
@@ -330,20 +330,8 @@ func newMachine(r Run) (*sim.Machine, Run, error) {
 	if err != nil {
 		return nil, Run{}, err
 	}
-	if SerialDesignAccess {
-		machine.SetBatching(false)
-	}
 	return machine, r, nil
 }
-
-// SerialDesignAccess forces every machine this package builds onto the
-// one-Access-per-request reference path instead of the batched
-// AccessBatch drain (DESIGN.md §12). Batching is a pure performance
-// transform — results are bit-identical either way — so this is a
-// process-level engine toggle for A/B verification (cmd/experiments
-// -serial-access), deliberately not a Run field: it never reaches
-// RunKey canonicalization or the service cache.
-var SerialDesignAccess bool
 
 // buildDesign constructs the requested design over the DRAM parts. The
 // simulated structures are sized by the scaled capacity; latency-relevant
