@@ -31,7 +31,11 @@ func main() {
 // The return is named so the -memprofile defer can fail the process.
 func realMain() (code int) {
 	workload := flag.String("workload", "web-search", "one of: "+strings.Join(uc.Workloads(), ", "))
-	design := flag.String("design", "unison", "one of: unison, unison-1984, alloy, footprint, ideal, none")
+	var designs []string
+	for _, d := range uc.Designs() {
+		designs = append(designs, string(d))
+	}
+	design := flag.String("design", "unison", "one of: "+strings.Join(designs, ", "))
 	size := flag.String("size", "1GB", "cache capacity (e.g. 128MB, 1GB, 8GB)")
 	accesses := flag.Int("accesses", 400_000, "accesses per core (warmup included)")
 	seed := flag.Uint64("seed", 1, "workload seed")

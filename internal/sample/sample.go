@@ -331,20 +331,6 @@ type Report struct {
 // pulled per core — a finite replay source sized to the run is never
 // over-pulled.
 func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
-	return run(m, accessesPerCore, spec, false)
-}
-
-// RunWarmed is Run for a machine whose functional warmup has already
-// happened — restored from a warmup-boundary checkpoint of the same
-// configuration. The schedule from the boundary on is identical to Run's
-// (warmup still counts toward ConsumedPerCore; it was simulated, just by
-// the run the checkpoint came from), so a warm-started report is
-// bit-identical to a cold one.
-func RunWarmed(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
-	return run(m, accessesPerCore, spec, true)
-}
-
-func run(m *sim.Machine, accessesPerCore int, spec Spec, warmed bool) (Report, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return Report{}, err
@@ -355,7 +341,7 @@ func run(m *sim.Machine, accessesPerCore int, spec Spec, warmed bool) (Report, e
 			"sample: %d accesses per core fit %d measurement windows after %d warmup events, need MinIntervals=%d (shorten the spec or lengthen the run)",
 			accessesPerCore, fit, warm, spec.MinIntervals)
 	}
-	if warm > 0 && !warmed {
+	if warm > 0 {
 		m.Replay(warm)
 	}
 	m.BeginMeasurement()

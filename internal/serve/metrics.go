@@ -128,8 +128,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	done, total := s.runningProgress()
 	gaugeFloat("unisonserved_replay_progress_ratio", "Completed fraction of executions across currently running jobs (0 when idle).", progressRatio(done, total))
 
-	// Build provenance, matching the fields cmd/bench records in
-	// BENCH_core.json.
+	// Build provenance: the Go version and core count qualify every
+	// throughput number above, as they do on perfbench's records.
 	fmt.Fprintf(w, "# HELP unisonserved_build_info Build provenance of the running daemon.\n# TYPE unisonserved_build_info gauge\n")
 	fmt.Fprintf(w, "unisonserved_build_info{version=%q,go_version=%q,cores_available=\"%d\"} 1\n",
 		buildVersion(), runtime.Version(), runtime.NumCPU())

@@ -338,3 +338,38 @@ func TestServeMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestServeEngineMeterCountsSampledEvents: a sampled run never replays
+// past its last window and may stop early, so the engine meter counts the
+// events it simulated (Result.CI.SimulatedEvents), not the full trace
+// length of the run.
+func TestServeEngineMeterCountsSampledEvents(t *testing.T) {
+	s := New(Config{Execute: func(r uc.Run) (uc.Result, error) {
+		res, err := fakeExecute(r)
+		full := uint64(r.AccessesPerCore) * uint64(r.Cores)
+		res.CI = &uc.SampleStats{SimulatedEvents: full / 3, FullRunEvents: full}
+		return res, err
+	}})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+	run := smallRun(uc.DesignUnison)
+	run.Sampling = uc.DefaultSampleSpec()
+	res, err := cl.Execute(ctx, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CI == nil || res.CI.SimulatedEvents == 0 || res.CI.SimulatedEvents >= res.CI.FullRunEvents {
+		t.Fatalf("fake sampled result CI = %+v, want 0 < SimulatedEvents < FullRunEvents", res.CI)
+	}
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m["unisonserved_engine_events_total"], float64(res.CI.SimulatedEvents); got != want {
+		t.Errorf("unisonserved_engine_events_total = %v after one sampled run, want its SimulatedEvents %v", got, want)
+	}
+}

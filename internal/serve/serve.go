@@ -409,10 +409,15 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 		dur := time.Since(start)
 		s.lat.execute.Observe(dur.Seconds())
 		if err == nil {
-			// Feed the engine meter: events = the defaulted run's trace
-			// length (echoed on the result), accounted once per
-			// simulation — never per event.
-			s.meter.RecordRun(uint64(res.Run.AccessesPerCore)*uint64(max(res.Run.Cores, 0)), dur)
+			// Feed the engine meter, once per simulation — never per
+			// event: a full run replays the defaulted run's whole trace
+			// (echoed on the result); a sampled run stops after its last
+			// window and reports what it actually simulated.
+			events := uint64(res.Run.AccessesPerCore) * uint64(max(res.Run.Cores, 0))
+			if res.CI != nil {
+				events = res.CI.SimulatedEvents
+			}
+			s.meter.RecordRun(events, dur)
 			s.storePut(key, res)
 		}
 		return res, err

@@ -300,9 +300,9 @@ func (m *Machine) TotalSteps() uint64 {
 }
 
 // WarmSteps returns the global step offset of the warmup/measurement
-// boundary. A checkpoint written exactly here captures the post-boundary
-// state (statistics reset, measurement budgets armed), which is what makes
-// the warm snapshot reusable as a sampled run's functional warmup.
+// boundary. RunTo takes the transition eagerly, so a checkpoint written
+// exactly here captures the post-boundary state (statistics reset,
+// measurement budgets armed).
 func (m *Machine) WarmSteps() uint64 {
 	return uint64(m.run.warm) * uint64(len(m.cores))
 }

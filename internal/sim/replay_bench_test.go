@@ -2,15 +2,21 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"unisoncache/internal/core"
 	"unisoncache/internal/dram"
+	"unisoncache/internal/stats"
+	"unisoncache/internal/telemetry"
 	"unisoncache/internal/trace"
 )
 
-// steadyUnisonMachine mirrors cmd/bench's steadyMachine: the Figure 7
-// unison cell at simulation scale with nothing but the replay loop timed.
-func steadyUnisonMachine(tb testing.TB, cores int) *Machine {
+// steadyUnisonMachine wires the Figure 7 unison cell at simulation scale
+// (data-serving, 1 GB labelled capacity, the facade's automatic scale
+// divisor) with nothing but the replay loop timed. warmupFrac only matters
+// to machines driven through the BeginRun/RunTo cursor; Replay ignores the
+// run bookkeeping.
+func steadyUnisonMachine(tb testing.TB, cores int, warmupFrac float64) *Machine {
 	tb.Helper()
 	const labelCap = uint64(1 << 30)
 	div := uint64(32) // AutoScaleDivisor(1<<30)
@@ -43,6 +49,7 @@ func steadyUnisonMachine(tb testing.TB, cores int) *Machine {
 	}
 	cfg := Default()
 	cfg.Cores = cores
+	cfg.WarmupFrac = warmupFrac
 	cfg.L2.SizeBytes = 128 << 10
 	m, err := New(cfg, sources, design, stacked, offchip)
 	if err != nil {
@@ -52,10 +59,83 @@ func steadyUnisonMachine(tb testing.TB, cores int) *Machine {
 }
 
 func BenchmarkSteadyReplay(b *testing.B) {
-	m := steadyUnisonMachine(b, 16)
+	m := steadyUnisonMachine(b, 16, Default().WarmupFrac)
 	m.Replay(20_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Replay(5_000)
+	}
+}
+
+// BenchmarkReplayTelemetry is the telemetry-overhead guard: the steady
+// cell replayed plain and again with epoch telemetry armed (every 10k
+// retired events per core), reported as telemetry_vs_steady — the armed
+// loop's throughput over the plain one's. It fails below 0.95.
+//
+// A few-percent ratio is below what single timed passes resolve on a
+// shared host, so the two loops run in short alternating rounds. Each
+// round's quotient cancels the host drift both sides share, and the median
+// over rounds discards the asymmetric spikes. The machines also advance in
+// lockstep — the same prewarm and the same events per round — because
+// per-event cost drifts with trace phase, and telemetry must be the only
+// difference between the two sides of a pair.
+func BenchmarkReplayTelemetry(b *testing.B) {
+	const (
+		cores       = 16
+		batch       = 5_000 // events per core per op
+		prewarm     = 20_000
+		warmOps     = 4
+		rounds      = 120
+		opsPerRound = 2
+		runAccesses = 40_000_000 // never reached: every op replays exactly batch events per core
+		minRatio    = 0.95
+		epochEvents = 10_000
+	)
+	plain := steadyUnisonMachine(b, cores, Default().WarmupFrac)
+	plain.Replay(prewarm)
+	// Replay never records, so the armed side drives the same loop through
+	// the BeginRun/RunTo cursor with WarmupFrac 0: measurement, and so
+	// recording, starts at step 0.
+	armed := steadyUnisonMachine(b, cores, 0)
+	armed.SetTelemetry(telemetry.Spec{EpochEvents: epochEvents}, nil)
+	armed.BeginRun(runAccesses)
+	target := uint64(prewarm) * cores
+	armed.RunTo(target)
+	ops := [2]func(){
+		func() { plain.Replay(batch) },
+		func() {
+			target += batch * cores
+			armed.RunTo(target)
+		},
+	}
+	for _, op := range ops {
+		for n := 0; n < warmOps; n++ {
+			op()
+		}
+	}
+
+	ratios := make([]float64, 0, rounds*b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < rounds; r++ {
+			var ns [2]time.Duration
+			for k, op := range ops {
+				start := time.Now()
+				for n := 0; n < opsPerRound; n++ {
+					op()
+				}
+				ns[k] = time.Since(start)
+			}
+			ratios = append(ratios, float64(ns[0])/float64(ns[1]))
+		}
+	}
+	b.StopTimer()
+	if target >= armed.TotalSteps() {
+		b.Fatalf("armed machine exhausted its run budget (%d steps): the last rounds replayed nothing", target)
+	}
+	ratio := stats.Median(ratios)
+	b.ReportMetric(ratio, "telemetry_vs_steady")
+	if ratio < minRatio {
+		b.Fatalf("telemetry-armed replay ran at %.3fx the steady cell (floor %.2fx): epoch recording is no longer near-free", ratio, minRatio)
 	}
 }

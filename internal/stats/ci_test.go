@@ -347,38 +347,3 @@ func d2x(cycles float64) *SummedRatios {
 	}
 	return u
 }
-
-// TestStrata checks the stratified estimator: equal strata reproduce the
-// plain mean, and the variance combines only within-stratum spread.
-func TestStrata(t *testing.T) {
-	s := NewStrata(2)
-	// Stratum 0 around 10, stratum 1 around 20: between-stratum spread is
-	// structural, not sampling noise.
-	for _, x := range []float64{9, 10, 11} {
-		s.Add(0, x)
-	}
-	for _, x := range []float64{19, 20, 21} {
-		s.Add(1, x)
-	}
-	if got := s.Mean(); got != 15 {
-		t.Errorf("stratified mean %v, want 15", got)
-	}
-	// var per stratum = 1, n=3: Variance = (1/4)(1/3 + 1/3) = 1/6.
-	if got, want := s.Variance(), 1.0/6; math.Abs(got-want) > 1e-12 {
-		t.Errorf("stratified variance %v, want %v", got, want)
-	}
-	if s.CI(0.95) <= 0 {
-		t.Error("populated strata with spread must have a positive CI")
-	}
-
-	// One empty stratum is excluded, not averaged in as zero.
-	e := NewStrata(3)
-	e.Add(0, 4)
-	e.Add(1, 6)
-	if got := e.Mean(); got != 5 {
-		t.Errorf("mean with empty stratum %v, want 5", got)
-	}
-	if hw := e.CI(0.95); hw != 0 {
-		t.Errorf("single samples per stratum: CI %v, want 0", hw)
-	}
-}

@@ -43,14 +43,6 @@ func (r Ratio) Value() float64 {
 // Percent returns the ratio scaled to percent.
 func (r Ratio) Percent() float64 { return r.Value() * 100 }
 
-// Complement returns 1 - Value as a percentage (e.g. miss ratio from hits).
-func (r Ratio) ComplementPercent() float64 {
-	if r.Den == 0 {
-		return 0
-	}
-	return 100 - r.Percent()
-}
-
 // Merge folds other into r.
 func (r *Ratio) Merge(other Ratio) {
 	r.Num += other.Num
@@ -423,81 +415,6 @@ func PairedSpeedupCI(design, baseline *SummedRatios, confidence float64) (speedu
 	relVar := ss / float64(n*(n-1))
 	halfWidth = TQuantile(1-(1-confidence)/2, n-1) * math.Abs(speedup) * math.Sqrt(relVar)
 	return speedup, halfWidth
-}
-
-// Strata is a stratified mean/variance estimator: samples are assigned to
-// a fixed set of independent strata (e.g. one per seed in a cross-seed
-// replication), the estimate is the unweighted mean of the stratum means,
-// and its variance combines the within-stratum variances — never the
-// between-stratum spread, which stratification exists to remove. Strata
-// must be independent for the variance to be honest; correlated strata
-// (cores sharing one memory system) belong in one stratum.
-type Strata struct {
-	strata []Mean
-}
-
-// NewStrata creates an estimator with k strata.
-func NewStrata(k int) *Strata {
-	return &Strata{strata: make([]Mean, k)}
-}
-
-// K returns the stratum count.
-func (s *Strata) K() int { return len(s.strata) }
-
-// Add records one sample in stratum i.
-func (s *Strata) Add(i int, x float64) { s.strata[i].Add(x) }
-
-// Mean returns the unweighted mean of the stratum means; strata that have
-// seen no samples are excluded.
-func (s *Strata) Mean() float64 {
-	sum, k := 0.0, 0
-	for _, m := range s.strata {
-		if m.N() > 0 {
-			sum += m.Value()
-			k++
-		}
-	}
-	if k == 0 {
-		return 0
-	}
-	return sum / float64(k)
-}
-
-// Variance returns the variance of Mean: (1/k^2) * sum var_i/n_i over the
-// populated strata.
-func (s *Strata) Variance() float64 {
-	sum, k := 0.0, 0
-	for _, m := range s.strata {
-		if m.N() > 0 {
-			k++
-			if m.N() >= 2 {
-				sum += m.Variance() / float64(m.N())
-			}
-		}
-	}
-	if k == 0 {
-		return 0
-	}
-	return sum / float64(k*k)
-}
-
-// CI returns the half-width of the confidence interval on Mean at the
-// given level, with degrees of freedom conservatively taken as the
-// smallest populated stratum's n-1.
-func (s *Strata) CI(confidence float64) float64 {
-	df := 0
-	for _, m := range s.strata {
-		if m.N() >= 2 {
-			d := int(m.N()) - 1
-			if df == 0 || d < df {
-				df = d
-			}
-		}
-	}
-	if df == 0 {
-		return 0
-	}
-	return TQuantile(1-(1-confidence)/2, df) * math.Sqrt(s.Variance())
 }
 
 // Histogram is a fixed-bucket histogram over small non-negative integers

@@ -21,9 +21,6 @@ func TestRatioBasics(t *testing.T) {
 	if got := r.Percent(); got != 50 {
 		t.Errorf("Percent = %v, want 50", got)
 	}
-	if got := r.ComplementPercent(); got != 50 {
-		t.Errorf("ComplementPercent = %v, want 50", got)
-	}
 }
 
 func TestRatioAddNMerge(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"unisoncache/internal/checkpoint"
 	"unisoncache/internal/sample"
 	"unisoncache/internal/sim"
 	"unisoncache/internal/stats"
@@ -199,54 +198,6 @@ func executeSampled(m *sim.Machine, r Run) (Result, error) {
 		return Result{}, err
 	}
 	return assembleSampled(rep, r), nil
-}
-
-// executeSampledWarm tries to serve a sampled run's functional warmup from
-// the snapshot store: when a warmup-boundary checkpoint of the underlying
-// configuration exists (written by that configuration's segmented or
-// serial-with-save execution) and the spec's warmup boundary is exactly
-// the full-run one, the warmup replay is skipped entirely by restoring the
-// checkpoint. The report is bit-identical to the cold path's — the
-// restored state IS the state the cold warmup produces — so any miss or
-// restore failure silently falls back (ok == false) to cold execution.
-func executeSampledWarm(r Run) (Result, bool) {
-	spec := r.Sampling.internal().WithDefaults()
-	if spec.Validate() != nil {
-		return Result{}, false // the cold path reports the error
-	}
-	prefix, err := checkpointPrefix(r)
-	if err != nil {
-		return Result{}, false
-	}
-	m, rr, err := newMachine(r)
-	if err != nil {
-		return Result{}, false
-	}
-	m.BeginRun(rr.AccessesPerCore)
-	warmSteps := m.WarmSteps()
-	_, warm := spec.Windows(rr.AccessesPerCore)
-	if warmSteps == 0 || warmSteps != uint64(warm)*uint64(rr.Cores) {
-		return Result{}, false
-	}
-	blob, ok := ckStore.Get(prefix, warmSteps)
-	if !ok {
-		return Result{}, false
-	}
-	payload, err := openSnapshot(blob, prefix, warmSteps)
-	if err != nil {
-		return Result{}, false
-	}
-	rd := checkpoint.NewReader(payload)
-	if m.LoadState(rd) != nil || rd.Finish() != nil {
-		// The machine may hold a partial restore; the cold path builds its
-		// own fresh one.
-		return Result{}, false
-	}
-	rep, err := sample.RunWarmed(m, rr.AccessesPerCore, r.Sampling.internal())
-	if err != nil {
-		return Result{}, false
-	}
-	return assembleSampled(rep, rr), true
 }
 
 // assembleSampled converts a sampled report into the public Result shape.

@@ -15,21 +15,20 @@ import (
 // so a corrupt request cannot demand an absurd worker fan-out.
 const maxSegments = 1024
 
-// ckStore is the process-wide snapshot store backing time-parallel replay
-// and sampled warm-starts. 512 MB holds the boundary states of dozens of
-// sweep-sized configurations; least-recently-used entries age out, which
-// only costs a future run its parallel fast path, never correctness.
+// ckStore is the process-wide snapshot store backing time-parallel replay.
+// 512 MB holds the boundary states of dozens of sweep-sized
+// configurations; least-recently-used entries age out, which only costs a
+// future run its parallel fast path, never correctness.
 var ckStore = checkpoint.NewStore(512 << 20)
 
 // checkpointPrefix returns the snapshot-store key prefix of a run: the
-// RunKey of the configuration with Sampling, Segments and Telemetry
-// stripped. A serial run, every segment count, a sampled run, and a
-// telemetry-observed run of the same underlying configuration all replay
-// the same event schedule up to any boundary — telemetry records without
-// perturbing and checkpoints carry no recorder state — so they
-// deliberately share snapshots.
+// RunKey of the configuration with Segments and Telemetry stripped. Every
+// segment count and a telemetry-observed run of the same underlying
+// configuration replay the same event schedule up to any boundary —
+// telemetry records without perturbing and checkpoints carry no recorder
+// state — so they deliberately share snapshots. Sampled runs never reach
+// the store (they ignore Segments).
 func checkpointPrefix(r Run) (string, error) {
-	r.Sampling = SampleSpec{}
 	r.Segments = 0
 	r.Telemetry = TelemetrySpec{}
 	return RunKey(r)
@@ -66,26 +65,17 @@ func encodeMachine(m *sim.Machine, prefix string, offset uint64) ([]byte, error)
 	return checkpoint.EncodeSnapshot(prefix, offset, w.Bytes()), nil
 }
 
-// openSnapshot validates a store blob against the key it was fetched under
-// and returns its payload.
-func openSnapshot(blob []byte, prefix string, offset uint64) ([]byte, error) {
+// restoreMachine validates a store blob against the key it was fetched
+// under, builds a fresh machine for the run and restores the snapshot into
+// it. The machine resumes the run's schedule exactly where the snapshot
+// froze it.
+func restoreMachine(r Run, prefix string, offset uint64, blob []byte) (*sim.Machine, Run, error) {
 	p, off, payload, err := checkpoint.ReadSnapshot(blob)
 	if err != nil {
-		return nil, err
+		return nil, Run{}, err
 	}
 	if p != prefix || off != offset {
-		return nil, fmt.Errorf("unisoncache: snapshot stored under (%q, %d) claims key (%q, %d)", prefix, offset, p, off)
-	}
-	return payload, nil
-}
-
-// restoreMachine builds a fresh machine for the run and restores the
-// snapshot blob into it. The machine resumes the run's schedule exactly
-// where the snapshot froze it.
-func restoreMachine(r Run, prefix string, offset uint64, blob []byte) (*sim.Machine, Run, error) {
-	payload, err := openSnapshot(blob, prefix, offset)
-	if err != nil {
-		return nil, Run{}, err
+		return nil, Run{}, fmt.Errorf("unisoncache: snapshot stored under (%q, %d) claims key (%q, %d)", prefix, offset, p, off)
 	}
 	m, rr, err := newMachine(r)
 	if err != nil {
@@ -103,11 +93,10 @@ func restoreMachine(r Run, prefix string, offset uint64, blob []byte) (*sim.Mach
 
 // executeSegmented runs a Segments >= 2 configuration time-parallel
 // (DESIGN.md §11). The first execution of a configuration has no boundary
-// snapshots, so it simulates serially while writing them — plus the
-// warmup-boundary snapshot sampled runs warm-start from; repeat executions
-// restore every segment's start state concurrently and stitch the segments
-// together with a deterministic fix-up pass. Either way the Results are
-// bit-identical to the serial replay.
+// snapshots, so it simulates serially while writing them; repeat
+// executions restore every segment's start state concurrently and stitch
+// the segments together with a deterministic fix-up pass. Either way the
+// Results are bit-identical to the serial replay.
 func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 	prefix, err := checkpointPrefix(r)
 	if err != nil {
@@ -148,33 +137,15 @@ func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 }
 
 // segmentedSerialSave replays the run serially on the prepared machine,
-// saving a snapshot at every segment boundary and at the warmup boundary
-// (the sampled warm-start state). Snapshot encoding failures are not
-// errors — a source without checkpoint support simply leaves the store
-// unpopulated and every execution serial. With telemetry enabled the one
-// machine records the whole timeline and streams epochs live.
+// saving a snapshot at every segment boundary. Snapshot encoding failures
+// are not errors — a source without checkpoint support simply leaves the
+// store unpopulated and every execution serial. With telemetry enabled the
+// one machine records the whole timeline and streams epochs live.
 func segmentedSerialSave(m *sim.Machine, rr Run, prefix string, bounds []uint64, onEpoch func(TimelineEpoch)) (Result, error) {
 	if rr.Telemetry.Enabled() {
 		m.SetTelemetry(rr.Telemetry.internal(), emitFunc(onEpoch))
 	}
-	targets := bounds
-	if warm := m.WarmSteps(); warm > 0 && warm < m.TotalSteps() {
-		targets = make([]uint64, 0, len(bounds)+1)
-		inserted := false
-		for _, b := range bounds {
-			if !inserted && warm <= b {
-				targets = append(targets, warm)
-				inserted = true
-			}
-			if b != warm {
-				targets = append(targets, b)
-			}
-		}
-		if !inserted {
-			targets = append(targets, warm)
-		}
-	}
-	for _, t := range targets {
+	for _, t := range bounds {
 		m.RunTo(t)
 		if blob, err := encodeMachine(m, prefix, t); err == nil {
 			ckStore.Put(prefix, t, blob)

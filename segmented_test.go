@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -361,12 +362,12 @@ func TestSegmentedCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestSampledFromCheckpoint is the sampled warm-start wall. Bit-parity: a
-// sampled run warm-started from the store's warmup-boundary snapshot must
-// equal the cold sampled run byte for byte. Acceptance: its CI must
-// contain the full-run speedup, the same bound TestSweepSampledAcceptance
-// enforces on cold sampled sweeps.
-func TestSampledFromCheckpoint(t *testing.T) {
+// TestSampledIgnoresSegments: a sampled run always replays its own warmup,
+// so Segments changes nothing about it — not even after a segmented run of
+// the same configuration has filled the snapshot store. Acceptance: its CI
+// must contain the full-run UIPC, the same bound TestSweepSampledAcceptance
+// enforces on sampled sweeps.
+func TestSampledIgnoresSegments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full, sampled and segmented executions; skipped in -short")
 	}
@@ -376,47 +377,47 @@ func TestSampledFromCheckpoint(t *testing.T) {
 			Cores: 4, AccessesPerCore: 40_000, Seed: 1}
 
 		ckStore.Reset()
-		cold := r
-		cold.Sampling = spec
-		coldRes, err := Execute(cold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if coldRes.CI == nil {
-			t.Fatal("cold sampled run returned no CI")
-		}
-
-		// Populate the store: the segmented run writes the warm-boundary
-		// snapshot alongside its segment boundaries.
 		seg := r
 		seg.Segments = 4
 		segRes, err := Execute(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A first segmented run saves its segment boundaries and nothing
+		// else.
+		var offsets []uint64
+		for _, k := range ckStore.Keys() {
+			offsets = append(offsets, k.Offset)
+		}
+		slices.Sort(offsets)
+		if want := segmentBounds(uint64(r.AccessesPerCore*r.Cores), seg.Segments); !slices.Equal(offsets, want) {
+			t.Errorf("%s: store holds offsets %v after the first segmented run, want the segment boundaries %v", d, offsets, want)
+		}
 
-		warm := cold
-		warm.Segments = 4
-		warmRes, err := Execute(warm)
+		plain := r
+		plain.Sampling = spec
+		plainRes, err := Execute(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warmRes.CI == nil {
-			t.Fatal("warm sampled run returned no CI")
+		withSeg := plain
+		withSeg.Segments = 4
+		segSampled, err := Execute(withSeg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cj, wj := resultJSON(t, coldRes), resultJSON(t, warmRes)
-		if cj != wj {
-			t.Errorf("%s: warm-started sampled run diverged from cold\ncold: %s\nwarm: %s", d, cj, wj)
+		if segSampled.CI == nil {
+			t.Fatal("sampled run with Segments returned no CI")
 		}
-		if warmRes.CI.SimulatedEvents != coldRes.CI.SimulatedEvents {
-			t.Errorf("%s: warm-start changed the event accounting", d)
+		pj, sj := resultJSON(t, plainRes), resultJSON(t, segSampled)
+		if pj != sj {
+			t.Errorf("%s: Segments changed a sampled run\nSegments 0: %s\nSegments 4: %s", d, pj, sj)
 		}
 
-		// Acceptance bound: the sampled CI brackets the full-run UIPC.
 		fullUIPC := segRes.UIPC
-		if fullUIPC < warmRes.CI.Low() || fullUIPC > warmRes.CI.High() {
-			t.Errorf("%s: full-run UIPC %.5f outside warm sampled CI [%.5f, %.5f]",
-				d, fullUIPC, warmRes.CI.Low(), warmRes.CI.High())
+		if fullUIPC < segSampled.CI.Low() || fullUIPC > segSampled.CI.High() {
+			t.Errorf("%s: full-run UIPC %.5f outside sampled CI [%.5f, %.5f]",
+				d, fullUIPC, segSampled.CI.Low(), segSampled.CI.High())
 		}
 	}
 }
@@ -442,9 +443,9 @@ func TestSegmentsValidation(t *testing.T) {
 	}
 }
 
-// TestSnapshotStoreSharing: every segment count of a configuration — and
-// its sampled variant — addresses the same snapshot prefix, so warmup is
-// computed once and shared.
+// TestSnapshotStoreSharing: every segment count of a configuration
+// addresses the same snapshot prefix, so boundary states are computed once
+// and shared.
 func TestSnapshotStoreSharing(t *testing.T) {
 	base := Run{Workload: "tpch", Design: DesignIdeal, Capacity: 128 << 20,
 		Cores: 2, AccessesPerCore: 2_000, Seed: 1}.withDefaults()
@@ -458,22 +459,16 @@ func TestSnapshotStoreSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sam := base
-	sam.Sampling = DefaultSampleSpec()
-	p2, err := checkpointPrefix(sam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p0 != p1 || p0 != p2 {
-		t.Errorf("prefixes differ: serial %s, segmented %s, sampled %s", p0, p1, p2)
+	if p0 != p1 {
+		t.Errorf("prefixes differ: serial %s, segmented %s", p0, p1)
 	}
 	other := base
 	other.Seed = 2
-	p3, err := checkpointPrefix(other)
+	p2, err := checkpointPrefix(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p3 == p0 {
+	if p2 == p0 {
 		t.Error("different seeds share a snapshot prefix")
 	}
 }

@@ -130,8 +130,8 @@ type Run struct {
 	// writing the segment checkpoints, and repeat executions (the sweep
 	// refinement pattern, result-cache misses on design variants) run all
 	// segments concurrently. 0 and 1 both mean serial. A sampled run
-	// (Sampling set) instead uses the segment store's warm-boundary
-	// snapshot to skip its functional warmup when one is available.
+	// (Sampling set) ignores Segments: it replays its own warmup and
+	// returns the same Result it would with Segments 0.
 	Segments int `json:"Segments"`
 
 	// Telemetry, when non-zero, records an epoch-sliced counter timeline
@@ -194,8 +194,8 @@ func (r Run) withDefaults() Run {
 // scaled. The 32 MB cap is what lets a run cycle the cache's full
 // capacity several times within a few hundred thousand accesses per core
 // — the predictor-training steady state the paper reaches with
-// 30-billion-instruction traces. Exported so out-of-band tooling (the
-// bench harness) can reproduce the exact cell a defaulted Run simulates.
+// 30-billion-instruction traces. Exported so code that assembles a
+// machine by hand can reproduce the exact cell a defaulted Run simulates.
 func AutoScaleDivisor(capacity uint64) int {
 	d := 16
 	for capacity/uint64(d) > 32<<20 {
@@ -251,11 +251,6 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 		}
 	}
 	if r.Sampling.Enabled() {
-		if r.Segments > 1 {
-			if res, ok := executeSampledWarm(r); ok {
-				return res, nil
-			}
-		}
 		machine, r, err := newMachine(r)
 		if err != nil {
 			return Result{}, err
