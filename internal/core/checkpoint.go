@@ -22,8 +22,6 @@ func (d *Unison) SaveState(w *checkpoint.Writer) {
 	w.U64(d.st.offReadBytes)
 	w.U64(d.st.offWriteBytes)
 	w.U64(d.st.wayMispredicts)
-	w.U64(d.st.hitLatSum)
-	w.U64(d.st.missLatSum)
 }
 
 // LoadState implements dramcache.Design.
@@ -50,7 +48,5 @@ func (d *Unison) LoadState(r *checkpoint.Reader) error {
 	d.st.offReadBytes = r.U64()
 	d.st.offWriteBytes = r.U64()
 	d.st.wayMispredicts = r.U64()
-	d.st.hitLatSum = r.U64()
-	d.st.missLatSum = r.U64()
 	return r.Err()
 }

@@ -153,8 +153,6 @@ type unisonStats struct {
 	offReadBytes    uint64
 	offWriteBytes   uint64
 	wayMispredicts  uint64
-	hitLatSum       uint64
-	missLatSum      uint64
 }
 
 // New builds a Unison Cache over the two DRAM parts.
@@ -344,7 +342,6 @@ func (d *Unison) accessPresent(r dramcache.Request, page uint64, off int, bit pr
 		}
 		d.st.reads++
 		d.st.readHits++
-		d.st.hitLatSum += dataReady - r.At
 		return dramcache.Response{DoneAt: dataReady, Hit: true}
 	}
 
@@ -368,7 +365,6 @@ func (d *Unison) accessPresent(r dramcache.Request, page uint64, off int, bit pr
 	// demand reads that a real (reordering) controller serves first; the
 	// bandwidth and bank occupancy are what must be charged.
 	d.stacked.Do(dram.Request{Channel: ch, Bank: bank, Row: row, Bytes: mem.BlockSize, Write: true, At: r.At})
-	d.st.missLatSum += res.Done - r.At
 	return dramcache.Response{DoneAt: res.Done, Hit: false}
 }
 
@@ -391,7 +387,6 @@ func (d *Unison) triggerMiss(r dramcache.Request, page uint64, off int, set uint
 		d.single.Insert(page, r.PC, off)
 		res := d.offchip.Access(uint64(r.Addr), predictAt, mem.BlockSize, false)
 		d.st.offReadBytes += mem.BlockSize
-		d.st.missLatSum += res.Done - r.At
 		return dramcache.Response{DoneAt: res.Done, Hit: false}
 	}
 
@@ -430,7 +425,6 @@ func (d *Unison) triggerMiss(r dramcache.Request, page uint64, off int, set uint
 	// (charged at the demand timestamp; see the fill comment above).
 	ch, bank, row := d.rowOf(set)
 	d.stacked.Do(dram.Request{Channel: ch, Bank: bank, Row: row, Bytes: k*mem.BlockSize + 16, Write: true, At: r.At})
-	d.st.missLatSum += crit.Done - r.At
 	return dramcache.Response{DoneAt: crit.Done, Hit: false}
 }
 
@@ -490,18 +484,6 @@ func (d *Unison) Snapshot() dramcache.Snapshot {
 
 // WayMispredicts returns the misprediction count (ablation reporting).
 func (d *Unison) WayMispredicts() uint64 { return d.st.wayMispredicts }
-
-// AvgLatencies returns the mean demand-read hit and miss latencies in CPU
-// cycles (including queueing).
-func (d *Unison) AvgLatencies() (hit, miss float64) {
-	if d.st.readHits > 0 {
-		hit = float64(d.st.hitLatSum) / float64(d.st.readHits)
-	}
-	if m := d.st.reads - d.st.readHits; m > 0 {
-		miss = float64(d.st.missLatSum) / float64(m)
-	}
-	return hit, miss
-}
 
 // ResetStats implements dramcache.Design.
 func (d *Unison) ResetStats() {

@@ -40,8 +40,8 @@ func MersenneMod(x uint64, n uint) uint64 {
 
 // Divider performs exact division and modulo by a fixed divisor of the form
 // 2^n - 1. It is the software model of the paper's residue-arithmetic
-// address-mapping unit: Mod is an adder tree, Div is one constant multiply.
-// The zero value is not usable; construct with NewDivider.
+// address-mapping unit: Mod is an adder tree, the quotient one constant
+// multiply. The zero value is not usable; construct with NewDivider.
 type Divider struct {
 	n   uint   // divisor is 2^n - 1
 	d   uint64 // the divisor itself
@@ -65,14 +65,9 @@ func (dv *Divider) Divisor() uint64 { return dv.d }
 // Mod returns x mod (2^n - 1).
 func (dv *Divider) Mod(x uint64) uint64 { return MersenneMod(x, dv.n) }
 
-// Div returns x / (2^n - 1), exact for any x. x - Mod(x) is divisible by
-// the divisor, so multiplying by the modular inverse of the divisor mod 2^64
-// yields the true quotient.
-func (dv *Divider) Div(x uint64) uint64 {
-	return (x - dv.Mod(x)) * dv.inv
-}
-
-// DivMod returns the quotient and remainder of x by 2^n - 1.
+// DivMod returns the quotient and remainder of x by 2^n - 1. x - r is
+// divisible by the divisor, so multiplying it by the modular inverse of the
+// divisor mod 2^64 yields the true quotient, exact for any x.
 func (dv *Divider) DivMod(x uint64) (q, r uint64) {
 	r = dv.Mod(x)
 	return (x - r) * dv.inv, r

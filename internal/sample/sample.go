@@ -16,10 +16,16 @@
 //     adaptive early termination, which skips the rest of the trace
 //     entirely once the estimate is tight.
 //   - detailed windows are the measurement intervals: per-core
-//     instruction/cycle snapshots at each window's boundaries — taken
-//     inside one continuous replay, never by pausing it — feed the summed
-//     per-core ratio estimator (stats.SummedRatios) whose delta-method
-//     variance carries the confidence interval.
+//     instruction/cycle snapshots at each window's boundaries feed the
+//     summed per-core ratio estimator (stats.SummedRatios) whose
+//     delta-method variance carries the confidence interval.
+//
+// A sampled run is an ordinary observed run of the machine's cursor
+// (sim.Machine.BeginPhases/FinishRun): its warmup is the warmup phase, its
+// window starts and ends are the boundary offsets of the one recorder
+// telemetry also uses (internal/telemetry), taken inside one continuous
+// replay and never by pausing it, and its early-stop rule is the
+// recorder's emit callback.
 //
 // Everything is deterministic: a fixed Spec, Run configuration and seed
 // yields a bit-identical Report, including the early-stop decision.
@@ -33,6 +39,7 @@ import (
 
 	"unisoncache/internal/sim"
 	"unisoncache/internal/stats"
+	"unisoncache/internal/telemetry"
 )
 
 // Spec configures the sampling schedule and stopping rule. The zero value
@@ -288,10 +295,11 @@ func (s Spec) Windows(accessesPerCore int) (fit, warm int) {
 // Report is one sampled run's outcome.
 type Report struct {
 	// Windows holds one entry per detailed measurement window, in
-	// schedule order. The per-window (Instructions, Cycles) pairs are
-	// the estimator's samples; matched-pair speedup CIs pair them across
-	// runs.
-	Windows []sim.Interval
+	// schedule order: the recorder's window epochs (gap epochs are left
+	// out, so Index counts epochs, not windows). The per-window
+	// (Instructions, Cycles) pairs are the estimator's samples;
+	// matched-pair speedup CIs pair them across runs.
+	Windows []telemetry.Epoch
 	// UIPC is the sampled throughput estimate: the summed per-core ratio
 	// estimator Σ_core(Σinstr/Σcycles) over the windows, which reproduces
 	// the whole-region UIPC exactly when the windows tile the region. A
@@ -305,10 +313,12 @@ type Report struct {
 	// Converged reports whether the early-stop target was reached (always
 	// false when the target is disabled).
 	Converged bool
-	// DetailedPerCore and ConsumedPerCore count events per core inside
-	// detailed windows and in total (warmup + gaps + windows). The spread
-	// between ConsumedPerCore and the run's event budget is what early
-	// termination saved.
+	// DetailedPerCore counts events per core inside detailed windows.
+	// ConsumedPerCore counts the furthest core's events in total (warmup +
+	// gaps + windows): every core's count when the schedule runs to its
+	// last window, an upper bound after an early stop, when slower cores
+	// have consumed fewer. The spread between ConsumedPerCore and the
+	// run's event budget is what early termination saved, at least.
 	DetailedPerCore int
 	ConsumedPerCore int
 	// Results covers the whole measured region — every event from the
@@ -324,12 +334,11 @@ type Report struct {
 // warmup, then one continuous replay measuring detailed windows separated
 // by functional gaps, stopping early once the CI target holds (after
 // MinIntervals windows), or at the last window the budget fits. The
-// window boundaries are per-core counter snapshots inside the continuous
-// replay — no synchronization barrier ever splits the schedule, so the
-// event interleaving (and therefore the contention physics) is the same
-// one the full run replays. accessesPerCore bounds the total events
-// pulled per core — a finite replay source sized to the run is never
-// over-pulled.
+// window boundaries are recorder offsets on the machine's run cursor, so
+// no synchronization barrier ever splits the schedule and the event
+// interleaving (and therefore the contention physics) is the same one the
+// full run replays. accessesPerCore bounds the total events pulled per
+// core — a finite replay source sized to the run is never over-pulled.
 func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -341,30 +350,36 @@ func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 			"sample: %d accesses per core fit %d measurement windows after %d warmup events, need MinIntervals=%d (shorten the spec or lengthen the run)",
 			accessesPerCore, fit, warm, spec.MinIntervals)
 	}
-	if warm > 0 {
-		m.Replay(warm)
-	}
-	m.BeginMeasurement()
 
-	// Window w starts at w*(interval+gap) past the warmup boundary; the
-	// replay horizon is the last window's end — nothing beyond it can be
-	// measured, so nothing beyond it is simulated.
-	starts := make([]int, fit)
+	// Window w spans [w*stride, w*stride+IntervalEvents) past the warmup
+	// boundary. Its start and end are recorder boundaries — except a start
+	// at 0, the recorder's implicit measurement-boundary row, and a start
+	// equal to the previous window's end (tiled windows) — so epochs
+	// alternate window, gap, window, and an epoch starting on a multiple
+	// of stride is a window. The measured phase ends at the last window's
+	// end: nothing beyond it can be measured, so nothing beyond it is
+	// simulated.
 	stride := spec.IntervalEvents + spec.gap()
-	for w := range starts {
-		starts[w] = w * stride
+	offsets := make([]int, 0, 2*fit)
+	for w := 0; w < fit; w++ {
+		if start := w * stride; w > 0 && start > offsets[len(offsets)-1] {
+			offsets = append(offsets, start)
+		}
+		offsets = append(offsets, w*stride+spec.IntervalEvents)
 	}
-	horizon := starts[fit-1] + spec.IntervalEvents
 
 	var rep Report
 	var est *stats.SummedRatios
-	consumed := m.ReplaySampled(horizon, starts, spec.IntervalEvents, func(w int, iv sim.Interval) bool {
-		rep.Windows = append(rep.Windows, iv)
-		if est == nil {
-			est = stats.NewSummedRatios(len(iv.PerCore))
+	m.Observe(func(int) []int { return offsets }, func(e telemetry.Epoch) bool {
+		if e.StartEvents%stride != 0 {
+			return true // a functional gap
 		}
-		samples := make([]stats.RatioSample, len(iv.PerCore))
-		for c, d := range iv.PerCore {
+		rep.Windows = append(rep.Windows, e)
+		if est == nil {
+			est = stats.NewSummedRatios(len(e.PerCore))
+		}
+		samples := make([]stats.RatioSample, len(e.PerCore))
+		for c, d := range e.PerCore {
 			samples[c] = stats.RatioSample{Y: float64(d.Instructions), X: float64(d.Cycles)}
 		}
 		est.AddWindow(samples)
@@ -375,10 +390,11 @@ func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 		}
 		return true
 	})
-	rep.Results = m.CollectResults()
+	m.BeginPhases(warm, offsets[len(offsets)-1])
+	rep.Results = m.FinishRun()
 	rep.UIPC = est.Value()
 	rep.HalfWidth = est.CI(spec.Confidence)
 	rep.DetailedPerCore = len(rep.Windows) * spec.IntervalEvents
-	rep.ConsumedPerCore = warm + consumed
+	rep.ConsumedPerCore = warm + m.MeasuredEvents()
 	return rep, nil
 }

@@ -65,9 +65,12 @@ func TestBatchedSourcesMatchAdapter(t *testing.T) {
 // TestReplaySteadyStateZeroAllocs is the allocation wall of the hot path:
 // once warm, replaying events allocates nothing — not in the scheduler,
 // the prefetch buffers, the SRAM caches, the DRAM cache design, the
-// predictors or the synthetic generator. testing.AllocsPerRun would hide
-// rare amortized growth, so the check also repeats enough events to cycle
-// every reusable buffer many times.
+// predictors or the synthetic generator. The run advances through the
+// RunTo cursor past its warmup boundary, chunk by chunk — exactly what a
+// restored segment does — so the tournament rebuild at every chunk entry
+// must work entirely in preallocated arrays too. testing.AllocsPerRun
+// would hide rare amortized growth, so the check also repeats enough
+// events to cycle every reusable buffer many times.
 func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 	designs := map[string]func(st, off *dram.Controller) (dramcache.Design, error){
 		"ideal": func(st, off *dram.Controller) (dramcache.Design, error) {
@@ -83,6 +86,12 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 			return dramcache.NewFootprint(dramcache.FCConfig{CapacityBytes: 8 << 20, Ways: 32, TagLatency: 6}, st, off)
 		},
 	}
+	const (
+		cores  = 4
+		warm   = 20_000 // per core: warms caches, visit buffers and predictor tables
+		chunk  = 5_000  // per core per timed advance
+		chunks = 11     // AllocsPerRun's untimed warm-up call plus 10 runs
+	)
 	for name, build := range designs {
 		t.Run(name, func(t *testing.T) {
 			st, err := dram.NewController(dram.StackedConfig())
@@ -93,7 +102,7 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sources := make([]trace.Source, 4)
+			sources := make([]trace.Source, cores)
 			for i := range sources {
 				s, err := trace.NewStream(trace.Profiles()["data-serving"], 5, i)
 				if err != nil {
@@ -105,13 +114,21 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := New(smallConfig(4), sources, design, st, off)
+			m, err := New(smallConfig(cores), sources, design, st, off)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Replay(20_000) // Warm caches, visit buffers and predictor tables.
-			if allocs := testing.AllocsPerRun(10, func() { m.Replay(5_000) }); allocs != 0 {
-				t.Errorf("steady-state replay allocates %v times per 5k-event interval, want 0", allocs)
+			m.BeginPhases(warm, chunks*chunk)
+			m.RunTo(m.WarmSteps()) // cross the boundary
+			target := m.WarmSteps()
+			if allocs := testing.AllocsPerRun(10, func() {
+				target += chunk * cores
+				m.RunTo(target)
+			}); allocs != 0 {
+				t.Errorf("steady-state replay allocates %v times per %d-event chunk, want 0", allocs, chunk)
+			}
+			if target != m.TotalSteps() {
+				t.Fatalf("advanced to step %d of %d: the chunks did not cover the measured phase", target, m.TotalSteps())
 			}
 		})
 	}

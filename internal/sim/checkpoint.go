@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"unisoncache/internal/checkpoint"
 	"unisoncache/internal/mem"
@@ -69,7 +70,7 @@ func (m *Machine) LoadState(r *checkpoint.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if accesses > uint64(maxInt) || warm > accesses || phase > 2 ||
+	if accesses > math.MaxInt || warm > accesses || phase > 3 ||
 		step > accesses*uint64(len(m.cores)) {
 		return fmt.Errorf("sim: snapshot run cursor (accesses %d, warm %d, phase %d, step %d) is inconsistent", accesses, warm, phase, step)
 	}

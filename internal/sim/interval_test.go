@@ -3,58 +3,59 @@ package sim
 import (
 	"encoding/json"
 	"testing"
+
+	"unisoncache/internal/telemetry"
 )
 
-// TestPhaseCompositionMatchesRun pins the interval API's core contract:
-// Replay(warm) + BeginMeasurement + Replay(rest) + CollectResults is
-// bit-identical to Run(accesses) on an identically constructed machine —
-// the sampled driver composes exactly the same primitives Run does.
-func TestPhaseCompositionMatchesRun(t *testing.T) {
-	cfg := Default()
-	cfg.Cores = 4
-	const accesses = 9_000
-	whole := testMachine(t, cfg, "web-search", noneDesign).Run(accesses)
-
-	m := testMachine(t, cfg, "web-search", noneDesign)
-	warm := int(float64(accesses) * cfg.WarmupFrac)
-	m.Replay(warm)
-	m.BeginMeasurement()
-	m.Replay(accesses - warm)
-	composed := m.CollectResults()
-
-	a, _ := json.Marshal(whole)
-	b, _ := json.Marshal(composed)
-	if string(a) != string(b) {
-		t.Fatalf("phase composition diverged from Run:\n run: %s\ncomposed: %s", a, b)
+// windowOffsets lays out sampled-style recorder boundaries: window w spans
+// [w*stride, w*stride+length), a start at 0 is the implicit measurement
+// boundary and a start equal to the previous end (tiled windows) is the
+// same boundary.
+func windowOffsets(windows, stride, length int) []int {
+	var offsets []int
+	for w := 0; w < windows; w++ {
+		if start := w * stride; w > 0 && start > offsets[len(offsets)-1] {
+			offsets = append(offsets, start)
+		}
+		offsets = append(offsets, w*stride+length)
 	}
+	return offsets
 }
 
-// TestReplaySampledNoBarrier pins the property the sampled path is built
-// on: measuring windows inside ReplaySampled leaves the simulation
-// bit-identical to a plain Replay of the same span — boundaries are pure
-// snapshots, never synchronization barriers.
-func TestReplaySampledNoBarrier(t *testing.T) {
+// observeWindows arms m with offsets and hands every window epoch — one
+// starting on a stride multiple — to visit; gap epochs go on silently.
+func observeWindows(m *Machine, offsets []int, stride int, visit func(e telemetry.Epoch) bool) {
+	m.Observe(func(int) []int { return offsets }, func(e telemetry.Epoch) bool {
+		if e.StartEvents%stride != 0 {
+			return true
+		}
+		return visit(e)
+	})
+}
+
+// TestObservedWindowsNoBarrier pins the property the sampled path is built
+// on: measuring windows as recorder epochs leaves the simulation
+// bit-identical to an unobserved run of the same phases — boundaries are
+// pure snapshots, never synchronization barriers.
+func TestObservedWindowsNoBarrier(t *testing.T) {
 	cfg := Default()
 	cfg.Cores = 4
-	const warm, span = 3_000, 6_000
+	const warm, span, stride, length = 3_000, 6_000, 2_500, 1_000
 
 	plain := testMachine(t, cfg, "data-serving", noneDesign)
-	plain.Replay(warm)
-	plain.BeginMeasurement()
-	plain.Replay(span)
-	want := plain.CollectResults()
+	plain.BeginPhases(warm, span)
+	want := plain.FinishRun()
 
 	sampled := testMachine(t, cfg, "data-serving", noneDesign)
-	sampled.Replay(warm)
-	sampled.BeginMeasurement()
 	windows := 0
-	consumed := sampled.ReplaySampled(span, []int{0, 2_000, 4_000}, 1_000, func(w int, iv Interval) bool {
+	observeWindows(sampled, windowOffsets(3, stride, length), stride, func(telemetry.Epoch) bool {
 		windows++
 		return true
 	})
-	got := sampled.CollectResults()
+	sampled.BeginPhases(warm, span)
+	got := sampled.FinishRun()
 
-	if consumed != span {
+	if consumed := sampled.MeasuredEvents(); consumed != span {
 		t.Fatalf("consumed %d events per core, want the full span %d", consumed, span)
 	}
 	if windows != 3 {
@@ -67,38 +68,36 @@ func TestReplaySampledNoBarrier(t *testing.T) {
 	}
 }
 
-// TestReplaySampledTiling: windows tiling the whole span telescope — the
+// TestObservedWindowsTiling: windows tiling the whole span telescope — the
 // per-core window sums equal the region totals exactly.
-func TestReplaySampledTiling(t *testing.T) {
+func TestObservedWindowsTiling(t *testing.T) {
 	cfg := Default()
 	cfg.Cores = 4
 	m := testMachine(t, cfg, "web-serving", noneDesign)
-	m.Replay(2_000)
-	m.BeginMeasurement()
 	const windows, length = 5, 800
-	perCore := make([]CoreInterval, cfg.Cores)
+	perCore := make([]telemetry.CoreRow, cfg.Cores)
 	var instr uint64
-	starts := make([]int, windows)
-	for w := range starts {
-		starts[w] = w * length
-	}
 	n := 0
-	m.ReplaySampled(windows*length, starts, length, func(w int, iv Interval) bool {
-		if w != n {
-			t.Fatalf("windows out of order: got %d, want %d", w, n)
+	observeWindows(m, windowOffsets(windows, length, length), length, func(e telemetry.Epoch) bool {
+		if e.Index != n {
+			t.Fatalf("windows out of order: got %d, want %d", e.Index, n)
 		}
 		n++
-		if iv.UIPC <= 0 || iv.Instructions == 0 || iv.Cycles == 0 {
-			t.Fatalf("window %d: empty metrics %+v", w, iv)
+		if e.UIPC <= 0 || e.Instructions == 0 || e.Cycles == 0 {
+			t.Fatalf("window %d: empty metrics %+v", e.Index, e)
 		}
-		for c, d := range iv.PerCore {
+		for c, d := range e.PerCore {
 			perCore[c].Instructions += d.Instructions
 			perCore[c].Cycles += d.Cycles
 		}
-		instr += iv.Instructions
+		instr += e.Instructions
 		return true
 	})
-	res := m.CollectResults()
+	m.BeginPhases(2_000, windows*length)
+	res := m.FinishRun()
+	if n != windows {
+		t.Fatalf("measured %d windows, want %d", n, windows)
+	}
 	if res.Instructions != instr {
 		t.Errorf("windows retired %d instructions, region reports %d", instr, res.Instructions)
 	}
@@ -113,30 +112,36 @@ func TestReplaySampledTiling(t *testing.T) {
 	}
 }
 
-// TestReplaySampledEarlyStop: returning false from the visitor ends the
-// replay without simulating the remaining schedule, and gap events
-// between windows still land in the region statistics.
-func TestReplaySampledEarlyStop(t *testing.T) {
+// TestObservedEarlyStop: an emit returning false ends the run without
+// simulating the remaining schedule — FinishRun advances it no further —
+// and gap events between windows still land in the region statistics.
+func TestObservedEarlyStop(t *testing.T) {
 	cfg := Default()
 	cfg.Cores = 2
 	m := testMachine(t, cfg, "web-search", noneDesign)
-	m.Replay(2_000)
-	m.BeginMeasurement()
-	// Windows at 0 and 2000 (gap 1500 between), horizon 10000.
-	var first Interval
-	consumed := m.ReplaySampled(10_000, []int{0, 2_000}, 500, func(w int, iv Interval) bool {
-		if w == 0 {
-			first = iv
-		}
-		return w < 0 // stop after the first window
+	// Five 500-event windows every 2000 events: horizon 8500.
+	const stride, length = 2_000, 500
+	offsets := windowOffsets(5, stride, length)
+	horizon := offsets[len(offsets)-1]
+	var first telemetry.Epoch
+	windows := 0
+	observeWindows(m, offsets, stride, func(e telemetry.Epoch) bool {
+		windows++
+		first = e
+		return false // stop after the first window
 	})
-	if consumed >= 10_000 {
+	m.BeginPhases(2_000, horizon)
+	res := m.FinishRun()
+	if windows != 1 {
+		t.Fatalf("measured %d windows after the stop, want 1", windows)
+	}
+	consumed := m.MeasuredEvents()
+	if consumed >= horizon {
 		t.Fatalf("early stop consumed the whole horizon (%d)", consumed)
 	}
-	if consumed < 500 {
-		t.Fatalf("consumed %d events, yet the first window needs 500", consumed)
+	if consumed < length {
+		t.Fatalf("consumed %d events, yet the first window needs %d", consumed, length)
 	}
-	res := m.CollectResults()
 	if res.Instructions < first.Instructions {
 		t.Errorf("region instructions %d below the measured window's %d", res.Instructions, first.Instructions)
 	}

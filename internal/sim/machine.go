@@ -87,28 +87,27 @@ type Machine struct {
 	leaves int
 	shift  uint
 
-	// run is the full-run cursor: BeginRun/RunTo express Run as a resumable
+	// run is the run cursor: BeginRun/RunTo express a run as a resumable
 	// sequence of bounded steps, which is what lets a checkpoint freeze a
 	// run mid-flight and a restored machine continue it bit-identically.
 	run runState
 
-	// teleSpec arms epoch-sliced telemetry (SetTelemetry); tele is the
+	// bounds and emit arm the boundary recorder (Observe): telemetry's
+	// fixed-stride epochs or a sampled run's windows and gaps. rec is the
 	// run's recorder, created lazily when the measurement phase first
 	// advances so machines restored from a checkpoint — which never call
-	// BeginRun — record too. With the zero spec the dispatch in RunTo
-	// selects plain continuePhase, which never enters the clamp-and-park
-	// driver: telemetry disabled costs nothing.
-	teleSpec telemetry.Spec
-	teleEmit func(telemetry.Epoch)
-	tele     *telemetry.Recorder
+	// BeginRun — record too. Unarmed (bounds nil), RunTo selects plain
+	// continuePhase, which never enters the clamp-and-park driver:
+	// recording disabled costs nothing.
+	bounds func(meas int) []int
+	emit   func(telemetry.Epoch) bool
+	rec    *telemetry.Recorder
 	// clamp is clampAndPark's scratch: per core, the events withheld from
 	// remaining while the countdown is clamped at the core's next
 	// boundary. Always all-zero outside clampAndPark, so it never enters
 	// checkpoints.
 	clamp []int
 }
-
-const maxInt = int(^uint(0) >> 1)
 
 // runState tracks a full run's progress in global steps — events executed
 // across all cores in the one serial min-clock-first schedule. Because
@@ -119,7 +118,7 @@ const maxInt = int(^uint(0) >> 1)
 type runState struct {
 	accesses int    // per-core event budget of the whole run
 	warm     int    // per-core warmup events (accesses × WarmupFrac)
-	phase    uint8  // 0 = not started, 1 = warmup, 2 = measurement
+	phase    uint8  // 0 = not started, 1 = warmup, 2 = measurement, 3 = stopped by the recorder's emit
 	step     uint64 // global steps executed so far
 }
 
@@ -262,36 +261,54 @@ func (m *Machine) Run(accessesPerCore int) Results {
 	return m.FinishRun()
 }
 
-// BeginRun starts a full run of accessesPerCore events per core without
-// executing anything. Advance it with RunTo; finish with FinishRun. The
-// schedule executed is bit-identical to Run's no matter how the global
-// step range is chunked (see continuePhase).
+// BeginRun starts a full run of accessesPerCore events per core, the first
+// WarmupFrac of them warmup, without executing anything. Advance it with
+// RunTo; finish with FinishRun. The schedule executed is bit-identical to
+// Run's no matter how the global step range is chunked (see
+// continuePhase).
 func (m *Machine) BeginRun(accessesPerCore int) {
-	if accessesPerCore < 0 {
-		accessesPerCore = 0
-	}
-	m.run = runState{
-		accesses: accessesPerCore,
-		warm:     int(float64(accessesPerCore) * m.cfg.WarmupFrac),
-	}
-	m.tele = nil
+	warm := int(float64(accessesPerCore) * m.cfg.WarmupFrac)
+	m.BeginPhases(warm, accessesPerCore-warm)
 }
 
-// SetTelemetry arms epoch-sliced telemetry for subsequent full runs: the
-// measurement phase records boundary snapshots every spec.EpochEvents
-// retired events per core and, when onEpoch is non-nil, emits each epoch
-// the moment its closing boundary completes. The spec must already be
-// defaulted and validated. Pass the zero Spec to disarm. Telemetry covers
-// the Run/BeginRun cursor only — Replay and ReplaySampled never record.
-func (m *Machine) SetTelemetry(spec telemetry.Spec, onEpoch func(telemetry.Epoch)) {
-	m.teleSpec = spec
-	m.teleEmit = onEpoch
-	m.tele = nil
+// BeginPhases starts a run of warm warmup events then meas measured events
+// per core (negative lengths count as zero), otherwise exactly as
+// BeginRun: statistics reset when every core has run its warmup.
+func (m *Machine) BeginPhases(warm, meas int) {
+	warm, meas = max(warm, 0), max(meas, 0)
+	m.run = runState{accesses: warm + meas, warm: warm}
+	m.rec = nil
 }
 
-// TelemetryRecorder returns the current run's recorder — nil until the
-// measurement phase has advanced with telemetry armed.
-func (m *Machine) TelemetryRecorder() *telemetry.Recorder { return m.tele }
+// Observe arms the boundary recorder for subsequent runs: when the
+// measurement phase starts, bounds(meas) gives the per-core boundary
+// offsets (see telemetry.NewRecorder) and emit, when non-nil, receives each
+// epoch the moment its closing boundary completes. An emit that returns
+// false stops the run right after the step that completed the boundary:
+// RunTo and FinishRun advance it no further. Observe(nil, nil) disarms.
+func (m *Machine) Observe(bounds func(meas int) []int, emit func(telemetry.Epoch) bool) {
+	m.bounds, m.emit = bounds, emit
+	m.rec = nil
+}
+
+// Recorder returns the current run's recorder — nil until the measurement
+// phase has advanced with the recorder armed.
+func (m *Machine) Recorder() *telemetry.Recorder { return m.rec }
+
+// MeasuredEvents returns the furthest core's progress into the
+// measurement phase, in events per core: the measured length once the run
+// has finished, less when an emit stopped it early (0 before measurement
+// begins).
+func (m *Machine) MeasuredEvents() int {
+	if m.run.phase < 2 {
+		return 0
+	}
+	meas, n := m.run.accesses-m.run.warm, 0
+	for _, rem := range m.remaining {
+		n = max(n, meas-rem)
+	}
+	return n
+}
 
 // TotalSteps returns the run's total global step count: every core's full
 // event budget. RunTo targets are global step offsets in [0, TotalSteps].
@@ -340,19 +357,16 @@ func (m *Machine) RunTo(target uint64) {
 		}
 	}
 	if m.run.phase == 2 && m.run.step < target {
-		if m.teleSpec.Enabled() {
-			if m.tele == nil {
-				m.tele = telemetry.NewRecorder(m.teleSpec, len(m.cores), m.run.accesses-m.run.warm, m.teleEmit)
-			}
-			m.run.step += m.continueTelemetry(target - m.run.step)
-		} else {
+		if m.bounds == nil {
 			m.run.step += m.continuePhase(target - m.run.step)
+		} else {
+			m.run.step += m.continueObserved(target - m.run.step)
 		}
 	}
 }
 
-// FinishRun drives the run to completion and returns the measured-interval
-// results.
+// FinishRun drives the run to completion — or to where an emit stopped it
+// — and returns the measured-interval results.
 func (m *Machine) FinishRun() Results {
 	m.RunTo(m.TotalSteps())
 	return m.collect()
@@ -367,24 +381,6 @@ func (m *Machine) beginMeasurementPhase() {
 		m.remaining[i] = meas
 	}
 	m.run.phase = 2
-}
-
-// replay advances cores lowest-clock-first for eventsPerCore events each:
-// the next core to step is always the live core with the smallest clock,
-// ties broken toward the lowest index. The tournament tree executes
-// *exactly* that schedule — bit-identical to a linear rescan before every
-// step, which the golden determinism wall enforces — at log2(cores) node
-// updates per event. Exhausted cores (and the leaves padding the core
-// count to a power of two) sit at the +inf sentinel, which no real clock
-// reaches, so they simply never win a match.
-func (m *Machine) replay(eventsPerCore int) {
-	if eventsPerCore <= 0 {
-		return
-	}
-	for i := range m.remaining {
-		m.remaining[i] = eventsPerCore
-	}
-	m.continuePhase(^uint64(0))
 }
 
 // continuePhase executes up to budget steps of the current phase's
@@ -407,44 +403,44 @@ func (m *Machine) continuePhase(budget uint64) uint64 {
 	return steps
 }
 
-// continueTelemetry is continuePhase for a telemetry-armed measurement
-// phase: clamp-and-park over the recorder's epoch boundaries. Sync first
+// continueObserved is continuePhase for a recorder-armed measurement
+// phase: clamp-and-park over the recorder's boundaries. Sync first
 // repositions the recorder's cursors from the persisted remaining budgets,
 // so chunked and checkpoint-restored execution resumes recording exactly
 // where the schedule stands; boundaries crossed before a restored segment
-// are skipped (their cells belong to the earlier segment's recorder).
-func (m *Machine) continueTelemetry(budget uint64) uint64 {
+// are skipped (their cells belong to the earlier segment's recorder). An
+// emit that asks to stop ends the run (phase 3).
+func (m *Machine) continueObserved(budget uint64) uint64 {
 	meas := m.run.accesses - m.run.warm
-	m.tele.Sync(func(c int) int { return meas - m.remaining[c] })
-	return m.clampAndPark(budget, meas, epochBounds{m})
+	if m.rec == nil {
+		m.rec = telemetry.NewRecorder(m.bounds(meas), len(m.cores), m.emit)
+	}
+	m.rec.Sync(func(c int) int { return meas - m.remaining[c] })
+	steps, goOn := m.clampAndPark(budget, meas)
+	if !goOn {
+		m.run.phase = 3
+	}
+	return steps
 }
 
-// boundaries is a per-core list of event offsets, counted from the start
-// of the phase, that clampAndPark observes. Telemetry epochs and sampled
-// windows are the two lists.
-type boundaries interface {
-	// next returns core c's next uncrossed boundary (maxInt once none
-	// remain). It is always above the core's consumed count.
-	next(c int) int
-	// cross records core c standing at consumed events, crossing every
-	// boundary at or below it, and reports whether the phase goes on.
-	cross(c, consumed int) bool
-}
-
-// clampAndPark runs up to budget steps of the current phase while
-// observing b's boundaries with no per-step check: it lowers every live
-// core's countdown to the core's next boundary, withholding the excess in
-// m.clamp, and runs the park loop. A core whose clamped countdown reaches
-// zero stands exactly on its boundary, and the loop stops right after that
-// step, so no other core runs ahead of the parked core's post-boundary
-// events and the concatenated schedule is the uninterrupted one — the same
-// chunking property RunTo rests on. The driver restores the withheld
-// budgets, records the crossing, and re-enters. total is the phase's
-// per-core budget, so core c has consumed total-remaining[c] events.
-// Returns the steps executed; a crossing that reports false ends the phase
-// right after the step that made it.
-func (m *Machine) clampAndPark(budget uint64, total int, b boundaries) uint64 {
-	remaining, clamp := m.remaining, m.clamp
+// clampAndPark runs up to budget steps of the measurement phase while
+// observing the recorder's boundaries with no per-step check: it lowers
+// every live core's countdown to the core's next boundary, withholding the
+// excess in m.clamp, and runs the park loop. A core whose clamped
+// countdown reaches zero stands exactly on its boundary, and the loop
+// stops right after that step, so no other core runs ahead of the parked
+// core's post-boundary events and the concatenated schedule is the
+// uninterrupted one — the same chunking property RunTo rests on. The
+// driver restores the withheld budgets, records the crossing, and
+// re-enters. When a crossing completes a boundary — every core has
+// crossed it — the machine-wide statistics row is recorded: the state is
+// then exactly the state after the completing step, independent of
+// chunking and segmentation. total is the phase's per-core budget, so
+// core c has consumed total-remaining[c] events. Returns the steps
+// executed and false when the recorder's emit asked to stop, which ends
+// the phase right after the step that completed the boundary.
+func (m *Machine) clampAndPark(budget uint64, total int) (uint64, bool) {
+	remaining, clamp, rec := m.remaining, m.clamp, m.rec
 	var steps uint64
 	for steps < budget {
 		// A core past its last boundary never clamps and simply exhausts;
@@ -454,7 +450,7 @@ func (m *Machine) clampAndPark(budget uint64, total int, b boundaries) uint64 {
 			if rem <= 0 {
 				continue
 			}
-			if k := b.next(c) - (total - rem); k < rem {
+			if k := rec.Next(c) - (total - rem); k < rem {
 				clamp[c] = rem - k
 				remaining[c] = k
 			}
@@ -468,34 +464,20 @@ func (m *Machine) clampAndPark(budget uint64, total int, b boundaries) uint64 {
 		if parked < 0 {
 			break // budget exhausted or no live cores
 		}
-		if !b.cross(parked, total-remaining[parked]) {
-			break
+		pc := &m.cores[parked]
+		if b, complete := rec.Cross(parked, total-remaining[parked], pc.instr-pc.instr0, pc.clock-pc.clock0); complete {
+			row := telemetry.GlobalRow{
+				Design:  m.design.Snapshot(),
+				Stacked: m.stacked.Stats(),
+				Offchip: m.offchip.Stats(),
+				L2:      m.l2.Stats(),
+			}
+			if !rec.Global(b, row) {
+				return steps, false
+			}
 		}
 	}
-	return steps
-}
-
-// epochBounds adapts the run's telemetry recorder to clampAndPark. When a
-// crossing completes a boundary — every core has crossed it — the
-// machine-wide statistics row is recorded: the state is then exactly the
-// state after the completing step, independent of chunking and
-// segmentation.
-type epochBounds struct{ m *Machine }
-
-func (e epochBounds) next(c int) int { return e.m.tele.Next(c) }
-
-func (e epochBounds) cross(c, consumed int) bool {
-	m := e.m
-	pc := &m.cores[c]
-	if b, complete := m.tele.Cross(c, consumed, pc.instr-pc.instr0, pc.clock-pc.clock0); complete {
-		m.tele.Global(b, telemetry.GlobalRow{
-			Design:  m.design.Snapshot(),
-			Stacked: m.stacked.Stats(),
-			Offchip: m.offchip.Stats(),
-			L2:      m.l2.Stats(),
-		})
-	}
-	return true
+	return steps, true
 }
 
 // runUntilPark is the replay loop, the one place events execute: it steps
@@ -556,169 +538,6 @@ func minKey(a, b uint64) uint64 {
 		return b
 	}
 	return a
-}
-
-// Replay advances every core by eventsPerCore events without touching the
-// warmup/measurement bookkeeping. It exists for benchmarking and allocation
-// tests that need to drive the steady-state hot loop directly, and it is
-// the sampled path's functional phase: warmup and inter-window gaps advance
-// cache content, predictor training, row buffers and core clocks at full
-// fidelity while the measurement bookkeeping stays wherever the last
-// boundary left it. Full simulations use Run.
-func (m *Machine) Replay(eventsPerCore int) { m.replay(eventsPerCore) }
-
-// BeginMeasurement marks the warmup/measurement boundary for callers that
-// drive the machine phase by phase (the sampled-simulation schedule):
-// statistics reset everywhere, simulated state stays warm. Equivalent to
-// the boundary Run places after the warmup fraction.
-func (m *Machine) BeginMeasurement() { m.resetForMeasurement() }
-
-// CollectResults assembles results for everything measured since
-// BeginMeasurement. The caller owns the phase schedule; Run is the
-// one-warmup-one-interval composition of Replay, BeginMeasurement,
-// Replay, CollectResults.
-func (m *Machine) CollectResults() Results { return m.collect() }
-
-// CoreInterval is one core's share of a measurement window: its retired
-// instructions and elapsed cycles. Per-core deltas matter because the
-// run-level throughput metric is the *sum of per-core IPCs*, and cores
-// finish a fixed event count at very different cycle counts — any
-// estimator built from window aggregates alone misstates it badly.
-type CoreInterval struct {
-	Instructions uint64
-	Cycles       uint64
-}
-
-// Interval is one detailed measurement window's metrics, computed from
-// cheap per-core counter snapshots at the window's boundaries.
-type Interval struct {
-	// UIPC is the summed per-core IPC over the window — the same
-	// estimator Results.UIPC uses for the whole measured region.
-	UIPC float64
-	// Instructions is the window's total retired instructions; Cycles is
-	// the maximum per-core cycle delta.
-	Instructions uint64
-	Cycles       uint64
-	// PerCore holds each core's window deltas (the sampling estimator's
-	// raw material).
-	PerCore []CoreInterval
-}
-
-// ReplaySampled replays up to eventsPerCore events per core as ONE
-// continuous min-clock-first schedule while measuring windows along the
-// way: window w spans each core's events [starts[w], starts[w]+length),
-// offsets relative to this call. Boundaries are pure per-core counter
-// snapshots taken by clamp-and-park as each core reaches them — the
-// schedule is exactly Replay's, with no synchronization barrier at any
-// boundary. That is the load-bearing property: pausing the replay at
-// window edges (a separate Replay call per window) re-synchronizes the
-// cores' event counts, which reorders how the shared L2 and DRAM
-// reservations resolve and shifts measured UIPC by whole percents per
-// barrier; a sampled run must replay the same event interleaving the full
-// run would.
-//
-// After the last core finishes window w, measured(w, iv) is invoked; if
-// it returns false the replay stops right there (the adaptive early
-// termination that makes sampled runs cheap), leaving the events faster
-// cores had already simulated counted in the region statistics but in no
-// window. No statistics are reset at any boundary, so CollectResults
-// still covers the whole region since BeginMeasurement.
-//
-// Windows must be non-empty, ascending, non-overlapping, and end at or
-// before eventsPerCore. Returns the maximum per-core event count consumed.
-func (m *Machine) ReplaySampled(eventsPerCore int, starts []int, length int, measured func(w int, iv Interval) bool) int {
-	if eventsPerCore <= 0 || len(starts) == 0 {
-		return 0
-	}
-	cores := len(m.cores)
-	ws := &windowSet{
-		m:        m,
-		bounds:   make([]int, 0, 2*len(starts)),
-		snaps:    make([]CoreInterval, 2*len(starts)*cores),
-		cursor:   make([]int, cores),
-		endLeft:  make([]int, len(starts)),
-		measured: measured,
-	}
-	for w, s := range starts {
-		ws.bounds = append(ws.bounds, s, s+length)
-		ws.endLeft[w] = cores
-	}
-	for i := range m.remaining {
-		m.remaining[i] = eventsPerCore
-	}
-	// Boundary offset 0 (a window starting immediately) is crossed by
-	// every core before any event runs; no window ends there.
-	for c := range m.cores {
-		ws.cross(c, 0)
-	}
-	m.clampAndPark(^uint64(0), eventsPerCore, ws)
-	consumedMax := 0
-	for _, rem := range m.remaining {
-		consumedMax = max(consumedMax, eventsPerCore-rem)
-	}
-	return consumedMax
-}
-
-// windowSet is ReplaySampled's boundary list: boundary 2w is window w's
-// start, boundary 2w+1 its end.
-type windowSet struct {
-	m        *Machine
-	bounds   []int
-	snaps    []CoreInterval // [b*cores+c]: core c's counters at boundary b
-	cursor   []int          // per core: next boundary to cross
-	endLeft  []int          // per window: cores yet to cross its end
-	measured func(w int, iv Interval) bool
-}
-
-func (s *windowSet) next(c int) int {
-	if s.cursor[c] < len(s.bounds) {
-		return s.bounds[s.cursor[c]]
-	}
-	return maxInt
-}
-
-func (s *windowSet) cross(c, consumed int) bool {
-	cores := len(s.cursor)
-	pc := &s.m.cores[c]
-	window := -1
-	for s.cursor[c] < len(s.bounds) && s.bounds[s.cursor[c]] <= consumed {
-		b := s.cursor[c]
-		s.snaps[b*cores+c] = CoreInterval{Instructions: pc.instr, Cycles: pc.clock}
-		s.cursor[c]++
-		if b%2 == 1 {
-			window = b / 2
-		}
-	}
-	if window < 0 {
-		return true
-	}
-	if s.endLeft[window]--; s.endLeft[window] > 0 {
-		return true
-	}
-	// Only now — once the last core has crossed the window's end — are
-	// all of the window's snapshot rows written.
-	return s.measured(window, s.interval(window))
-}
-
-// interval assembles window w's metrics from its start/end snapshot rows.
-func (s *windowSet) interval(w int) Interval {
-	cores := len(s.cursor)
-	rows := s.snaps[2*w*cores:]
-	iv := Interval{PerCore: make([]CoreInterval, cores)}
-	for c := 0; c < cores; c++ {
-		start, end := rows[c], rows[cores+c]
-		instr := end.Instructions - start.Instructions
-		cycles := end.Cycles - start.Cycles
-		iv.PerCore[c] = CoreInterval{Instructions: instr, Cycles: cycles}
-		iv.Instructions += instr
-		if cycles > iv.Cycles {
-			iv.Cycles = cycles
-		}
-		if cycles > 0 {
-			iv.UIPC += float64(instr) / float64(cycles)
-		}
-	}
-	return iv
 }
 
 // step executes one trace event on core i; budget is the core's remaining

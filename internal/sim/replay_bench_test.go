@@ -13,10 +13,9 @@ import (
 
 // steadyUnisonMachine wires the Figure 7 unison cell at simulation scale
 // (data-serving, 1 GB labelled capacity, the facade's automatic scale
-// divisor) with nothing but the replay loop timed. warmupFrac only matters
-// to machines driven through the BeginRun/RunTo cursor; Replay ignores the
-// run bookkeeping.
-func steadyUnisonMachine(tb testing.TB, cores int, warmupFrac float64) *Machine {
+// divisor) with nothing but the replay loop timed. WarmupFrac is 0, so a
+// run's measurement phase — and any recording — starts at step 0.
+func steadyUnisonMachine(tb testing.TB, cores int) *Machine {
 	tb.Helper()
 	const labelCap = uint64(1 << 30)
 	div := uint64(32) // AutoScaleDivisor(1<<30)
@@ -49,7 +48,7 @@ func steadyUnisonMachine(tb testing.TB, cores int, warmupFrac float64) *Machine 
 	}
 	cfg := Default()
 	cfg.Cores = cores
-	cfg.WarmupFrac = warmupFrac
+	cfg.WarmupFrac = 0
 	cfg.L2.SizeBytes = 128 << 10
 	m, err := New(cfg, sources, design, stacked, offchip)
 	if err != nil {
@@ -59,11 +58,15 @@ func steadyUnisonMachine(tb testing.TB, cores int, warmupFrac float64) *Machine 
 }
 
 func BenchmarkSteadyReplay(b *testing.B) {
-	m := steadyUnisonMachine(b, 16, Default().WarmupFrac)
-	m.Replay(20_000)
+	const cores, prewarm, batch = 16, 20_000, 5_000
+	m := steadyUnisonMachine(b, cores)
+	m.BeginRun(prewarm + b.N*batch)
+	target := uint64(prewarm * cores)
+	m.RunTo(target)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Replay(5_000)
+		target += batch * cores
+		m.RunTo(target)
 	}
 }
 
@@ -91,22 +94,23 @@ func BenchmarkReplayTelemetry(b *testing.B) {
 		minRatio    = 0.95
 		epochEvents = 10_000
 	)
-	plain := steadyUnisonMachine(b, cores, Default().WarmupFrac)
-	plain.Replay(prewarm)
-	// Replay never records, so the armed side drives the same loop through
-	// the BeginRun/RunTo cursor with WarmupFrac 0: measurement, and so
-	// recording, starts at step 0.
-	armed := steadyUnisonMachine(b, cores, 0)
-	armed.SetTelemetry(telemetry.Spec{EpochEvents: epochEvents}, nil)
-	armed.BeginRun(runAccesses)
-	target := uint64(prewarm) * cores
-	armed.RunTo(target)
-	ops := [2]func(){
-		func() { plain.Replay(batch) },
-		func() {
-			target += batch * cores
-			armed.RunTo(target)
-		},
+	// Both sides drive the same cursor; only the armed one records.
+	var machines [2]*Machine
+	var targets [2]uint64
+	var ops [2]func()
+	for k := range machines {
+		m := steadyUnisonMachine(b, cores)
+		if k == 1 {
+			m.Observe(telemetry.Spec{EpochEvents: epochEvents}.Bounds, nil)
+		}
+		m.BeginRun(runAccesses)
+		targets[k] = uint64(prewarm) * cores
+		m.RunTo(targets[k])
+		machines[k] = m
+		ops[k] = func() {
+			targets[k] += batch * cores
+			m.RunTo(targets[k])
+		}
 	}
 	for _, op := range ops {
 		for n := 0; n < warmOps; n++ {
@@ -130,8 +134,8 @@ func BenchmarkReplayTelemetry(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if target >= armed.TotalSteps() {
-		b.Fatalf("armed machine exhausted its run budget (%d steps): the last rounds replayed nothing", target)
+	if targets[1] >= machines[1].TotalSteps() {
+		b.Fatalf("machines exhausted their run budget (%d steps): the last rounds replayed nothing", targets[1])
 	}
 	ratio := stats.Median(ratios)
 	b.ReportMetric(ratio, "telemetry_vs_steady")

@@ -1,12 +1,14 @@
-// Package telemetry records epoch-sliced counter timelines from a replay:
-// per-core and per-design statistic deltas snapshotted every EpochEvents
-// retired events per core. It generalizes the sampled-replay observation
-// mechanics (internal/sample) into a first-class subsystem: boundaries are
-// pure per-core counter snapshots taken as each core crosses them inside
-// the one continuous min-clock-first schedule — no barrier, no replay
-// perturbation — so a run's Result is bit-identical with telemetry on or
-// off, and the timeline is bit-identical no matter how the run was chunked
-// or segmented.
+// Package telemetry is the replay engine's one boundary recorder: per-core
+// counter snapshots at caller-chosen per-core event offsets in a run's
+// measured region, assembled into epochs — the counter deltas between
+// consecutive offsets. Boundaries are pure snapshots taken as each core
+// crosses them inside the one continuous min-clock-first schedule — no
+// barrier, no replay perturbation — so a run's Result is bit-identical
+// with recording on or off, and the epochs are bit-identical no matter how
+// the run was chunked or segmented. Two schedules arm it: epoch-sliced
+// telemetry (Spec.Bounds, a fixed stride) and sampled simulation
+// (internal/sample, alternating window and gap offsets, whose emit callback
+// ends the run early once its confidence target holds).
 //
 // The recorder stores measurement-relative values only (per-core deltas
 // since the warmup boundary; global statistics, which reset at that
@@ -18,6 +20,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 
 	"unisoncache/internal/cache"
 	"unisoncache/internal/dram"
@@ -55,6 +58,21 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// Bounds returns the fixed-stride epoch schedule of a measured region of
+// meas events per core: every EpochEvents events, the last epoch shorter
+// when meas is not a multiple (nil when meas is not positive). The spec
+// must be defaulted and valid.
+func (s Spec) Bounds(meas int) []int {
+	if meas <= 0 {
+		return nil
+	}
+	var bounds []int
+	for end := s.EpochEvents; end < meas; end += s.EpochEvents {
+		bounds = append(bounds, end)
+	}
+	return append(bounds, meas)
+}
+
 // CoreRow is one core's counter snapshot at an epoch boundary, relative to
 // the warmup/measurement boundary (retired instructions and elapsed cycles
 // since measurement began).
@@ -75,7 +93,7 @@ type GlobalRow struct {
 }
 
 // Epoch is one assembled timeline slice: the counter deltas between two
-// consecutive epoch boundaries. Start/EndEvents are per-core measured-event
+// consecutive boundaries. Start/EndEvents are per-core measured-event
 // offsets; [StartEvents, EndEvents) is the slice every core contributed.
 type Epoch struct {
 	Index       int
@@ -105,18 +123,15 @@ type Epoch struct {
 }
 
 // Recorder accumulates boundary snapshots for one run (or one segment of
-// one). The replay engine drives it per step: Due is the one-compare hot
-// path, Cross records a core's crossing, Global records the machine-wide
-// row once a boundary completes. Cells are sparse — a segment worker only
-// fills the boundaries its steps cross — and Absorb unions another
-// recorder's cells, so segmented execution merges into the identical
-// timeline the serial run records.
+// one). The replay engine drives it: Next tells the clamp-and-park driver
+// where each core must stop, Cross records a core's crossing, Global
+// records the machine-wide row once a boundary completes. Cells are sparse
+// — a segment worker only fills the boundaries its steps cross — and
+// Absorb unions another recorder's cells, so segmented execution merges
+// into the identical timeline the serial run records.
 type Recorder struct {
-	spec  Spec
-	cores int
-	meas  int
-
-	bounds []int // ascending per-core event offsets; last == meas
+	cores  int
+	bounds []int // ascending per-core event offsets; the last ends the region
 
 	coreRows []CoreRow // [b*cores+c]
 	haveCore []bool
@@ -127,26 +142,32 @@ type Recorder struct {
 	next   []int // per core: bounds[cursor[c]], or maxInt when done
 	left   []int // per boundary: cores yet to cross it
 
-	emit    func(Epoch)
+	emit    func(Epoch) bool
 	emitted int
 }
 
 const maxInt = int(^uint(0) >> 1)
 
-// NewRecorder builds a recorder for a measured region of meas events per
-// core over the given core count. The spec must be defaulted and valid.
-// emit, when non-nil, is invoked with each fully assembled epoch the
-// moment its closing boundary completes (serial execution only; segment
-// workers record with emit nil and the merged recorder emits).
-func NewRecorder(spec Spec, cores, meas int, emit func(Epoch)) *Recorder {
-	r := &Recorder{spec: spec, cores: cores, meas: meas, emit: emit}
-	if cores <= 0 || meas <= 0 {
+// NewRecorder builds a recorder over the given core count for boundaries
+// at bounds: per-core measured-event offsets, strictly ascending and
+// positive (the measurement boundary itself is the implicit all-zero row
+// 0). Epoch b spans [bounds[b-1], bounds[b]), so the last offset ends the
+// recorded region. emit, when non-nil, is invoked with each fully
+// assembled epoch the moment its closing boundary completes (serial
+// execution only; segment workers record with emit nil and the merged
+// recorder emits); returning false asks the run to stop right after the
+// step that completed the boundary.
+func NewRecorder(bounds []int, cores int, emit func(Epoch) bool) *Recorder {
+	for i, b := range bounds {
+		if b <= 0 || (i > 0 && b <= bounds[i-1]) {
+			panic(fmt.Sprintf("telemetry: boundary offsets %v are not strictly ascending and positive", bounds))
+		}
+	}
+	r := &Recorder{cores: cores, emit: emit}
+	if cores <= 0 || len(bounds) == 0 {
 		return r
 	}
-	for end := spec.EpochEvents; end < meas; end += spec.EpochEvents {
-		r.bounds = append(r.bounds, end)
-	}
-	r.bounds = append(r.bounds, meas)
+	r.bounds = bounds
 	n := len(r.bounds)
 	r.coreRows = make([]CoreRow, n*cores)
 	r.haveCore = make([]bool, n*cores)
@@ -164,7 +185,7 @@ func NewRecorder(spec Spec, cores, meas int, emit func(Epoch)) *Recorder {
 	return r
 }
 
-// Bounds returns the epoch boundary offsets (per-core measured events).
+// Bounds returns the boundary offsets (per-core measured events).
 func (r *Recorder) Bounds() []int { return r.bounds }
 
 // Sync positions the cursors for a (re)entered execution chunk: consumed
@@ -239,17 +260,22 @@ func (r *Recorder) Cross(c, consumed int, instr, cycles uint64) (boundary int, c
 // Global records the machine-wide statistics row for a completed boundary
 // and emits any now-assemblable epochs. Boundaries complete in ascending
 // order (the slowest core crosses b before b+1), so live emission is a
-// simple in-order drain.
-func (r *Recorder) Global(b int, row GlobalRow) {
+// simple in-order drain. It reports false — and stops draining — when emit
+// returns false: the observer wants the run to end here.
+func (r *Recorder) Global(b int, row GlobalRow) bool {
 	r.globals[b] = row
 	r.haveGlob[b] = true
 	if r.emit == nil {
-		return
+		return true
 	}
 	for r.emitted < len(r.bounds) && r.haveGlob[r.emitted] && r.rowComplete(r.emitted) {
-		r.emit(r.epoch(r.emitted))
+		e := r.epoch(r.emitted)
 		r.emitted++
+		if !r.emit(e) {
+			return false
+		}
 	}
+	return true
 }
 
 func (r *Recorder) rowComplete(b int) bool {
@@ -262,15 +288,15 @@ func (r *Recorder) rowComplete(b int) bool {
 }
 
 // Absorb unions another recorder's recorded cells into this one. Both must
-// describe the same schedule (spec, cores, meas). Segment workers each
+// describe the same schedule (boundary offsets and core count). Segment workers each
 // record the boundaries their step ranges cross; absorbing them in any
 // order reconstructs the serial recorder's full cell set, because every
 // cell value is measurement-relative and therefore identical to what the
 // serial run records.
 func (r *Recorder) Absorb(o *Recorder) error {
-	if o.spec != r.spec || o.cores != r.cores || o.meas != r.meas {
-		return fmt.Errorf("telemetry: absorbing mismatched recorder (spec %+v/%d cores/%d meas vs %+v/%d/%d)",
-			o.spec, o.cores, o.meas, r.spec, r.cores, r.meas)
+	if o.cores != r.cores || !slices.Equal(o.bounds, r.bounds) {
+		return fmt.Errorf("telemetry: absorbing mismatched recorder (%d cores, bounds %v vs %d, %v)",
+			o.cores, o.bounds, r.cores, r.bounds)
 	}
 	for i, have := range o.haveCore {
 		if have {

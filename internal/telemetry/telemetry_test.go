@@ -29,8 +29,21 @@ func crossAll(r *Recorder, consumed int) {
 	}
 }
 
+func TestNewRecorderRejectsUnorderedOffsets(t *testing.T) {
+	for _, bad := range [][]int{{0, 10}, {10, 10}, {20, 10}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRecorder accepted offsets %v", bad)
+				}
+			}()
+			NewRecorder(bad, 2, nil)
+		}()
+	}
+}
+
 func TestSyncSkipsCrossedBoundaries(t *testing.T) {
-	r := NewRecorder(Spec{EpochEvents: 10}, 2, 30, nil)
+	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
 	if got := r.Bounds(); !reflect.DeepEqual(got, []int{10, 20, 30}) {
 		t.Fatalf("bounds = %v, want [10 20 30]", got)
 	}
@@ -68,18 +81,18 @@ func TestSyncSkipsCrossedBoundaries(t *testing.T) {
 }
 
 func TestAbsorb(t *testing.T) {
-	base := NewRecorder(Spec{EpochEvents: 10}, 2, 30, nil)
+	base := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
 	for _, o := range []*Recorder{
-		NewRecorder(Spec{EpochEvents: 5}, 2, 30, nil),
-		NewRecorder(Spec{EpochEvents: 10}, 3, 30, nil),
-		NewRecorder(Spec{EpochEvents: 10}, 2, 40, nil),
+		NewRecorder(Spec{EpochEvents: 5}.Bounds(30), 2, nil),
+		NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 3, nil),
+		NewRecorder(Spec{EpochEvents: 10}.Bounds(40), 2, nil),
 	} {
 		if err := base.Absorb(o); err == nil {
-			t.Errorf("absorbing spec %+v, %d cores, %d meas into %+v/2/30 succeeded", o.spec, o.cores, o.meas, base.spec)
+			t.Errorf("absorbing %d cores, bounds %v into 2 cores, bounds %v succeeded", o.cores, o.bounds, base.bounds)
 		}
 	}
 
-	serial := NewRecorder(Spec{EpochEvents: 10}, 2, 30, nil)
+	serial := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
 	for _, at := range []int{10, 20, 30} {
 		crossAll(serial, at)
 	}
@@ -90,9 +103,9 @@ func TestAbsorb(t *testing.T) {
 
 	// Two segments: the first records boundary 0, the second starts past
 	// it (Sync skips it) and records the rest.
-	first := NewRecorder(Spec{EpochEvents: 10}, 2, 30, nil)
+	first := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
 	crossAll(first, 10)
-	second := NewRecorder(Spec{EpochEvents: 10}, 2, 30, nil)
+	second := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
 	second.Sync(func(int) int { return 15 })
 	crossAll(second, 20)
 	crossAll(second, 30)
@@ -100,7 +113,7 @@ func TestAbsorb(t *testing.T) {
 		t.Fatal("a segment missing boundary 0 assembled a full timeline")
 	}
 
-	merged := NewRecorder(Spec{EpochEvents: 10}, 2, 30, nil)
+	merged := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
 	for _, seg := range []*Recorder{second, first} { // order must not matter
 		if err := merged.Absorb(seg); err != nil {
 			t.Fatal(err)
@@ -117,7 +130,10 @@ func TestAbsorb(t *testing.T) {
 
 func TestGlobalEmitsInOrderOnceComplete(t *testing.T) {
 	var emitted []int
-	r := NewRecorder(Spec{EpochEvents: 10}, 2, 30, func(e Epoch) { emitted = append(emitted, e.Index) })
+	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, func(e Epoch) bool {
+		emitted = append(emitted, e.Index)
+		return true
+	})
 
 	// Boundary 0's row completes, but its global row is withheld.
 	r.Cross(0, 10, 20, 30)
@@ -148,8 +164,33 @@ func TestGlobalEmitsInOrderOnceComplete(t *testing.T) {
 	}
 }
 
+func TestGlobalStopsWhenEmitDeclines(t *testing.T) {
+	var emitted []int
+	r := NewRecorder([]int{10, 20, 30}, 2, func(e Epoch) bool {
+		emitted = append(emitted, e.Index)
+		return e.Index != 0 // decline after the first epoch
+	})
+	for _, at := range []int{10, 20} {
+		r.Cross(0, at, uint64(at), uint64(at))
+		r.Cross(1, at, uint64(at), uint64(at))
+	}
+	// Boundary 1 completes first: epoch 0 still lacks its global row, so
+	// nothing drains and the run goes on.
+	if !r.Global(1, row(1)) {
+		t.Fatal("Global reported a stop before any epoch was emitted")
+	}
+	// Boundary 0's row makes epochs 0 and 1 assemblable; emit declines
+	// epoch 0, so Global reports the stop and epoch 1 stays undrained.
+	if r.Global(0, row(0)) {
+		t.Fatal("Global did not report the declined emit")
+	}
+	if !reflect.DeepEqual(emitted, []int{0}) {
+		t.Fatalf("emitted %v, want [0]: draining must stop at the declined epoch", emitted)
+	}
+}
+
 func TestEpochsFailsOnMissingCell(t *testing.T) {
-	full := NewRecorder(Spec{EpochEvents: 10}, 2, 25, nil)
+	full := NewRecorder(Spec{EpochEvents: 10}.Bounds(25), 2, nil)
 	for _, at := range []int{10, 20, 25} {
 		crossAll(full, at)
 	}
@@ -170,7 +211,7 @@ func TestEpochsFailsOnMissingCell(t *testing.T) {
 		t.Errorf("epoch sums: %d instructions, %d reads; want %d, %d", instr, reads, 25*2+25*3, row(2).Design.Reads)
 	}
 
-	noGlobal := NewRecorder(Spec{EpochEvents: 10}, 2, 25, nil)
+	noGlobal := NewRecorder(Spec{EpochEvents: 10}.Bounds(25), 2, nil)
 	for _, at := range []int{10, 20, 25} {
 		for c := 0; c < 2; c++ {
 			if b, complete := noGlobal.Cross(c, at, 1, 1); complete && b != 1 {
@@ -182,7 +223,7 @@ func TestEpochsFailsOnMissingCell(t *testing.T) {
 		t.Error("Epochs succeeded with boundary 1's global row missing")
 	}
 
-	noCore := NewRecorder(Spec{EpochEvents: 10}, 2, 25, nil)
+	noCore := NewRecorder(Spec{EpochEvents: 10}.Bounds(25), 2, nil)
 	crossAll(noCore, 10)
 	noCore.Cross(0, 20, 1, 1)
 	noCore.Global(1, row(1))

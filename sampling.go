@@ -128,10 +128,13 @@ type SampleStats struct {
 	Windows []WindowStat
 	// DetailedEvents counts events simulated inside measurement windows,
 	// across all cores. SimulatedEvents adds the functional warmup and
-	// gaps; FullRunEvents is what the run would have simulated with
-	// sampling off (AccessesPerCore x Cores). FullRunEvents over
-	// DetailedEvents is the sampling reduction; FullRunEvents over
-	// SimulatedEvents is the early-termination wall-clock factor.
+	// gaps, counted as the furthest core's events times the core count:
+	// exact when the schedule runs to its last window, an upper bound
+	// after an early stop, when slower cores simulated fewer.
+	// FullRunEvents is what the run would have simulated with sampling
+	// off (AccessesPerCore x Cores). FullRunEvents over DetailedEvents is
+	// the sampling reduction; FullRunEvents over SimulatedEvents bounds
+	// the early-termination wall-clock factor from below.
 	DetailedEvents  uint64
 	SimulatedEvents uint64
 	FullRunEvents   uint64

@@ -157,6 +157,61 @@ func TestSampledEarlyStop(t *testing.T) {
 	}
 }
 
+// TestSampledWindowsMatchTelemetryEpochs: sampled windows and telemetry
+// epochs are the same recorder epochs. Tiled windows of E events with no
+// early stop, over a measured region that is a multiple of E, must equal a
+// telemetry run's E-event epochs bit for bit, and the two Results may
+// differ only in UIPC (the sampled estimate, which tiling makes the region
+// value).
+func TestSampledWindowsMatchTelemetryEpochs(t *testing.T) {
+	const epoch = 1_000
+	r := uc.Run{
+		Workload:        "web-search",
+		Design:          uc.DesignUnison,
+		Capacity:        256 << 20,
+		Cores:           4,
+		AccessesPerCore: 30_000, // default warmup 2/3: a 10k-event measured region
+		Seed:            3,
+	}
+	observed := r
+	observed.Telemetry = uc.TelemetrySpec{EpochEvents: epoch}
+	tel, err := uc.Execute(observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := r
+	sampled.Sampling = uc.SampleSpec{IntervalEvents: epoch, GapEvents: -1, TargetRelCI: -1}
+	smp, err := uc.Execute(sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	windows, epochs := smp.CI.Windows, tel.Timeline.Epochs
+	if len(windows) != 10 || len(epochs) != len(windows) {
+		t.Fatalf("%d windows and %d epochs, want 10 of each", len(windows), len(epochs))
+	}
+	for i, w := range windows {
+		e := epochs[i]
+		perCore := make([]uc.CoreWindowStat, len(e.PerCore))
+		for c, d := range e.PerCore {
+			perCore[c] = uc.CoreWindowStat{Instructions: d.Instructions, Cycles: d.Cycles}
+		}
+		want := uc.WindowStat{UIPC: e.UIPC, Instructions: e.Instructions, Cycles: e.Cycles, PerCore: perCore}
+		if !reflect.DeepEqual(w, want) {
+			t.Errorf("window %d differs from epoch %d:\nwindow %+v\nepoch  %+v", i, i, w, want)
+		}
+	}
+	if diff := smp.UIPC - tel.UIPC; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("tiled sampled UIPC %v, full-run UIPC %v", smp.UIPC, tel.UIPC)
+	}
+	smp.Results.UIPC = tel.Results.UIPC
+	a, _ := json.Marshal(smp.Results)
+	b, _ := json.Marshal(tel.Results)
+	if string(a) != string(b) {
+		t.Errorf("sampled and observed Results differ beyond UIPC:\nsampled  %s\nobserved %s", a, b)
+	}
+}
+
 // TestSpeedupManySampledCI: sampled plan points come back with matched-
 // pair CIs, and plan order and worker count leave results bit-identical.
 func TestSpeedupManySampledCI(t *testing.T) {

@@ -143,7 +143,7 @@ func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 // one machine records the whole timeline and streams epochs live.
 func segmentedSerialSave(m *sim.Machine, rr Run, prefix string, bounds []uint64, onEpoch func(TimelineEpoch)) (Result, error) {
 	if rr.Telemetry.Enabled() {
-		m.SetTelemetry(rr.Telemetry.internal(), emitFunc(onEpoch))
+		m.Observe(rr.Telemetry.internal().Bounds, emitFunc(onEpoch))
 	}
 	for _, t := range bounds {
 		m.RunTo(t)
@@ -153,7 +153,7 @@ func segmentedSerialSave(m *sim.Machine, rr Run, prefix string, bounds []uint64,
 	}
 	res := Result{Results: m.FinishRun(), Run: rr}
 	if rr.Telemetry.Enabled() {
-		tl, err := timelineFrom(m.TelemetryRecorder(), rr.Telemetry.internal())
+		tl, err := timelineFrom(m.Recorder(), rr.Telemetry.internal())
 		if err != nil {
 			return Result{}, err
 		}
@@ -198,17 +198,17 @@ func runSegment(rr Run, prefix string, start []byte, startOff, end uint64, last 
 		m = restored
 	}
 	if rr.Telemetry.Enabled() {
-		m.SetTelemetry(rr.Telemetry.internal(), nil)
+		m.Observe(rr.Telemetry.internal().Bounds, nil)
 	}
 	if last {
-		return segOut{res: m.FinishRun(), tele: m.TelemetryRecorder()}
+		return segOut{res: m.FinishRun(), tele: m.Recorder()}
 	}
 	m.RunTo(end)
 	blob, err := encodeMachine(m, prefix, end)
 	if err != nil {
 		return segOut{err: err}
 	}
-	return segOut{endBlob: blob, tele: m.TelemetryRecorder()}
+	return segOut{endBlob: blob, tele: m.Recorder()}
 }
 
 // segmentedParallel runs every segment concurrently from the stored

@@ -15,11 +15,12 @@ const DefaultEpochEvents = telemetry.DefaultEpochEvents
 // disables it. A non-zero spec makes the run record per-core and
 // per-design statistic deltas every EpochEvents retired events per core
 // during the measured region, carried on Result.Timeline. Recording is
-// barrier-free (the sampled-replay snapshot mechanics), so the run's
-// measured Results are bit-identical with telemetry on or off, and
-// timelines compose bit-identically with time-parallel execution
-// (Segments) and chunked/checkpointed replay. Telemetry and Sampling are
-// mutually exclusive: epoch slicing needs every event simulated.
+// barrier-free (the boundary recorder sampled runs measure their windows
+// with), so the run's measured Results are bit-identical with telemetry
+// on or off, and timelines compose bit-identically with time-parallel
+// execution (Segments) and chunked/checkpointed replay. Telemetry and
+// Sampling are mutually exclusive: epoch slicing needs every event
+// simulated.
 //
 // TelemetrySpec is part of the service wire format; the JSON field names
 // below are stable.

@@ -268,9 +268,9 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 		return Result{Results: machine.Run(r.AccessesPerCore), Run: r}, nil
 	}
 	spec := r.Telemetry.internal()
-	machine.SetTelemetry(spec, emitFunc(onEpoch))
+	machine.Observe(spec.Bounds, emitFunc(onEpoch))
 	res := Result{Results: machine.Run(r.AccessesPerCore), Run: r}
-	tl, err := timelineFrom(machine.TelemetryRecorder(), spec)
+	tl, err := timelineFrom(machine.Recorder(), spec)
 	if err != nil {
 		return Result{}, err
 	}
@@ -279,12 +279,15 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 }
 
 // emitFunc adapts a public epoch observer to the recorder's callback (nil
-// stays nil, keeping live emission off).
-func emitFunc(onEpoch func(TimelineEpoch)) func(telemetry.Epoch) {
+// stays nil, keeping live emission off). A timeline never stops its run.
+func emitFunc(onEpoch func(TimelineEpoch)) func(telemetry.Epoch) bool {
 	if onEpoch == nil {
 		return nil
 	}
-	return func(e telemetry.Epoch) { onEpoch(fromEpoch(e)) }
+	return func(e telemetry.Epoch) bool {
+		onEpoch(fromEpoch(e))
+		return true
+	}
 }
 
 // newMachine builds the complete simulated system a defaulted Run
