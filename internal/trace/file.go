@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 
 	"unisoncache/internal/mem"
@@ -137,7 +138,7 @@ func WriteTrace(w io.Writer, h FileHeader, sources []Source) error {
 // exactly the header's event count — so the returned sources cannot fail
 // mid-replay.
 func ReadTrace(r io.Reader) (FileHeader, []*ReplaySource, error) {
-	data, err := io.ReadAll(r)
+	data, err := readCapture(r)
 	if err != nil {
 		return FileHeader{}, nil, fmt.Errorf("trace: reading capture: %w", err)
 	}
@@ -190,6 +191,21 @@ func ReadTrace(r io.Reader) (FileHeader, []*ReplaySource, error) {
 	return h, sources, nil
 }
 
+// readCapture reads r to EOF. When r reports a regular file's size — an
+// *os.File, as os.ReadFile uses — the buffer is allocated once at that
+// size (plus the slack ReadFrom needs to see EOF); otherwise it grows as
+// it reads.
+func readCapture(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() < math.MaxInt32 {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // ReplaySource replays one core's section of a .utrace capture, decoding
 // events lazily so a full trace never materializes in memory. It implements
 // Source; construct it through ReadTrace, which validates every section.
@@ -208,11 +224,11 @@ func (s *ReplaySource) Remaining() int { return s.remaining }
 // cleanly, so the only possible failure is pulling past the recorded
 // length, which panics — bound demand with Remaining.
 func (s *ReplaySource) Next() Event {
-	ev, err := s.next()
-	if err != nil {
+	var ev [1]Event
+	if err := s.decode(ev[:]); err != nil {
 		panic("trace: replay: " + err.Error())
 	}
-	return ev
+	return ev[0]
 }
 
 // NextBatch implements Batcher: it decodes up to len(dst) events straight
@@ -220,63 +236,80 @@ func (s *ReplaySource) Next() Event {
 // recorded section drains. Unlike Next, draining is not an error: batching
 // callers observe the short count instead of a panic.
 func (s *ReplaySource) NextBatch(dst []Event) int {
-	n := len(dst)
-	if n > s.remaining {
-		n = s.remaining
+	dst = dst[:min(len(dst), s.remaining)]
+	if err := s.decode(dst); err != nil {
+		// ReadTrace verified the section; only corruption of the
+		// backing array after construction could land here.
+		panic("trace: replay: " + err.Error())
 	}
-	for i := 0; i < n; i++ {
-		ev, err := s.next()
-		if err != nil {
-			// ReadTrace verified the section; only corruption of the
-			// backing array after construction could land here.
-			panic("trace: replay: " + err.Error())
-		}
-		dst[i] = ev
-	}
-	return n
+	return len(dst)
 }
 
-// next decodes one event, reporting truncation or corruption.
-func (s *ReplaySource) next() (Event, error) {
-	if s.remaining <= 0 {
-		return Event{}, fmt.Errorf("source drained past its recorded length")
+// decode is the one section decoder — replay, verification and checkpoint
+// restore all run it. It decodes exactly len(dst) events into dst, keeping
+// the cursor in locals for the whole batch and writing it back once; on
+// error the cursor is left where it was. An event whose three varints are
+// single bytes — the common event — decodes inline; any other falls back
+// to binary.Uvarint field by field. Either way the checks run in the same
+// order: a truncated or overlong varint, the gap's uint32 bound (before
+// the block delta is read), then a negative block number.
+func (s *ReplaySource) decode(dst []Event) error {
+	if len(dst) > s.remaining {
+		return fmt.Errorf("source drained past its recorded length")
 	}
-	g, err := s.uvarint()
-	if err != nil {
-		return Event{}, err
+	data, pos, prevBlock, prevPC := s.data, s.pos, s.prevBlock, s.prevPC
+	for i := range dst {
+		var g uint64
+		var blockDelta, pcDelta int64
+		if b := data[pos:]; len(b) >= 3 && b[0]|b[1]|b[2] < 0x80 {
+			g, blockDelta, pcDelta = uint64(b[0]), unzigzag(uint64(b[1])), unzigzag(uint64(b[2]))
+			pos += 3
+		} else {
+			var n int
+			if g, n = binary.Uvarint(data[pos:]); n <= 0 {
+				return fmt.Errorf("truncated event at byte %d", pos)
+			}
+			pos += n
+			if g>>1 > math.MaxUint32 {
+				return fmt.Errorf("instruction gap overflows uint32")
+			}
+			u, n := binary.Uvarint(data[pos:])
+			if n <= 0 {
+				return fmt.Errorf("truncated event at byte %d", pos)
+			}
+			pos += n
+			blockDelta = unzigzag(u)
+			if u, n = binary.Uvarint(data[pos:]); n <= 0 {
+				return fmt.Errorf("truncated event at byte %d", pos)
+			}
+			pos += n
+			pcDelta = unzigzag(u)
+		}
+		block := int64(prevBlock) + blockDelta
+		if block < 0 {
+			return fmt.Errorf("negative block number")
+		}
+		prevBlock = uint64(block)
+		prevPC = uint64(int64(prevPC) + pcDelta)
+		dst[i] = Event{
+			Gap:   uint32(g >> 1),
+			Addr:  mem.BlockAddr(prevBlock),
+			PC:    prevPC,
+			Write: g&1 != 0,
+		}
 	}
-	if g>>1 > math.MaxUint32 {
-		return Event{}, fmt.Errorf("instruction gap overflows uint32")
-	}
-	blockDelta, err := s.varint()
-	if err != nil {
-		return Event{}, err
-	}
-	pcDelta, err := s.varint()
-	if err != nil {
-		return Event{}, err
-	}
-	block := int64(s.prevBlock) + blockDelta
-	if block < 0 {
-		return Event{}, fmt.Errorf("negative block number")
-	}
-	s.prevBlock = uint64(block)
-	s.prevPC = uint64(int64(s.prevPC) + pcDelta)
-	s.remaining--
-	return Event{
-		Gap:   uint32(g >> 1),
-		Addr:  mem.BlockAddr(s.prevBlock),
-		PC:    s.prevPC,
-		Write: g&1 != 0,
-	}, nil
+	s.pos, s.prevBlock, s.prevPC = pos, prevBlock, prevPC
+	s.remaining -= len(dst)
+	return nil
 }
 
 // verify decodes the whole section on a scratch copy: exactly `remaining`
 // events consuming exactly the section's bytes.
 func (s *ReplaySource) verify() error {
 	t := *s
+	var slab [256]Event
 	for t.remaining > 0 {
-		if _, err := t.next(); err != nil {
+		if err := t.decode(slab[:min(len(slab), t.remaining)]); err != nil {
 			return err
 		}
 	}
@@ -284,23 +317,6 @@ func (s *ReplaySource) verify() error {
 		return fmt.Errorf("%d trailing bytes in section", len(t.data)-t.pos)
 	}
 	return nil
-}
-
-func (s *ReplaySource) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(s.data[s.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated event at byte %d", s.pos)
-	}
-	s.pos += n
-	return v, nil
-}
-
-func (s *ReplaySource) varint() (int64, error) {
-	u, err := s.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return unzigzag(u), nil
 }
 
 // zigzag maps signed deltas onto small unsigned varints.

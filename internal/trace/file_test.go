@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -116,4 +118,77 @@ func TestReadTraceRejectsCorruption(t *testing.T) {
 	if _, _, err := ReadTrace(bytes.NewReader(wrongVersion)); err == nil {
 		t.Error("unsupported version accepted")
 	}
+}
+
+// benchCapture writes a fixed 16-core × 20k-event web-serving capture —
+// the profile and 1 GB scale divisor observed-replay replays — to a temp
+// file, the way Execute reads captures, and returns its path and event
+// count.
+func benchCapture(b *testing.B) (string, int) {
+	b.Helper()
+	const cores, events, divisor = 16, 20_000, 32
+	prof := *Profiles()["web-serving"]
+	prof.WorkingSetBytes /= divisor
+	sources := make([]Source, cores)
+	for i := range sources {
+		s, err := NewStream(&prof, 1, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sources[i] = s
+	}
+	var buf bytes.Buffer
+	h := FileHeader{Profile: "web-serving", Seed: 1, ScaleDivisor: divisor, Cores: cores, EventsPerCore: events}
+	if err := WriteTrace(&buf, h, sources); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "bench.utrace")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	return path, cores * events
+}
+
+// BenchmarkReadTrace times ReadTrace of a capture file: the read plus the
+// up-front verification of every section.
+func BenchmarkReadTrace(b *testing.B) {
+	path, events := benchCapture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := ReadTrace(f); err != nil {
+			b.Fatal(err)
+		}
+		f.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+}
+
+// BenchmarkReplaySourceNextBatch times the replay hot path: every core of
+// a verified capture drained through the simulator's 256-event slab.
+func BenchmarkReplaySourceNextBatch(b *testing.B) {
+	path, events := benchCapture(b)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, sources, err := ReadTrace(bytes.NewReader(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	slab := make([]Event, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range sources {
+			s := *src // a fresh cursor over the same section
+			for s.NextBatch(slab) == len(slab) {
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 }

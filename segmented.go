@@ -126,11 +126,16 @@ func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 	if !have {
 		return segmentedSerialSave(m, rr, prefix, bounds, onEpoch)
 	}
-	res, err := segmentedParallel(rr, prefix, total, bounds, blobs, onEpoch)
+	res, err := segmentedParallel(m, rr, prefix, total, bounds, blobs, onEpoch)
 	if err != nil {
 		// A snapshot failed to restore (corrupt entry, geometry skew after
 		// a code change): fall back to the serial pass, which also rewrites
-		// every boundary and so repairs the store.
+		// every boundary and so repairs the store. Segment 0 has advanced
+		// m, so the pass replays on a fresh machine.
+		if m, _, err = newMachine(r); err != nil {
+			return Result{}, err
+		}
+		m.BeginRun(rr.AccessesPerCore)
 		return segmentedSerialSave(m, rr, prefix, bounds, onEpoch)
 	}
 	return res, nil
@@ -173,24 +178,18 @@ type segOut struct {
 	err     error
 }
 
-// runSegment simulates one segment on a private machine: from scratch
-// (start == nil) or from a boundary snapshot, up to the end offset. The
-// last segment completes the run and collects Results — bit-identical to
-// serial because its whole state, statistics counters included, came
-// through the checkpoint chain. Telemetry cells are measurement-relative,
-// so a segment records exactly the values the serial run would for the
-// boundaries its steps cross; the recorder's Sync skips boundaries crossed
-// before the segment (they belong to segments to the left).
-func runSegment(rr Run, prefix string, start []byte, startOff, end uint64, last bool) segOut {
-	var m *sim.Machine
-	if start == nil {
-		fresh, _, err := newMachine(rr)
-		if err != nil {
-			return segOut{err: err}
-		}
-		fresh.BeginRun(rr.AccessesPerCore)
-		m = fresh
-	} else {
+// runSegment simulates one segment up to the end offset: segment 0
+// (start == nil) on m, the machine executeSegmented built to compute the
+// bounds, every later segment on a private machine restored from its
+// boundary snapshot. The last segment completes the run and collects
+// Results — bit-identical to serial because its whole state, statistics
+// counters included, came through the checkpoint chain. Telemetry cells
+// are measurement-relative, so a segment records exactly the values the
+// serial run would for the boundaries its steps cross; the recorder's Sync
+// skips boundaries crossed before the segment (they belong to segments to
+// the left).
+func runSegment(m *sim.Machine, rr Run, prefix string, start []byte, startOff, end uint64, last bool) segOut {
+	if start != nil {
 		restored, _, err := restoreMachine(rr, prefix, startOff, start)
 		if err != nil {
 			return segOut{err: err}
@@ -211,19 +210,19 @@ func runSegment(rr Run, prefix string, start []byte, startOff, end uint64, last 
 	return segOut{endBlob: blob, tele: m.Recorder()}
 }
 
-// segmentedParallel runs every segment concurrently from the stored
-// boundary snapshots, then merges left to right: segment i's computed end
-// state must byte-equal the snapshot segment i+1 started from (the
-// encoding is deterministic, so state identity is byte identity). A
-// mismatch means the store carried a stale boundary — the authoritative
-// state is written back and the next segment re-runs from it; the cascade
-// proceeds only while mismatches keep propagating. The final segment's
-// Results therefore always descend from an authoritative state chain.
-// Telemetry merges the same way: each segment's recorder holds the cells
-// its (authoritative) step range crossed, a re-run replaces the stale
-// segment's recorder wholesale, and the union assembles the timeline the
-// serial run records, bit for bit.
-func segmentedParallel(rr Run, prefix string, total uint64, bounds []uint64, blobs [][]byte, onEpoch func(TimelineEpoch)) (Result, error) {
+// segmentedParallel runs every segment concurrently — segment 0 on the
+// prepared machine m, the rest from the stored boundary snapshots — then
+// merges left to right: segment i's computed end state must byte-equal the
+// snapshot segment i+1 started from (the encoding is deterministic, so
+// state identity is byte identity). A mismatch means the store carried a
+// stale boundary — the authoritative state is written back and the next
+// segment re-runs from it; the cascade proceeds only while mismatches keep
+// propagating. The final segment's Results therefore always descend from
+// an authoritative state chain. Telemetry merges the same way: each
+// segment's recorder holds the cells its (authoritative) step range
+// crossed, a re-run replaces the stale segment's recorder wholesale, and
+// the union assembles the timeline the serial run records, bit for bit.
+func segmentedParallel(m *sim.Machine, rr Run, prefix string, total uint64, bounds []uint64, blobs [][]byte, onEpoch func(TimelineEpoch)) (Result, error) {
 	k := len(bounds) + 1
 	endOf := func(i int) uint64 {
 		if i < len(bounds) {
@@ -246,7 +245,7 @@ func segmentedParallel(rr Run, prefix string, total uint64, bounds []uint64, blo
 	// overlapping their wall-clock, so the pool never throttles them.
 	outs, err := runner.Map(idx, func(i int) (segOut, error) {
 		blob, off := startOf(i)
-		o := runSegment(rr, prefix, blob, off, endOf(i), i == k-1)
+		o := runSegment(m, rr, prefix, blob, off, endOf(i), i == k-1)
 		return o, o.err
 	}, runner.Options{Jobs: k})
 	if err != nil {
@@ -258,7 +257,7 @@ func segmentedParallel(rr Run, prefix string, total uint64, bounds []uint64, blo
 			continue
 		}
 		ckStore.Put(prefix, bounds[i], outs[i].endBlob)
-		outs[i+1] = runSegment(rr, prefix, outs[i].endBlob, bounds[i], endOf(i+1), i+1 == k-1)
+		outs[i+1] = runSegment(nil, rr, prefix, outs[i].endBlob, bounds[i], endOf(i+1), i+1 == k-1)
 		if outs[i+1].err != nil {
 			return Result{}, outs[i+1].err
 		}

@@ -232,6 +232,45 @@ func TestCheckpointRoundTripReplay(t *testing.T) {
 	}
 }
 
+// TestSegmentedReplayMatchesPlain runs a recorded capture through both
+// Segments paths — the serial-with-save first run and the concurrent
+// repeat from the store, whose segment 0 replays on the machine built to
+// compute the bounds — and requires each to match the plain replay.
+func TestSegmentedReplayMatchesPlain(t *testing.T) {
+	ckStore.Reset()
+	path := filepath.Join(t.TempDir(), "segmented.utrace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Run{Workload: "web-serving", Capacity: 128 << 20, Cores: 2, AccessesPerCore: 4_000, Seed: 4}
+	if err := RecordTrace(rec, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := Run{TracePath: path, Design: DesignUnison, Capacity: 128 << 20}
+	plain, err := Execute(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultJSON(t, plain)
+	r.Segments = 2
+	for _, pass := range []string{"serial-with-save", "parallel"} {
+		res, err := Execute(r)
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		if got := resultJSON(t, res); got != want {
+			t.Errorf("%s pass diverged from the plain replay\nwant: %s\n got: %s", pass, want, got)
+		}
+	}
+	if n := ckStore.Len(); n == 0 {
+		t.Error("segmented replay left no snapshots in the store")
+	}
+}
+
 // TestSegmentedFixupCascade poisons the snapshot store with a hash-valid
 // snapshot of the WRONG state (a different seed's trajectory at the same
 // offset) and requires the parallel pass to detect the stale boundary,
