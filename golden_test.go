@@ -73,6 +73,12 @@ func TestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", goldenKey(r), err)
 		}
+		// Conservation: the design's off-chip byte counters equal the
+		// bytes the off-chip controller moved.
+		if d, o := res.Design, res.Offchip; d.OffchipReadBytes != o.BytesRead || d.OffchipWriteBytes != o.BytesWritten {
+			t.Errorf("%s: design counted %d B read / %d B written off-chip, controller moved %d / %d",
+				goldenKey(r), d.OffchipReadBytes, d.OffchipWriteBytes, o.BytesRead, o.BytesWritten)
+		}
 		got[goldenKey(r)] = encodeResult(t, res)
 	}
 

@@ -13,15 +13,7 @@ func (d *Unison) SaveState(w *checkpoint.Writer) {
 	d.single.SaveState(w)
 	d.wp.SaveState(w)
 	d.table.SaveState(w)
-	w.U64(d.st.reads)
-	w.U64(d.st.readHits)
-	w.U64(d.st.writes)
-	w.U64(d.st.triggerMisses)
-	w.U64(d.st.underpredMisses)
-	w.U64(d.st.singletonSkips)
-	w.U64(d.st.offReadBytes)
-	w.U64(d.st.offWriteBytes)
-	w.U64(d.st.wayMispredicts)
+	d.st.SaveState(w)
 }
 
 // LoadState implements dramcache.Design.
@@ -39,14 +31,5 @@ func (d *Unison) LoadState(r *checkpoint.Reader) error {
 	if err := d.table.LoadState(r); err != nil {
 		return err
 	}
-	d.st.reads = r.U64()
-	d.st.readHits = r.U64()
-	d.st.writes = r.U64()
-	d.st.triggerMisses = r.U64()
-	d.st.underpredMisses = r.U64()
-	d.st.singletonSkips = r.U64()
-	d.st.offReadBytes = r.U64()
-	d.st.offWriteBytes = r.U64()
-	d.st.wayMispredicts = r.U64()
-	return r.Err()
+	return d.st.LoadState(r)
 }

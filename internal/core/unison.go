@@ -139,20 +139,7 @@ type Unison struct {
 	// otherwise.
 	setShift int
 
-	st unisonStats
-}
-
-// unisonStats extends the shared counters with Unison-specific events.
-type unisonStats struct {
-	reads           uint64
-	readHits        uint64
-	writes          uint64
-	triggerMisses   uint64
-	underpredMisses uint64
-	singletonSkips  uint64
-	offReadBytes    uint64
-	offWriteBytes   uint64
-	wayMispredicts  uint64
+	st dramcache.Counters
 }
 
 // New builds a Unison Cache over the two DRAM parts.
@@ -296,19 +283,15 @@ func (d *Unison) Access(r dramcache.Request) dramcache.Response {
 	// Page miss. The tag read has already told us no way matches, so the
 	// off-chip path launches at tagKnown — the "DRAM Tag Lookup" miss
 	// latency of Table II.
-	if !d.cfg.DisableWayPrediction {
-		// No way-prediction outcome to record: the page is absent.
-		_ = predWay
-	}
 	if r.Write {
 		// Dirty writeback whose page has been evicted: write through.
-		d.st.writes++
+		d.st.Writes++
 		res := d.offchip.Access(uint64(r.Addr), tagKnown, mem.BlockSize, true)
-		d.st.offWriteBytes += mem.BlockSize
+		d.st.OffchipWriteBytes += mem.BlockSize
 		return dramcache.Response{DoneAt: res.Done, Hit: false}
 	}
-	d.st.reads++
-	d.st.triggerMisses++
+	d.st.Reads++
+	d.st.TriggerMisses++
 	return d.triggerMiss(r, page, off, set, tagKnown)
 }
 
@@ -323,7 +306,6 @@ func (d *Unison) accessPresent(r dramcache.Request, page uint64, off int, bit pr
 		d.wp.Record(wayCorrect)
 		d.wp.Update(page, way)
 		if !wayCorrect {
-			d.st.wayMispredicts++
 			// Re-read the correct way. The row was just activated, so
 			// this is a cheap row-buffer hit (§III-A.6).
 			second := d.stacked.Do(dram.Request{Channel: ch, Bank: bank, Row: row, Bytes: mem.BlockSize, At: tagKnown})
@@ -335,13 +317,13 @@ func (d *Unison) accessPresent(r dramcache.Request, page uint64, off int, bit pr
 		p.Touched |= bit
 		if r.Write {
 			p.Dirty |= bit
-			d.st.writes++
+			d.st.Writes++
 			// The block write lands in the open row.
 			d.stacked.Do(dram.Request{Channel: ch, Bank: bank, Row: row, Bytes: mem.BlockSize, Write: true, At: tagKnown})
 			return dramcache.Response{DoneAt: tagKnown, Hit: true}
 		}
-		d.st.reads++
-		d.st.readHits++
+		d.st.Reads++
+		d.st.ReadHits++
 		return dramcache.Response{DoneAt: dataReady, Hit: true}
 	}
 
@@ -351,14 +333,14 @@ func (d *Unison) accessPresent(r dramcache.Request, page uint64, off int, bit pr
 	p.Touched |= bit
 	if r.Write {
 		p.Dirty |= bit
-		d.st.writes++
+		d.st.Writes++
 		d.stacked.Do(dram.Request{Channel: ch, Bank: bank, Row: row, Bytes: mem.BlockSize, Write: true, At: tagKnown})
 		return dramcache.Response{DoneAt: tagKnown, Hit: false}
 	}
-	d.st.reads++
-	d.st.underpredMisses++
+	d.st.Reads++
+	d.st.UnderpredMisses++
 	res := d.offchip.Access(uint64(r.Addr), tagKnown, mem.BlockSize, false)
-	d.st.offReadBytes += mem.BlockSize
+	d.st.OffchipReadBytes += mem.BlockSize
 	// Fill the block into the row. Background operations are issued at
 	// the demand access's timestamp: the simulator processes requests in
 	// core-clock order, so a future-dated reservation would wrongly block
@@ -383,10 +365,10 @@ func (d *Unison) triggerMiss(r dramcache.Request, page uint64, off int, set uint
 	}
 
 	if !d.cfg.DisableSingleton && mem.PopCount32(predicted) == 1 {
-		d.st.singletonSkips++
+		d.st.SingletonSkips++
 		d.single.Insert(page, r.PC, off)
 		res := d.offchip.Access(uint64(r.Addr), predictAt, mem.BlockSize, false)
-		d.st.offReadBytes += mem.BlockSize
+		d.st.OffchipReadBytes += mem.BlockSize
 		return dramcache.Response{DoneAt: res.Done, Hit: false}
 	}
 
@@ -401,7 +383,7 @@ func (d *Unison) triggerMiss(r dramcache.Request, page uint64, off int, set uint
 	// the §V-D energy argument).
 	crit := d.offchip.Access(uint64(r.Addr), predictAt, mem.BlockSize, false)
 	k := mem.PopCount32(predicted)
-	d.st.offReadBytes += uint64(k) * mem.BlockSize
+	d.st.OffchipReadBytes += uint64(k) * mem.BlockSize
 	if k > 1 {
 		// The rest of the footprint streams right behind the critical
 		// block (same off-chip row, one activation).
@@ -448,7 +430,7 @@ func (d *Unison) evict(p *dramcache.PageState, at uint64) {
 	d.fp.RecordEviction(p.PC, int(p.Off), p.Predicted, p.Touched)
 	if n := mem.PopCount32(p.Dirty); n > 0 {
 		d.offchip.Access(uint64(d.pageAddr(p.Tag)), at, n*mem.BlockSize, true)
-		d.st.offWriteBytes += uint64(n) * mem.BlockSize
+		d.st.OffchipWriteBytes += uint64(n) * mem.BlockSize
 	}
 	p.Valid = false
 }
@@ -460,17 +442,7 @@ func (d *Unison) AccessBatch(reqs []dramcache.Request, resps []dramcache.Respons
 
 // Snapshot implements dramcache.Design.
 func (d *Unison) Snapshot() dramcache.Snapshot {
-	s := dramcache.Snapshot{
-		Name:              d.Name(),
-		Reads:             d.st.reads,
-		ReadHits:          d.st.readHits,
-		Writes:            d.st.writes,
-		TriggerMisses:     d.st.triggerMisses,
-		UnderpredMisses:   d.st.underpredMisses,
-		SingletonSkips:    d.st.singletonSkips,
-		OffchipReadBytes:  d.st.offReadBytes,
-		OffchipWriteBytes: d.st.offWriteBytes,
-	}
+	s := dramcache.Snapshot{Name: d.Name(), Counters: d.st}
 	fps := d.fp.Stats()
 	acc, of := fps.Accuracy, fps.Overfetch
 	s.FP = &acc
@@ -482,12 +454,9 @@ func (d *Unison) Snapshot() dramcache.Snapshot {
 	return s
 }
 
-// WayMispredicts returns the misprediction count (ablation reporting).
-func (d *Unison) WayMispredicts() uint64 { return d.st.wayMispredicts }
-
 // ResetStats implements dramcache.Design.
 func (d *Unison) ResetStats() {
-	d.st = unisonStats{}
+	d.st = dramcache.Counters{}
 	d.fp.ResetStats()
 	d.wp.ResetStats()
 	d.single.ResetStats()

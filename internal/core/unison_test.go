@@ -248,7 +248,7 @@ func TestWayMispredictPenaltyIsRowBufferHit(t *testing.T) {
 	at = u.Access(dramcache.Request{Addr: ucAddr(3, 1), PC: 7, At: at}).DoneAt
 	at = u.Access(dramcache.Request{Addr: ucAddr(3+sets, 1), PC: 7, At: at}).DoneAt
 	_ = at
-	if u.WayMispredicts() == 0 {
+	if wp := u.Snapshot().WP; wp.Num == wp.Den {
 		t.Skip("alternation did not mispredict (aliasing)")
 	}
 	if s.Stats().RowHits == rowHits0 {

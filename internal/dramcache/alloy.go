@@ -29,7 +29,7 @@ type Alloy struct {
 	tads    []uint64
 	numTADs uint64
 
-	st baseStats
+	st Counters
 }
 
 const (
@@ -90,21 +90,21 @@ func (d *Alloy) Access(r Request) Response {
 	if r.Write {
 		return d.write(r, block, slot, present)
 	}
-	d.st.reads++
+	d.st.Reads++
 
 	predMiss := d.mp.PredictMiss(r.Core, r.PC)
 	probeAt := r.At + d.mp.Latency()
 	tad := d.readTAD(slot, probeAt)
 
 	if present {
-		d.st.readHits++
+		d.st.ReadHits++
 		d.mp.Update(r.Core, r.PC, predMiss, false)
 		if predMiss {
 			// False miss: the off-chip fetch was already launched in
 			// parallel and its data is discarded — pure wasted traffic
 			// and bandwidth occupancy (§II-A).
 			d.offchip.Access(uint64(r.Addr), probeAt, mem.BlockSize, false)
-			d.st.offReadBytes += mem.BlockSize
+			d.st.OffchipReadBytes += mem.BlockSize
 		}
 		return Response{DoneAt: tad.Done, Hit: true}
 	}
@@ -113,13 +113,13 @@ func (d *Alloy) Access(r Request) Response {
 	// with the (verification) probe; a mispredicted one serializes behind
 	// the probe (§II-A).
 	d.mp.Update(r.Core, r.PC, predMiss, true)
-	d.st.triggerMisses++
+	d.st.TriggerMisses++
 	launchAt := tad.Done
 	if predMiss {
 		launchAt = probeAt
 	}
 	off := d.offchip.Access(uint64(r.Addr), launchAt, mem.BlockSize, false)
-	d.st.offReadBytes += mem.BlockSize
+	d.st.OffchipReadBytes += mem.BlockSize
 	// The fill is charged at the demand timestamp; see Footprint.Access
 	// for why future-dated background reservations would be wrong.
 	d.fill(block, slot, probeAt, false)
@@ -130,7 +130,7 @@ func (d *Alloy) Access(r Request) Response {
 // request, so allocation needs no off-chip fetch; a conflicting dirty
 // victim is written back.
 func (d *Alloy) write(r Request, block, slot uint64, present bool) Response {
-	d.st.writes++
+	d.st.Writes++
 	res := d.writeTAD(slot, r.At)
 	if !present {
 		d.fill(block, slot, r.At, true)
@@ -146,7 +146,7 @@ func (d *Alloy) fill(block, slot uint64, at uint64, dirty bool) {
 	if old := d.tads[slot]; old&3 == tadDirty {
 		victim := old >> 2
 		d.offchip.Access(uint64(mem.BlockAddr(victim)), at, mem.BlockSize, true)
-		d.st.offWriteBytes += mem.BlockSize
+		d.st.OffchipWriteBytes += mem.BlockSize
 	}
 	state := tadClean
 	if dirty {
@@ -170,7 +170,7 @@ func (d *Alloy) AccessBatch(reqs []Request, resps []Response) { SerialAccess(d, 
 
 // Snapshot implements Design.
 func (d *Alloy) Snapshot() Snapshot {
-	s := d.st.snapshot(d.Name())
+	s := Snapshot{Name: d.Name(), Counters: d.st}
 	mps := d.mp.Stats()
 	acc := mps.Accuracy
 	s.MP = &acc
@@ -180,6 +180,6 @@ func (d *Alloy) Snapshot() Snapshot {
 
 // ResetStats implements Design.
 func (d *Alloy) ResetStats() {
-	d.st.reset()
+	d.st = Counters{}
 	d.mp.ResetStats()
 }

@@ -10,7 +10,7 @@ import (
 // main memory. Every access is a single stacked-DRAM block transfer.
 type Ideal struct {
 	stacked *dram.Controller
-	st      baseStats
+	st      Counters
 }
 
 // NewIdeal builds the ideal cache over the given stacked part.
@@ -25,11 +25,11 @@ func (d *Ideal) Name() string { return "ideal" }
 func (d *Ideal) Access(r Request) Response {
 	res := d.stacked.Access(uint64(r.Addr), r.At, mem.BlockSize, r.Write)
 	if r.Write {
-		d.st.writes++
+		d.st.Writes++
 		return Response{DoneAt: res.Done, Hit: true}
 	}
-	d.st.reads++
-	d.st.readHits++
+	d.st.Reads++
+	d.st.ReadHits++
 	return Response{DoneAt: res.Done, Hit: true}
 }
 
@@ -37,16 +37,16 @@ func (d *Ideal) Access(r Request) Response {
 func (d *Ideal) AccessBatch(reqs []Request, resps []Response) { SerialAccess(d, reqs, resps) }
 
 // Snapshot implements Design.
-func (d *Ideal) Snapshot() Snapshot { return d.st.snapshot(d.Name()) }
+func (d *Ideal) Snapshot() Snapshot { return Snapshot{Name: d.Name(), Counters: d.st} }
 
 // ResetStats implements Design.
-func (d *Ideal) ResetStats() { d.st.reset() }
+func (d *Ideal) ResetStats() { d.st = Counters{} }
 
 // None is the cache-less baseline: every L2 miss goes to off-chip memory.
 // It is the denominator of every speedup in Figures 7 and 8.
 type None struct {
 	offchip *dram.Controller
-	st      baseStats
+	st      Counters
 }
 
 // NewNone builds the baseline over the off-chip part.
@@ -61,11 +61,11 @@ func (d *None) Name() string { return "none" }
 func (d *None) Access(r Request) Response {
 	res := d.offchip.Access(uint64(r.Addr), r.At, mem.BlockSize, r.Write)
 	if r.Write {
-		d.st.writes++
-		d.st.offWriteBytes += mem.BlockSize
+		d.st.Writes++
+		d.st.OffchipWriteBytes += mem.BlockSize
 	} else {
-		d.st.reads++
-		d.st.offReadBytes += mem.BlockSize
+		d.st.Reads++
+		d.st.OffchipReadBytes += mem.BlockSize
 	}
 	return Response{DoneAt: res.Done, Hit: false}
 }
@@ -74,7 +74,7 @@ func (d *None) Access(r Request) Response {
 func (d *None) AccessBatch(reqs []Request, resps []Response) { SerialAccess(d, reqs, resps) }
 
 // Snapshot implements Design.
-func (d *None) Snapshot() Snapshot { return d.st.snapshot(d.Name()) }
+func (d *None) Snapshot() Snapshot { return Snapshot{Name: d.Name(), Counters: d.st} }
 
 // ResetStats implements Design.
-func (d *None) ResetStats() { d.st.reset() }
+func (d *None) ResetStats() { d.st = Counters{} }

@@ -12,28 +12,6 @@ import (
 // package's own codecs) and the access counters. Geometry is owned by
 // construction; LoadState rejects snapshots whose array sizes disagree.
 
-func (b *baseStats) saveState(w *checkpoint.Writer) {
-	w.U64(b.reads)
-	w.U64(b.readHits)
-	w.U64(b.writes)
-	w.U64(b.triggerMisses)
-	w.U64(b.underpredMisses)
-	w.U64(b.singletonSkips)
-	w.U64(b.offReadBytes)
-	w.U64(b.offWriteBytes)
-}
-
-func (b *baseStats) loadState(r *checkpoint.Reader) {
-	b.reads = r.U64()
-	b.readHits = r.U64()
-	b.writes = r.U64()
-	b.triggerMisses = r.U64()
-	b.underpredMisses = r.U64()
-	b.singletonSkips = r.U64()
-	b.offReadBytes = r.U64()
-	b.offWriteBytes = r.U64()
-}
-
 // SaveState serializes every page's state and the LRU array.
 func (t *PageTable) SaveState(w *checkpoint.Writer) {
 	w.Section("dramcache.pagetable")
@@ -79,7 +57,7 @@ func (d *Alloy) SaveState(w *checkpoint.Writer) {
 	w.Section("alloy")
 	w.U64Slice(d.tads)
 	d.mp.SaveState(w)
-	d.st.saveState(w)
+	d.st.SaveState(w)
 }
 
 // LoadState implements Design.
@@ -89,8 +67,7 @@ func (d *Alloy) LoadState(r *checkpoint.Reader) error {
 	if err := d.mp.LoadState(r); err != nil {
 		return err
 	}
-	d.st.loadState(r)
-	return r.Err()
+	return d.st.LoadState(r)
 }
 
 // SaveState implements Design.
@@ -99,7 +76,7 @@ func (d *Footprint) SaveState(w *checkpoint.Writer) {
 	d.fp.SaveState(w)
 	d.single.SaveState(w)
 	d.table.SaveState(w)
-	d.st.saveState(w)
+	d.st.SaveState(w)
 }
 
 // LoadState implements Design.
@@ -114,15 +91,14 @@ func (d *Footprint) LoadState(r *checkpoint.Reader) error {
 	if err := d.table.LoadState(r); err != nil {
 		return err
 	}
-	d.st.loadState(r)
-	return r.Err()
+	return d.st.LoadState(r)
 }
 
 // SaveState implements Design.
 func (d *LohHill) SaveState(w *checkpoint.Writer) {
 	w.Section("lohhill")
 	d.table.SaveState(w)
-	d.st.saveState(w)
+	d.st.SaveState(w)
 }
 
 // LoadState implements Design.
@@ -131,32 +107,29 @@ func (d *LohHill) LoadState(r *checkpoint.Reader) error {
 	if err := d.table.LoadState(r); err != nil {
 		return err
 	}
-	d.st.loadState(r)
-	return r.Err()
+	return d.st.LoadState(r)
 }
 
 // SaveState implements Design.
 func (d *Ideal) SaveState(w *checkpoint.Writer) {
 	w.Section("ideal")
-	d.st.saveState(w)
+	d.st.SaveState(w)
 }
 
 // LoadState implements Design.
 func (d *Ideal) LoadState(r *checkpoint.Reader) error {
 	r.Section("ideal")
-	d.st.loadState(r)
-	return r.Err()
+	return d.st.LoadState(r)
 }
 
 // SaveState implements Design.
 func (d *None) SaveState(w *checkpoint.Writer) {
 	w.Section("none")
-	d.st.saveState(w)
+	d.st.SaveState(w)
 }
 
 // LoadState implements Design.
 func (d *None) LoadState(r *checkpoint.Reader) error {
 	r.Section("none")
-	d.st.loadState(r)
-	return r.Err()
+	return d.st.LoadState(r)
 }

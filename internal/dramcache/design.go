@@ -70,11 +70,11 @@ func SerialAccess(d Design, reqs []Request, resps []Response) {
 	}
 }
 
-// Snapshot is the uniform statistics view the experiment harness consumes.
-// Predictor sections are nil for designs that lack the predictor.
-type Snapshot struct {
-	Name string
-
+// Counters is the counter block every design keeps and counts into —
+// the one declaration of each shared design statistic, from the design
+// that counts it through Snapshot (which embeds it, so the JSON keys stay
+// flat) to the checkpoint codec below.
+type Counters struct {
 	// Demand-read accounting; the paper's miss ratios are over reads.
 	Reads    uint64
 	ReadHits uint64
@@ -89,6 +89,38 @@ type Snapshot struct {
 	// Off-chip traffic in bytes; the bandwidth-efficiency metric.
 	OffchipReadBytes  uint64
 	OffchipWriteBytes uint64
+}
+
+// SaveState serializes the counters into a checkpoint stream.
+func (c *Counters) SaveState(w *checkpoint.Writer) {
+	w.U64(c.Reads)
+	w.U64(c.ReadHits)
+	w.U64(c.Writes)
+	w.U64(c.TriggerMisses)
+	w.U64(c.UnderpredMisses)
+	w.U64(c.SingletonSkips)
+	w.U64(c.OffchipReadBytes)
+	w.U64(c.OffchipWriteBytes)
+}
+
+// LoadState restores counters saved by SaveState.
+func (c *Counters) LoadState(r *checkpoint.Reader) error {
+	c.Reads = r.U64()
+	c.ReadHits = r.U64()
+	c.Writes = r.U64()
+	c.TriggerMisses = r.U64()
+	c.UnderpredMisses = r.U64()
+	c.SingletonSkips = r.U64()
+	c.OffchipReadBytes = r.U64()
+	c.OffchipWriteBytes = r.U64()
+	return r.Err()
+}
+
+// Snapshot is the uniform statistics view the experiment harness consumes.
+// Predictor sections are nil for designs that lack the predictor.
+type Snapshot struct {
+	Name string
+	Counters
 
 	FP *stats.Ratio // footprint accuracy (nil when n/a)
 	FO *stats.Ratio // footprint overfetch
@@ -110,32 +142,4 @@ func (s Snapshot) MissRatioPct() float64 {
 		return 0
 	}
 	return 100 * float64(s.Reads-s.ReadHits) / float64(s.Reads)
-}
-
-// baseStats carries the counters every design shares.
-type baseStats struct {
-	reads           uint64
-	readHits        uint64
-	writes          uint64
-	triggerMisses   uint64
-	underpredMisses uint64
-	singletonSkips  uint64
-	offReadBytes    uint64
-	offWriteBytes   uint64
-}
-
-func (b *baseStats) reset() { *b = baseStats{} }
-
-func (b *baseStats) snapshot(name string) Snapshot {
-	return Snapshot{
-		Name:              name,
-		Reads:             b.reads,
-		ReadHits:          b.readHits,
-		Writes:            b.writes,
-		TriggerMisses:     b.triggerMisses,
-		UnderpredMisses:   b.underpredMisses,
-		SingletonSkips:    b.singletonSkips,
-		OffchipReadBytes:  b.offReadBytes,
-		OffchipWriteBytes: b.offWriteBytes,
-	}
 }

@@ -15,13 +15,13 @@ func TestMissRatioPct(t *testing.T) {
 		want float64
 	}{
 		{"zero reads", Snapshot{}, 0},
-		{"zero reads with writes", Snapshot{Writes: 900}, 0},
-		{"all hits", Snapshot{Reads: 250, ReadHits: 250}, 0},
-		{"all misses", Snapshot{Reads: 64, ReadHits: 0}, 100},
-		{"half", Snapshot{Reads: 10, ReadHits: 5}, 50},
-		{"writes excluded", Snapshot{Reads: 10, ReadHits: 5, Writes: 1000}, 50},
-		{"single read hit", Snapshot{Reads: 1, ReadHits: 1}, 0},
-		{"single read miss", Snapshot{Reads: 1}, 100},
+		{"zero reads with writes", Snapshot{Counters: Counters{Writes: 900}}, 0},
+		{"all hits", Snapshot{Counters: Counters{Reads: 250, ReadHits: 250}}, 0},
+		{"all misses", Snapshot{Counters: Counters{Reads: 64, ReadHits: 0}}, 100},
+		{"half", Snapshot{Counters: Counters{Reads: 10, ReadHits: 5}}, 50},
+		{"writes excluded", Snapshot{Counters: Counters{Reads: 10, ReadHits: 5, Writes: 1000}}, 50},
+		{"single read hit", Snapshot{Counters: Counters{Reads: 1, ReadHits: 1}}, 0},
+		{"single read miss", Snapshot{Counters: Counters{Reads: 1}}, 100},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -26,7 +26,7 @@ type Footprint struct {
 	table   *PageTable
 
 	tagLatency uint64
-	st         baseStats
+	st         Counters
 }
 
 // FCConfig parameterizes NewFootprint.
@@ -109,10 +109,10 @@ func (d *Footprint) Access(r Request) Response {
 			p.Touched |= bit
 			if r.Write {
 				p.Dirty |= bit
-				d.st.writes++
+				d.st.Writes++
 			} else {
-				d.st.reads++
-				d.st.readHits++
+				d.st.Reads++
+				d.st.ReadHits++
 			}
 			d.table.Promote(set, way)
 			ch, bank, row := d.dataRow(set, way)
@@ -127,15 +127,15 @@ func (d *Footprint) Access(r Request) Response {
 		d.table.Promote(set, way)
 		if r.Write {
 			p.Dirty |= bit
-			d.st.writes++
+			d.st.Writes++
 			ch, bank, row := d.dataRow(set, way)
 			res := d.stacked.Do(dram.Request{Channel: ch, Bank: bank, Row: row, Bytes: mem.BlockSize, Write: true, At: t1})
 			return Response{DoneAt: res.Done, Hit: false}
 		}
-		d.st.reads++
-		d.st.underpredMisses++
+		d.st.Reads++
+		d.st.UnderpredMisses++
 		res := d.offchip.Access(uint64(r.Addr), t1, mem.BlockSize, false)
-		d.st.offReadBytes += mem.BlockSize
+		d.st.OffchipReadBytes += mem.BlockSize
 		ch, bank, row := d.dataRow(set, way)
 		// Background fill charged at the demand timestamp (the simulator
 		// serves requests in processing order; a future-dated fill would
@@ -148,13 +148,13 @@ func (d *Footprint) Access(r Request) Response {
 	if r.Write {
 		// Dirty writeback to an evicted page: write through to memory
 		// rather than allocating a page for a lone block.
-		d.st.writes++
+		d.st.Writes++
 		res := d.offchip.Access(uint64(r.Addr), t1, mem.BlockSize, true)
-		d.st.offWriteBytes += mem.BlockSize
+		d.st.OffchipWriteBytes += mem.BlockSize
 		return Response{DoneAt: res.Done, Hit: false}
 	}
-	d.st.reads++
-	d.st.triggerMisses++
+	d.st.Reads++
+	d.st.TriggerMisses++
 	return d.triggerMiss(r, page, off, set, t1)
 }
 
@@ -175,10 +175,10 @@ func (d *Footprint) triggerMiss(r Request, page uint64, off int, set uint64, t1 
 	if mem.PopCount32(predicted) == 1 {
 		// Predicted singleton: forward the block without allocating,
 		// preserving effective capacity (§III-A.4).
-		d.st.singletonSkips++
+		d.st.SingletonSkips++
 		d.single.Insert(page, r.PC, off)
 		res := d.offchip.Access(uint64(r.Addr), t1, mem.BlockSize, false)
-		d.st.offReadBytes += mem.BlockSize
+		d.st.OffchipReadBytes += mem.BlockSize
 		return Response{DoneAt: res.Done, Hit: false}
 	}
 
@@ -193,7 +193,7 @@ func (d *Footprint) triggerMiss(r Request, page uint64, off int, set uint64, t1 
 	// of the footprint streamed from the same memory row.
 	crit := d.offchip.Access(uint64(r.Addr), t1, mem.BlockSize, false)
 	k := mem.PopCount32(predicted)
-	d.st.offReadBytes += uint64(k) * mem.BlockSize
+	d.st.OffchipReadBytes += uint64(k) * mem.BlockSize
 	if k > 1 {
 		d.offchip.Access(uint64(pageAddr(page, FCPageBlocks)), crit.DataAt, (k-1)*mem.BlockSize, false)
 	}
@@ -222,7 +222,7 @@ func (d *Footprint) evict(p *PageState, at uint64) {
 	d.fp.RecordEviction(p.PC, int(p.Off), p.Predicted, p.Touched)
 	if n := mem.PopCount32(p.Dirty); n > 0 {
 		d.offchip.Access(uint64(pageAddr(p.Tag, FCPageBlocks)), at, n*mem.BlockSize, true)
-		d.st.offWriteBytes += uint64(n) * mem.BlockSize
+		d.st.OffchipWriteBytes += uint64(n) * mem.BlockSize
 	}
 	p.Valid = false
 }
@@ -232,7 +232,7 @@ func (d *Footprint) AccessBatch(reqs []Request, resps []Response) { SerialAccess
 
 // Snapshot implements Design.
 func (d *Footprint) Snapshot() Snapshot {
-	s := d.st.snapshot(d.Name())
+	s := Snapshot{Name: d.Name(), Counters: d.st}
 	fps := d.fp.Stats()
 	acc, of := fps.Accuracy, fps.Overfetch
 	s.FP = &acc
@@ -242,7 +242,7 @@ func (d *Footprint) Snapshot() Snapshot {
 
 // ResetStats implements Design.
 func (d *Footprint) ResetStats() {
-	d.st.reset()
+	d.st = Counters{}
 	d.fp.ResetStats()
 	d.single.ResetStats()
 }

@@ -31,7 +31,7 @@ type LohHill struct {
 	// to the cache lookup path).
 	missMapLatency uint64
 
-	st baseStats
+	st Counters
 }
 
 // NewLohHill builds the design with the given data capacity.
@@ -71,7 +71,7 @@ func (d *LohHill) Access(r Request) Response {
 	ch, bank, row := d.rowOf(set)
 
 	if r.Write {
-		d.st.writes++
+		d.st.Writes++
 		if present {
 			p := d.table.Page(set, way)
 			p.Dirty = 1
@@ -84,9 +84,9 @@ func (d *LohHill) Access(r Request) Response {
 		return Response{DoneAt: res.Done, Hit: false}
 	}
 
-	d.st.reads++
+	d.st.Reads++
 	if present {
-		d.st.readHits++
+		d.st.ReadHits++
 		d.table.Promote(set, way)
 		// Serialized tag-then-data: the tag blocks stream first, then the
 		// matching way is read from the now-open row (the row-buffer-hit
@@ -98,8 +98,8 @@ func (d *LohHill) Access(r Request) Response {
 
 	// MissMap says absent: go straight off-chip, no DRAM tag lookup.
 	off := d.offchip.Access(uint64(r.Addr), t0, mem.BlockSize, false)
-	d.st.offReadBytes += mem.BlockSize
-	d.st.triggerMisses++
+	d.st.OffchipReadBytes += mem.BlockSize
+	d.st.TriggerMisses++
 	d.install(set, block, t0, false)
 	// The fill writes tag blocks + data into the row (background,
 	// charged at the demand timestamp like every other design's fills).
@@ -116,7 +116,7 @@ func (d *LohHill) install(set, block uint64, at uint64, dirty bool) {
 	p := d.table.Page(set, way)
 	if p.Valid && p.Dirty != 0 {
 		d.offchip.Access(uint64(mem.BlockAddr(p.Tag)), at, mem.BlockSize, true)
-		d.st.offWriteBytes += mem.BlockSize
+		d.st.OffchipWriteBytes += mem.BlockSize
 	}
 	*p = PageState{Tag: block, Valid: true}
 	if dirty {
@@ -132,7 +132,7 @@ func (d *LohHill) Contains(block uint64) bool {
 }
 
 // Snapshot implements Design.
-func (d *LohHill) Snapshot() Snapshot { return d.st.snapshot(d.Name()) }
+func (d *LohHill) Snapshot() Snapshot { return Snapshot{Name: d.Name(), Counters: d.st} }
 
 // ResetStats implements Design.
-func (d *LohHill) ResetStats() { d.st.reset() }
+func (d *LohHill) ResetStats() { d.st = Counters{} }

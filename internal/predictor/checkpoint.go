@@ -24,9 +24,6 @@ func (p *FootprintPredictor) SaveState(w *checkpoint.Writer) {
 	w.U64(p.stats.Accuracy.Den)
 	w.U64(p.stats.Overfetch.Num)
 	w.U64(p.stats.Overfetch.Den)
-	w.U64(p.stats.Evictions)
-	w.U64(p.stats.Singletons)
-	p.stats.Density.SaveState(w)
 }
 
 // LoadState restores state saved by SaveState.
@@ -44,11 +41,6 @@ func (p *FootprintPredictor) LoadState(r *checkpoint.Reader) error {
 	p.stats.Accuracy.Den = r.U64()
 	p.stats.Overfetch.Num = r.U64()
 	p.stats.Overfetch.Den = r.U64()
-	p.stats.Evictions = r.U64()
-	p.stats.Singletons = r.U64()
-	if err := p.stats.Density.LoadState(r); err != nil {
-		return err
-	}
 	return r.Err()
 }
 

@@ -32,18 +32,6 @@ type FootprintStats struct {
 	Accuracy stats.Ratio
 	// Overfetch accumulates |predicted \ actual| / |predicted|.
 	Overfetch stats.Ratio
-	// Evictions counts footprint observations (page evictions).
-	Evictions uint64
-	// Singletons counts evicted pages whose actual footprint was a single
-	// block.
-	Singletons uint64
-	// Density histograms the actual footprint popcount at eviction.
-	Density *stats.Histogram
-}
-
-// Reset zeroes the statistics.
-func (s *FootprintStats) Reset() {
-	*s = FootprintStats{Density: stats.NewHistogram(32)}
 }
 
 // FootprintPredictor is the SRAM footprint history table: entries tagged by
@@ -74,13 +62,11 @@ func NewFootprintPredictor(entries int, pageBlocks int) *FootprintPredictor {
 	for n < entries {
 		n <<= 1
 	}
-	p := &FootprintPredictor{
+	return &FootprintPredictor{
 		entries:    make([]fpEntry, n),
 		mask:       uint64(n - 1),
 		pageBlocks: pageBlocks,
 	}
-	p.stats.Reset()
-	return p
 }
 
 // index hashes a (PC, offset) trigger into the table.
@@ -122,7 +108,6 @@ func (p *FootprintPredictor) Update(pc uint64, offset int, actual Footprint) {
 // RecordEviction feeds the Table V accounting with the predicted-vs-actual
 // footprints of an evicted page and trains the table.
 func (p *FootprintPredictor) RecordEviction(pc uint64, offset int, predicted, actual Footprint) {
-	p.stats.Evictions++
 	actual &= p.fullMask()
 	predicted &= p.fullMask()
 	na := mem.PopCount32(actual)
@@ -133,10 +118,6 @@ func (p *FootprintPredictor) RecordEviction(pc uint64, offset int, predicted, ac
 	if np > 0 {
 		p.stats.Overfetch.AddN(uint64(mem.PopCount32(predicted&^actual)), uint64(np))
 	}
-	if na == 1 {
-		p.stats.Singletons++
-	}
-	p.stats.Density.Add(na)
 	p.Update(pc, offset, actual)
 }
 
@@ -144,7 +125,7 @@ func (p *FootprintPredictor) RecordEviction(pc uint64, offset int, predicted, ac
 func (p *FootprintPredictor) Stats() *FootprintStats { return &p.stats }
 
 // ResetStats zeroes the metrics without forgetting learned footprints.
-func (p *FootprintPredictor) ResetStats() { p.stats.Reset() }
+func (p *FootprintPredictor) ResetStats() { p.stats = FootprintStats{} }
 
 // SizeBytes reports the SRAM cost of the table (36 bits tag+valid, 32 bits
 // footprint, rounded to 9 bytes per entry — ~144 KB at 16 K entries,

@@ -69,26 +69,11 @@ func TestFootprintEvictionAccounting(t *testing.T) {
 	// fetched wasted.
 	p.RecordEviction(1, 0, 0b1111, 0b10011)
 	s := p.Stats()
-	if s.Evictions != 1 {
-		t.Fatalf("Evictions = %d", s.Evictions)
-	}
 	if got := s.Accuracy.Value(); got != 2.0/3 {
 		t.Errorf("Accuracy = %v, want 2/3", got)
 	}
 	if got := s.Overfetch.Value(); got != 2.0/4 {
 		t.Errorf("Overfetch = %v, want 1/2", got)
-	}
-	if s.Density.Total() != 1 || s.Density.Count(3) != 1 {
-		t.Error("density histogram not updated")
-	}
-}
-
-func TestFootprintSingletonCounting(t *testing.T) {
-	p := NewFootprintPredictor(4096, 15)
-	p.RecordEviction(1, 0, 0b1, 0b1)
-	p.RecordEviction(2, 0, 0b11, 0b11)
-	if p.Stats().Singletons != 1 {
-		t.Errorf("Singletons = %d, want 1", p.Stats().Singletons)
 	}
 }
 
@@ -132,7 +117,7 @@ func TestFootprintResetStatsKeepsLearning(t *testing.T) {
 	p := NewFootprintPredictor(4096, 15)
 	p.RecordEviction(5, 1, 0b111, 0b11)
 	p.ResetStats()
-	if p.Stats().Evictions != 0 {
+	if p.Stats().Accuracy.Den != 0 {
 		t.Error("ResetStats did not zero")
 	}
 	if got := p.Predict(5, 1); got != 0b11|0b10 {

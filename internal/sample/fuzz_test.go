@@ -7,8 +7,8 @@ import (
 // FuzzParse hammers the sample-spec flag parser with arbitrary strings: it
 // must never panic, and every accepted spec must uphold the invariants the
 // sampled-simulation driver relies on — a defaulted spec that validates,
-// and a String form that reparses to the same defaulted spec (so flags,
-// logs and golden files round-trip).
+// and a flag form (format) that reparses to the same defaulted spec (so
+// flags, logs and golden files round-trip).
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"on", "default",
@@ -34,9 +34,9 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Parse(%q) accepted a spec whose defaulted form fails Validate: %v", text, verr)
 		}
 		// Accepted specs must round-trip through the flag form.
-		back, rerr := Parse(s.String())
+		back, rerr := Parse(s.format())
 		if rerr != nil {
-			t.Fatalf("Parse(%q).String() = %q does not reparse: %v", text, s.String(), rerr)
+			t.Fatalf("Parse(%q).format() = %q does not reparse: %v", text, s.format(), rerr)
 		}
 		if back.WithDefaults() != d {
 			t.Fatalf("round trip changed the spec: %+v vs %+v", back.WithDefaults(), d)

@@ -85,6 +85,10 @@ type Spec struct {
 // Default returns the fully defaulted spec.
 func Default() Spec { return Spec{}.WithDefaults() }
 
+// Enabled reports whether the spec turns sampling on: any non-zero spec
+// does.
+func (s Spec) Enabled() bool { return s != Spec{} }
+
 // WithDefaults fills zero fields and canonicalizes negative sentinels to
 // -1. It is idempotent — the facade's Run defaulting and the driver's own
 // defaulting may both apply it — which is why "none" is stored as -1
@@ -265,9 +269,11 @@ func parseInt(v string) (int, error) {
 	return n, nil
 }
 
-// String renders the spec in Parse's format (defaults applied first), so
-// a spec round-trips through the flag form.
-func (s Spec) String() string {
+// format renders the spec in Parse's format (defaults applied first), so
+// a spec round-trips through the flag form. It is deliberately not a
+// String method: fmt would then print a Run's Sampling as a defaulted flag
+// string, and a disabled spec as an enabled one.
+func (s Spec) format() string {
 	d := s.WithDefaults()
 	out := fmt.Sprintf("warmup=%g,interval=%d,gap=%d,min=%d,max=%d,conf=%g,ci=%g",
 		d.WarmupFrac, d.IntervalEvents, d.GapEvents, d.MinIntervals, d.MaxIntervals, d.Confidence, d.TargetRelCI)
@@ -378,11 +384,7 @@ func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 		if est == nil {
 			est = stats.NewSummedRatios(len(e.PerCore))
 		}
-		samples := make([]stats.RatioSample, len(e.PerCore))
-		for c, d := range e.PerCore {
-			samples[c] = stats.RatioSample{Y: float64(d.Instructions), X: float64(d.Cycles)}
-		}
-		est.AddWindow(samples)
+		est.AddWindow(RatioSamples(e.PerCore))
 		if len(rep.Windows) >= spec.MinIntervals && spec.target() > 0 &&
 			est.RelCI(spec.Confidence) <= spec.target() {
 			rep.Converged = true
@@ -397,4 +399,14 @@ func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 	rep.DetailedPerCore = len(rep.Windows) * spec.IntervalEvents
 	rep.ConsumedPerCore = warm + m.MeasuredEvents()
 	return rep, nil
+}
+
+// RatioSamples turns one window's per-core rows into the estimator's
+// samples: retired instructions over elapsed cycles, one series per core.
+func RatioSamples(perCore []telemetry.CoreRow) []stats.RatioSample {
+	samples := make([]stats.RatioSample, len(perCore))
+	for c, d := range perCore {
+		samples[c] = stats.RatioSample{Y: float64(d.Instructions), X: float64(d.Cycles)}
+	}
+	return samples
 }

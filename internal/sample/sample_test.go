@@ -79,9 +79,9 @@ func TestParse(t *testing.T) {
 
 func TestStringRoundTrips(t *testing.T) {
 	s := Spec{WarmupFrac: 0.25, IntervalEvents: 500, MinIntervals: 4}
-	back, err := Parse(s.String())
+	back, err := Parse(s.format())
 	if err != nil {
-		t.Fatalf("Parse(%q): %v", s.String(), err)
+		t.Fatalf("Parse(%q): %v", s.format(), err)
 	}
 	if back.WithDefaults() != s.WithDefaults() {
 		t.Errorf("round trip changed the spec: %+v vs %+v", back.WithDefaults(), s.WithDefaults())
@@ -212,7 +212,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestSpecStringIsFlagParseable(t *testing.T) {
-	if strings.ContainsAny(Default().String(), " \t") {
-		t.Error("Spec.String must be a flag-friendly single token")
+	if strings.ContainsAny(Default().format(), " \t") {
+		t.Error("Spec.format must be a flag-friendly single token")
 	}
 }

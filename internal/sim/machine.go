@@ -33,14 +33,13 @@ type Config struct {
 	L1    cache.Config
 	L2    cache.Config
 	// HideCycles is the memory latency (beyond the L1) that the 3-way OoO
-	// core can overlap with useful work.
+	// core can overlap with useful work. It is the only overlap the core
+	// model has: the residual stall is charged in full, never divided by a
+	// memory-level-parallelism factor, because the DRAM parts are shared
+	// absolute-time reservation models, and a divisor would let cores issue
+	// faster than the memory system's service rate and grow its queues
+	// without bound.
 	HideCycles uint64
-	// MLP divides residual stall cycles, approximating overlapped misses.
-	// It must stay 1 when the DRAM parts are shared timing models: a
-	// divisor lets cores issue faster than the memory system's service
-	// rate, which in an absolute-time reservation model grows queues
-	// without bound. Latency overlap is instead captured by HideCycles.
-	MLP uint64
 	// WarmupFrac is the fraction of each run discarded before measurement
 	// (the paper uses two thirds of its traces for warmup).
 	WarmupFrac float64
@@ -54,7 +53,6 @@ func Default() Config {
 		L1:         cache.Config{Name: "L1D", SizeBytes: 64 << 10, Ways: 8, Latency: 2},
 		L2:         cache.Config{Name: "L2", SizeBytes: 4 << 20, Ways: 16, Latency: 13},
 		HideCycles: 30,
-		MLP:        1,
 		WarmupFrac: 2.0 / 3.0,
 	}
 }
@@ -189,9 +187,6 @@ func New(cfg Config, sources []trace.Source, design dramcache.Design, stacked, o
 	}
 	if cfg.WarmupFrac < 0 || cfg.WarmupFrac >= 1 {
 		return nil, fmt.Errorf("sim: WarmupFrac %v outside [0,1)", cfg.WarmupFrac)
-	}
-	if cfg.MLP == 0 {
-		cfg.MLP = 1
 	}
 	l2, err := cache.New(cfg.L2)
 	if err != nil {
@@ -584,7 +579,7 @@ func (m *Machine) step(i, budget int) {
 	}
 	lat := doneAt - c.clock
 	if lat > m.cfg.HideCycles {
-		stall := (lat - m.cfg.HideCycles) / m.cfg.MLP
+		stall := lat - m.cfg.HideCycles
 		c.clock += stall
 		c.stall += stall
 	}

@@ -34,8 +34,9 @@ const DefaultEpochEvents = 10_000
 
 // Spec configures epoch-sliced telemetry. The zero value disables it.
 type Spec struct {
-	// EpochEvents is the epoch length in retired events per core. The
-	// final epoch is shorter when the measured region is not a multiple.
+	// EpochEvents is the epoch length in retired events per core
+	// (default DefaultEpochEvents). The final epoch is shorter when the
+	// measured region is not a multiple.
 	EpochEvents int
 }
 
@@ -73,9 +74,10 @@ func (s Spec) Bounds(meas int) []int {
 	return append(bounds, meas)
 }
 
-// CoreRow is one core's counter snapshot at an epoch boundary, relative to
-// the warmup/measurement boundary (retired instructions and elapsed cycles
-// since measurement began).
+// CoreRow is one core's retired instructions and elapsed cycles. The
+// recorder stores it as a boundary snapshot relative to the
+// warmup/measurement boundary; an assembled Epoch carries it as the core's
+// share of the slice — the delta between two snapshots.
 type CoreRow struct {
 	Instructions uint64
 	Cycles       uint64
@@ -314,11 +316,10 @@ func (r *Recorder) Absorb(o *Recorder) error {
 }
 
 // Epochs assembles the complete timeline. It fails if any cell was never
-// recorded (a segment merge that missed a boundary).
+// recorded (a segment merge that missed a boundary). A recorder with no
+// boundaries yields an empty, non-nil slice, so a Result's empty timeline
+// encodes as [] rather than null.
 func (r *Recorder) Epochs() ([]Epoch, error) {
-	if len(r.bounds) == 0 {
-		return nil, nil
-	}
 	epochs := make([]Epoch, len(r.bounds))
 	for b := range r.bounds {
 		if !r.haveGlob[b] || !r.rowComplete(b) {
@@ -394,6 +395,9 @@ func (e Epoch) HitRatio() float64 {
 	}
 	return float64(e.ReadHits) / float64(e.Reads)
 }
+
+// WayPredMisses returns the epoch's mispredicted way-predictor lookups.
+func (e Epoch) WayPredMisses() uint64 { return e.WayPredLookups - e.WayPredHits }
 
 // L2HitRatio returns the epoch's shared-L2 hit fraction via the same
 // NaN-safe rule as cache.Stats.HitRatio.

@@ -12,7 +12,7 @@ import (
 func row(b int) GlobalRow {
 	n := uint64(b + 1)
 	return GlobalRow{
-		Design: dramcache.Snapshot{Reads: 100 * n, ReadHits: 60 * n, Writes: 10 * n},
+		Design: dramcache.Snapshot{Counters: dramcache.Counters{Reads: 100 * n, ReadHits: 60 * n, Writes: 10 * n}},
 		L2:     cache.Stats{Accesses: 1000 * n, Hits: 700 * n},
 	}
 }

@@ -15,10 +15,13 @@ const RegionBytes = RegionBlocks * 64
 // parameters are tuned so the per-workload orderings the paper reports
 // (spatial locality, footprint predictability, working-set pressure) hold.
 type Profile struct {
-	// Name identifies the workload ("web-search", ...).
+	// Name identifies the workload ("web-search", ...). The facade's
+	// RegisterWorkload sets it to the registered name.
 	Name string
 	// WorkingSetBytes is the touched data footprint; regions are drawn
-	// from a population of WorkingSetBytes / 2 KB.
+	// from a population of WorkingSetBytes / 2 KB. The proportional-scaling
+	// divisor (the facade's Run.ScaleDivisor) divides it at execution time,
+	// so declare the full-scale footprint here.
 	WorkingSetBytes uint64
 	// ZipfTheta is the region-popularity skew (0 uniform, ~1 very hot).
 	ZipfTheta float64

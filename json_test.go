@@ -1,7 +1,9 @@
 package unisoncache_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,24 +36,64 @@ func TestRunJSONRoundTrip(t *testing.T) {
 
 // TestRunJSONStableFieldNames: the wire names are the exported Go names
 // — a rename would silently break every stored payload, so they are
-// pinned.
+// pinned, together with the key order of a telemetry stream's epoch.
 func TestRunJSONStableFieldNames(t *testing.T) {
-	blob, err := json.Marshal(uc.Run{Workload: "web-search", Sampling: uc.DefaultSampleSpec()})
+	blob, err := json.Marshal(uc.Run{Workload: "web-search", Sampling: uc.DefaultSampleSpec(), Telemetry: uc.DefaultTelemetrySpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
 		`"Workload"`, `"Design"`, `"Capacity"`, `"AccessesPerCore"`, `"Seed"`, `"Cores"`,
-		`"ScaleDivisor"`, `"TracePath"`, `"Sampling"`, `"UnisonWays"`, `"DisableWayPrediction"`,
+		`"ScaleDivisor"`, `"TracePath"`, `"Sampling"`, `"Telemetry"`, `"UnisonWays"`, `"DisableWayPrediction"`,
 		`"SerializeTagData"`, `"DisableSingleton"`, `"FCWays"`,
 		// SampleSpec's nested names.
-		`"WarmupFrac"`, `"IntervalEvents"`, `"GapEvents"`, `"MinIntervals"`, `"MaxIntervals"`,
+		`"WarmupFrac"`, `"WarmupEvents"`, `"IntervalEvents"`, `"GapEvents"`, `"MinIntervals"`, `"MaxIntervals"`,
 		`"Confidence"`, `"TargetRelCI"`,
+		// TelemetrySpec's nested name.
+		`"EpochEvents"`,
 	} {
 		if !strings.Contains(string(blob), name) {
 			t.Errorf("marshaled Run lost the stable field %s: %s", name, blob)
 		}
 	}
+
+	// A TimelineEpoch is one NDJSON line of the telemetry stream: its keys
+	// and their order are the wire format.
+	blob, err = json.Marshal(uc.TimelineEpoch{PerCore: make([]uc.TimelineCore, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"Index", "StartEvents", "EndEvents", "UIPC", "Instructions", "Cycles", "PerCore",
+		"Reads", "ReadHits", "Writes", "WayPredHits", "WayPredLookups",
+		"TriggerMisses", "UnderpredMisses", "SingletonSkips", "OffchipReadBytes", "OffchipWriteBytes",
+		"StackedBusyCycles", "OffchipBusyCycles", "L2Accesses", "L2Hits",
+	}
+	if got := topLevelKeys(t, blob); !slices.Equal(got, want) {
+		t.Errorf("TimelineEpoch keys changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// topLevelKeys returns a JSON object's keys in encoded order.
+func topLevelKeys(t *testing.T, blob []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("%s is not a JSON object (%v)", blob, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 // TestRunJSONRejectsUnknown: strict decoding — unknown JSON fields and

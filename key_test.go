@@ -37,6 +37,25 @@ func TestRunKeyCanonical(t *testing.T) {
 	if k3, _ := uc.RunKey(other); k3 == k1 {
 		t.Error("seed change kept the key")
 	}
+
+	// Pinned values: a key that drifts silently orphans every result a
+	// daemon's store holds under the old one.
+	sampled := implicit
+	sampled.Sampling = uc.DefaultSampleSpec()
+	observed := implicit
+	observed.Telemetry = uc.DefaultTelemetrySpec()
+	for _, c := range []struct {
+		name string
+		run  uc.Run
+		want string
+	}{
+		{"sampled", sampled, "15380caff9fdcef9df4210648b79f61f4777f52fa4c1d780f26f1ec258aaa17f"},
+		{"telemetry", observed, "bece8fa5857581fecae87d8c538550ce02ed5f6a00f0b4f65cd90edc98172278"},
+	} {
+		if got, err := uc.RunKey(c.run); err != nil || got != c.want {
+			t.Errorf("%s run key = %s (%v), want %s", c.name, got, err, c.want)
+		}
+	}
 }
 
 // TestRunKeyTraceDigest: a replay run's key binds both the capture path

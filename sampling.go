@@ -7,57 +7,32 @@ import (
 	"unisoncache/internal/sample"
 	"unisoncache/internal/sim"
 	"unisoncache/internal/stats"
+	"unisoncache/internal/telemetry"
 )
 
-// SampleSpec configures SMARTS-style sampled simulation — the public
-// mirror of internal/sample.Spec, set on Run.Sampling. The zero value
-// disables sampling; a non-zero spec schedules the run as functional
-// warmup followed by short detailed measurement windows separated by
-// functional gaps, estimates UIPC from the per-window samples with a
-// confidence interval (Result.CI), and terminates early once the
+// SampleSpec configures SMARTS-style sampled simulation, set on
+// Run.Sampling. It is internal/sample.Spec, whose field docs give each
+// default. The zero value disables sampling; a non-zero spec schedules the
+// run as functional warmup followed by short detailed measurement windows
+// separated by functional gaps, estimates UIPC from the per-window samples
+// with a confidence interval (Result.CI), and terminates early once the
 // requested relative CI half-width is reached.
 //
 // Zero fields select defaults (warmup 2/3 — the same boundary the full
 // pipeline uses, so windows subsample the region a full run measures —
 // interval 1000, gap 3x interval, min 4 windows, unlimited max, 95%
-// confidence, ±3% target); negative
-// values mean "explicitly none" where that is meaningful (WarmupFrac,
-// GapEvents, TargetRelCI), mirroring Run.ScaleDivisor's -1 idiom. Use
-// DefaultSampleSpec() to turn sampling on with all defaults.
+// confidence, ±3% target); negative values mean "explicitly none" where
+// that is meaningful (WarmupFrac, GapEvents, TargetRelCI), mirroring
+// Run.ScaleDivisor's -1 idiom. Use DefaultSampleSpec() to turn sampling
+// on with all defaults.
 //
-// SampleSpec is part of the service wire format; the JSON field names
-// below are stable.
-type SampleSpec struct {
-	// WarmupFrac is the fraction of AccessesPerCore spent on functional
-	// warmup before the first measurement window (negative: none).
-	WarmupFrac float64 `json:"WarmupFrac"`
-	// WarmupEvents, when positive, overrides WarmupFrac with an absolute
-	// per-core event count, pinning the window schedule to fixed event
-	// offsets independent of AccessesPerCore — useful when comparing
-	// sampled runs across different budgets, where a fractional warmup
-	// would shift every window.
-	WarmupEvents int `json:"WarmupEvents"`
-	// IntervalEvents is the detailed window length in events per core.
-	IntervalEvents int `json:"IntervalEvents"`
-	// GapEvents is the functional gap between windows (negative: none —
-	// windows tile back to back).
-	GapEvents int `json:"GapEvents"`
-	// MinIntervals is the smallest window count before early stop may
-	// trigger; MaxIntervals caps the count (0: as many as fit).
-	MinIntervals int `json:"MinIntervals"`
-	MaxIntervals int `json:"MaxIntervals"`
-	// Confidence is the two-sided confidence level (e.g. 0.95).
-	Confidence float64 `json:"Confidence"`
-	// TargetRelCI is the early-stop target on the relative CI half-width
-	// (e.g. 0.02 for ±2%; negative: never stop early).
-	TargetRelCI float64 `json:"TargetRelCI"`
-}
+// SampleSpec is part of the service wire format; its JSON field names are
+// its Go field names and are stable.
+type SampleSpec = sample.Spec
 
 // DefaultSampleSpec returns the all-defaults sampling configuration —
 // assign it to Run.Sampling to turn sampling on.
-func DefaultSampleSpec() SampleSpec {
-	return fromInternalSpec(sample.Default())
-}
+func DefaultSampleSpec() SampleSpec { return sample.Default() }
 
 // ParseSampleSpec reads the flag form of a spec, e.g.
 // "warmup=0.5,interval=1000,gap=1000,min=6,max=0,conf=0.95,ci=0.02" ("on"
@@ -69,42 +44,7 @@ func ParseSampleSpec(text string) (SampleSpec, error) {
 	}
 	// A spec parsed from a flag is meant to sample: canonicalize through
 	// the defaults so even "on" (the zero spec) comes back enabled.
-	return fromInternalSpec(s.WithDefaults()), nil
-}
-
-// Enabled reports whether the spec turns sampling on.
-func (s SampleSpec) Enabled() bool { return s != SampleSpec{} }
-
-// internal converts the public spec into the driver's form.
-func (s SampleSpec) internal() sample.Spec {
-	return sample.Spec{
-		WarmupFrac:     s.WarmupFrac,
-		WarmupEvents:   s.WarmupEvents,
-		IntervalEvents: s.IntervalEvents,
-		GapEvents:      s.GapEvents,
-		MinIntervals:   s.MinIntervals,
-		MaxIntervals:   s.MaxIntervals,
-		Confidence:     s.Confidence,
-		TargetRelCI:    s.TargetRelCI,
-	}
-}
-
-func fromInternalSpec(s sample.Spec) SampleSpec {
-	return SampleSpec{
-		WarmupFrac:     s.WarmupFrac,
-		WarmupEvents:   s.WarmupEvents,
-		IntervalEvents: s.IntervalEvents,
-		GapEvents:      s.GapEvents,
-		MinIntervals:   s.MinIntervals,
-		MaxIntervals:   s.MaxIntervals,
-		Confidence:     s.Confidence,
-		TargetRelCI:    s.TargetRelCI,
-	}
-}
-
-// withDefaults canonicalizes an enabled spec (idempotent).
-func (s SampleSpec) withDefaults() SampleSpec {
-	return fromInternalSpec(s.internal().WithDefaults())
+	return s.WithDefaults(), nil
 }
 
 // SampleStats is a sampled run's statistical outcome, carried on
@@ -151,11 +91,10 @@ type WindowStat struct {
 	PerCore      []CoreWindowStat
 }
 
-// CoreWindowStat is one core's share of a measurement window.
-type CoreWindowStat struct {
-	Instructions uint64
-	Cycles       uint64
-}
+// CoreWindowStat is one core's share of a measurement window: retired
+// instructions and elapsed cycles. It is internal/telemetry.CoreRow, the
+// row the recorder measures windows with; its JSON field names are stable.
+type CoreWindowStat = telemetry.CoreRow
 
 // RelHalfWidth is HalfWidth relative to the estimate (the ±x% form).
 func (s SampleStats) RelHalfWidth() float64 {
@@ -182,12 +121,8 @@ func (s SampleStats) summedRatios() *stats.SummedRatios {
 		return stats.NewSummedRatios(0)
 	}
 	u := stats.NewSummedRatios(len(s.Windows[0].PerCore))
-	row := make([]stats.RatioSample, len(s.Windows[0].PerCore))
 	for _, w := range s.Windows {
-		for c, d := range w.PerCore {
-			row[c] = stats.RatioSample{Y: float64(d.Instructions), X: float64(d.Cycles)}
-		}
-		u.AddWindow(row)
+		u.AddWindow(sample.RatioSamples(w.PerCore))
 	}
 	return u
 }
@@ -196,7 +131,7 @@ func (s SampleStats) summedRatios() *stats.SummedRatios {
 // assembles the Result (the sampled counterpart of machine.Run in
 // Execute).
 func executeSampled(m *sim.Machine, r Run) (Result, error) {
-	rep, err := sample.Run(m, r.AccessesPerCore, r.Sampling.internal())
+	rep, err := sample.Run(m, r.AccessesPerCore, r.Sampling)
 	if err != nil {
 		return Result{}, err
 	}
@@ -209,15 +144,11 @@ func assembleSampled(rep sample.Report, r Run) Result {
 	res.UIPC = rep.UIPC
 	windows := make([]WindowStat, len(rep.Windows))
 	for i, w := range rep.Windows {
-		perCore := make([]CoreWindowStat, len(w.PerCore))
-		for c, d := range w.PerCore {
-			perCore[c] = CoreWindowStat{Instructions: d.Instructions, Cycles: d.Cycles}
-		}
-		windows[i] = WindowStat{UIPC: w.UIPC, Instructions: w.Instructions, Cycles: w.Cycles, PerCore: perCore}
+		windows[i] = WindowStat{UIPC: w.UIPC, Instructions: w.Instructions, Cycles: w.Cycles, PerCore: w.PerCore}
 	}
 	cores := uint64(r.Cores)
 	res.CI = &SampleStats{
-		Confidence:      r.Sampling.withDefaults().Confidence,
+		Confidence:      r.Sampling.WithDefaults().Confidence,
 		UIPC:            rep.UIPC,
 		HalfWidth:       rep.HalfWidth,
 		Converged:       rep.Converged,

@@ -148,7 +148,7 @@ func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 // one machine records the whole timeline and streams epochs live.
 func segmentedSerialSave(m *sim.Machine, rr Run, prefix string, bounds []uint64, onEpoch func(TimelineEpoch)) (Result, error) {
 	if rr.Telemetry.Enabled() {
-		m.Observe(rr.Telemetry.internal().Bounds, emitFunc(onEpoch))
+		m.Observe(rr.Telemetry.Bounds, emitFunc(onEpoch))
 	}
 	for _, t := range bounds {
 		m.RunTo(t)
@@ -158,7 +158,7 @@ func segmentedSerialSave(m *sim.Machine, rr Run, prefix string, bounds []uint64,
 	}
 	res := Result{Results: m.FinishRun(), Run: rr}
 	if rr.Telemetry.Enabled() {
-		tl, err := timelineFrom(m.Recorder(), rr.Telemetry.internal())
+		tl, err := timelineFrom(m.Recorder(), rr.Telemetry)
 		if err != nil {
 			return Result{}, err
 		}
@@ -197,7 +197,7 @@ func runSegment(m *sim.Machine, rr Run, prefix string, start []byte, startOff, e
 		m = restored
 	}
 	if rr.Telemetry.Enabled() {
-		m.Observe(rr.Telemetry.internal().Bounds, nil)
+		m.Observe(rr.Telemetry.Bounds, nil)
 	}
 	if last {
 		return segOut{res: m.FinishRun(), tele: m.Recorder()}
@@ -279,7 +279,7 @@ func segmentedParallel(m *sim.Machine, rr Run, prefix string, total uint64, boun
 				return Result{}, err
 			}
 		}
-		tl, err := timelineFrom(merged, rr.Telemetry.internal())
+		tl, err := timelineFrom(merged, rr.Telemetry)
 		if err != nil {
 			return Result{}, err
 		}

@@ -261,7 +261,7 @@ func SweepSampled(p Plan, spec SampleSpec) ([]SpeedupResult, error) {
 	if !spec.Enabled() {
 		spec = DefaultSampleSpec()
 	}
-	spec = spec.withDefaults()
+	spec = spec.WithDefaults()
 	pts := make([]Run, len(p.Points))
 	for i, r := range p.Points {
 		r.Sampling = spec
@@ -282,7 +282,7 @@ func SweepSampled(p Plan, spec SampleSpec) ([]SpeedupResult, error) {
 		if rel <= target {
 			return r, false
 		}
-		d := r.Sampling.withDefaults()
+		d := r.Sampling.WithDefaults()
 		if d.GapEvents <= 0 {
 			return r, false // already tiled: no denser schedule exists
 		}

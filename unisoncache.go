@@ -32,7 +32,6 @@ import (
 	"unisoncache/internal/dramcache"
 	"unisoncache/internal/mem"
 	"unisoncache/internal/sim"
-	"unisoncache/internal/telemetry"
 )
 
 // DesignKind selects the DRAM cache organization under test.
@@ -179,10 +178,10 @@ func (r Run) withDefaults() Run {
 		r.ScaleDivisor = AutoScaleDivisor(r.Capacity)
 	}
 	if r.Sampling.Enabled() {
-		r.Sampling = r.Sampling.withDefaults()
+		r.Sampling = r.Sampling.WithDefaults()
 	}
 	if r.Telemetry.Enabled() {
-		r.Telemetry = r.Telemetry.withDefaults()
+		r.Telemetry = r.Telemetry.WithDefaults()
 	}
 	return r
 }
@@ -246,7 +245,7 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 		if r.Sampling.Enabled() {
 			return Result{}, fmt.Errorf("unisoncache: Telemetry and Sampling are mutually exclusive (epoch slicing needs every event simulated)")
 		}
-		if err := r.Telemetry.internal().Validate(); err != nil {
+		if err := r.Telemetry.Validate(); err != nil {
 			return Result{}, fmt.Errorf("unisoncache: %w", err)
 		}
 	}
@@ -267,10 +266,9 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 	if !r.Telemetry.Enabled() {
 		return Result{Results: machine.Run(r.AccessesPerCore), Run: r}, nil
 	}
-	spec := r.Telemetry.internal()
-	machine.Observe(spec.Bounds, emitFunc(onEpoch))
+	machine.Observe(r.Telemetry.Bounds, emitFunc(onEpoch))
 	res := Result{Results: machine.Run(r.AccessesPerCore), Run: r}
-	tl, err := timelineFrom(machine.Recorder(), spec)
+	tl, err := timelineFrom(machine.Recorder(), r.Telemetry)
 	if err != nil {
 		return Result{}, err
 	}
@@ -280,12 +278,12 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 
 // emitFunc adapts a public epoch observer to the recorder's callback (nil
 // stays nil, keeping live emission off). A timeline never stops its run.
-func emitFunc(onEpoch func(TimelineEpoch)) func(telemetry.Epoch) bool {
+func emitFunc(onEpoch func(TimelineEpoch)) func(TimelineEpoch) bool {
 	if onEpoch == nil {
 		return nil
 	}
-	return func(e telemetry.Epoch) bool {
-		onEpoch(fromEpoch(e))
+	return func(e TimelineEpoch) bool {
+		onEpoch(e)
 		return true
 	}
 }

@@ -10,105 +10,27 @@ import (
 	"unisoncache/internal/trace"
 )
 
-// Profile is the statistical description of a workload — the public mirror
-// of the internal generator's parameters. Register one under a name with
-// RegisterWorkload and every entry point that takes a workload name
-// (Execute, Speedup, Plan, Sweep, SpeedupMany) accepts it exactly like the
-// six built-ins. See DESIGN.md §7 for how each field shapes the generated
-// access stream.
-type Profile struct {
-	// WorkingSetBytes is the touched data footprint; regions are drawn
-	// from a population of WorkingSetBytes / 2 KB. The proportional-scaling
-	// divisor (Run.ScaleDivisor) divides it at execution time, so declare
-	// the full-scale footprint here.
-	WorkingSetBytes uint64
-	// ZipfTheta is the region-popularity skew (0 uniform, ~1 very hot).
-	ZipfTheta float64
-	// PCs is the function-pool size; footprints correlate with these.
-	PCs int
-	// PCZipfTheta skews which functions run most often.
-	PCZipfTheta float64
-	// DensityMin and DensityMax bound per-PC footprint density (fraction
-	// of the 32 region blocks a visit touches).
-	DensityMin, DensityMax float64
-	// SingletonPCFrac is the fraction of PCs whose visits touch a single
-	// block (pointer-chasing functions).
-	SingletonPCFrac float64
-	// PatternNoise is the per-block probability that one visit deviates
-	// from the PC's base pattern — the irreducible footprint
-	// mispredictability.
-	PatternNoise float64
-	// Scan selects contiguous-run footprints (column scans, postings
-	// lists) instead of scattered ones (object graphs).
-	Scan bool
-	// AffinityClasses partitions the region space into code-affinity
-	// classes; a function's visits stay within its own class except for an
-	// AffinityEscape fraction. 0 disables partitioning.
-	AffinityClasses int
-	// AffinityEscape is the probability a visit leaves its class.
-	AffinityEscape float64
-	// WriteFrac is the fraction of accesses that are stores.
-	WriteFrac float64
-	// GapMean is the mean number of non-memory instructions between
-	// consecutive memory accesses.
-	GapMean float64
-	// RepeatMean is the mean extra accesses to a touched block within a
-	// visit (temporal reuse absorbed by the L1/L2).
-	RepeatMean float64
-}
-
-// internal converts the public profile into the generator's form.
-func (p Profile) internal(name string) *trace.Profile {
-	return &trace.Profile{
-		Name:            name,
-		WorkingSetBytes: p.WorkingSetBytes,
-		ZipfTheta:       p.ZipfTheta,
-		PCs:             p.PCs,
-		PCZipfTheta:     p.PCZipfTheta,
-		DensityMin:      p.DensityMin,
-		DensityMax:      p.DensityMax,
-		SingletonPCFrac: p.SingletonPCFrac,
-		PatternNoise:    p.PatternNoise,
-		Scan:            p.Scan,
-		AffinityClasses: p.AffinityClasses,
-		AffinityEscape:  p.AffinityEscape,
-		WriteFrac:       p.WriteFrac,
-		GapMean:         p.GapMean,
-		RepeatMean:      p.RepeatMean,
-	}
-}
-
-// publicProfile is the inverse of Profile.internal.
-func publicProfile(p *trace.Profile) Profile {
-	return Profile{
-		WorkingSetBytes: p.WorkingSetBytes,
-		ZipfTheta:       p.ZipfTheta,
-		PCs:             p.PCs,
-		PCZipfTheta:     p.PCZipfTheta,
-		DensityMin:      p.DensityMin,
-		DensityMax:      p.DensityMax,
-		SingletonPCFrac: p.SingletonPCFrac,
-		PatternNoise:    p.PatternNoise,
-		Scan:            p.Scan,
-		AffinityClasses: p.AffinityClasses,
-		AffinityEscape:  p.AffinityEscape,
-		WriteFrac:       p.WriteFrac,
-		GapMean:         p.GapMean,
-		RepeatMean:      p.RepeatMean,
-	}
-}
+// Profile is the statistical description of a workload: the internal
+// generator's own parameters, internal/trace.Profile, whose field docs
+// say how each field shapes the generated access stream (DESIGN.md §7).
+// Register one under a name with RegisterWorkload and every entry point
+// that takes a workload name (Execute, Speedup, Plan, Sweep, SpeedupMany)
+// accepts it exactly like the six built-ins. Name is filled in by
+// RegisterWorkload and WorkloadProfile.
+type Profile = trace.Profile
 
 var (
 	workloadMu sync.RWMutex
-	registered = map[string]*trace.Profile{}
+	registered = map[string]*Profile{}
 )
 
-// RegisterWorkload adds (or replaces) a user-defined workload under name.
-// The profile is validated now, so a registered name never fails at
-// execution time. Built-in names cannot be shadowed. Registration is safe
-// for concurrent use, but the name's meaning must not change while a Plan
-// referencing it is executing: the sweep engine memoizes results by Run
-// configuration, and the workload name is part of that key.
+// RegisterWorkload adds (or replaces) a user-defined workload under name,
+// which overrides p.Name. The profile is validated now, so a registered
+// name never fails at execution time. Built-in names cannot be shadowed.
+// Registration is safe for concurrent use, but the name's meaning must not
+// change while a Plan referencing it is executing: the sweep engine
+// memoizes results by Run configuration, and the workload name is part of
+// that key.
 func RegisterWorkload(name string, p Profile) error {
 	if name == "" {
 		return fmt.Errorf("unisoncache: empty workload name")
@@ -116,13 +38,13 @@ func RegisterWorkload(name string, p Profile) error {
 	if _, builtin := trace.Profiles()[name]; builtin {
 		return fmt.Errorf("unisoncache: workload %q would shadow a built-in", name)
 	}
-	prof := p.internal(name)
-	if err := prof.Validate(); err != nil {
+	p.Name = name
+	if err := p.Validate(); err != nil {
 		return fmt.Errorf("unisoncache: workload %q: %w", name, err)
 	}
 	workloadMu.Lock()
 	defer workloadMu.Unlock()
-	registered[name] = prof
+	registered[name] = &p
 	return nil
 }
 
@@ -140,13 +62,14 @@ func Workloads() []string {
 	return append(names, extra...)
 }
 
-// WorkloadProfile returns the profile registered or built in under name.
+// WorkloadProfile returns the profile registered or built in under name,
+// with Name set to it.
 func WorkloadProfile(name string) (Profile, bool) {
 	p, ok := lookupProfile(name)
 	if !ok {
 		return Profile{}, false
 	}
-	return publicProfile(p), true
+	return *p, true
 }
 
 // lookupProfile resolves a workload name: built-ins first, then the

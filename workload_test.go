@@ -30,7 +30,10 @@ func kvProfile() uc.Profile {
 }
 
 func TestRegisterWorkloadExecutes(t *testing.T) {
-	if err := uc.RegisterWorkload("test-kv", kvProfile()); err != nil {
+	// The registered name wins over a conflicting Profile.Name.
+	named := kvProfile()
+	named.Name = "something-else"
+	if err := uc.RegisterWorkload("test-kv", named); err != nil {
 		t.Fatal(err)
 	}
 	res := run(t, uc.Run{Workload: "test-kv", Design: uc.DesignUnison, Capacity: 128 << 20, Cores: 4})
@@ -40,8 +43,10 @@ func TestRegisterWorkloadExecutes(t *testing.T) {
 	if res.Run.Workload != "test-kv" {
 		t.Errorf("Run echo = %q", res.Run.Workload)
 	}
+	want := kvProfile()
+	want.Name = "test-kv"
 	got, ok := uc.WorkloadProfile("test-kv")
-	if !ok || got != kvProfile() {
+	if !ok || got != want {
 		t.Errorf("WorkloadProfile round trip: %+v (ok=%v)", got, ok)
 	}
 	found := false
