@@ -79,6 +79,10 @@ func TestGolden(t *testing.T) {
 			t.Errorf("%s: design counted %d B read / %d B written off-chip, controller moved %d / %d",
 				goldenKey(r), d.OffchipReadBytes, d.OffchipWriteBytes, o.BytesRead, o.BytesWritten)
 		}
+		// Conservation: the design absorbed every L2 writeback.
+		if res.Design.Writes != res.L2.Writebacks {
+			t.Errorf("%s: design counted %d writes, L2 wrote back %d", goldenKey(r), res.Design.Writes, res.L2.Writebacks)
+		}
 		got[goldenKey(r)] = encodeResult(t, res)
 	}
 

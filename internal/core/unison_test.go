@@ -6,6 +6,7 @@ import (
 	"unisoncache/internal/dram"
 	"unisoncache/internal/dramcache"
 	"unisoncache/internal/mem"
+	"unisoncache/internal/predictor"
 )
 
 func parts(t *testing.T) (stacked, offchip *dram.Controller) {
@@ -238,21 +239,43 @@ func TestWayPredictionLearnsAndMispredictIsCheap(t *testing.T) {
 
 func TestWayMispredictPenaltyIsRowBufferHit(t *testing.T) {
 	u, s, _ := std(t)
-	// Allocate two pages in the same set (ways 0 and 1).
-	sets := u.Sets()
-	at := u.Access(dramcache.Request{Addr: ucAddr(3, 0), PC: 7, At: 0}).DoneAt
-	at = u.Access(dramcache.Request{Addr: ucAddr(3+sets, 0), PC: 7, At: at}).DoneAt
-	// Accesses alternating between the two pages force way mispredicts
-	// (the predictor entry flips).
-	rowHits0 := s.Stats().RowHits
-	at = u.Access(dramcache.Request{Addr: ucAddr(3, 1), PC: 7, At: at}).DoneAt
-	at = u.Access(dramcache.Request{Addr: ucAddr(3+sets, 1), PC: 7, At: at}).DoneAt
-	_ = at
-	if wp := u.Snapshot().WP; wp.Num == wp.Den {
-		t.Skip("alternation did not mispredict (aliasing)")
+	// Two pages in one set that also share a way-predictor entry: page 3
+	// and the first page above it congruent mod sets whose XOR-folded
+	// hash matches (0x100103 at this geometry). Allocating both leaves
+	// page 3 in way 0 and the shared entry predicting way 1.
+	sets := uint64(u.Sets())
+	bits := predictor.HashBitsFor(1 << 20)
+	other := uint64(3) + sets
+	for mem.XORFoldHash(other, bits) != mem.XORFoldHash(3, bits) {
+		other += sets
 	}
-	if s.Stats().RowHits == rowHits0 {
-		t.Error("way mispredict re-read did not hit the row buffer")
+	at := u.Access(dramcache.Request{Addr: ucAddr(3, 0), PC: 7, At: 0}).DoneAt
+	at = u.Access(dramcache.Request{Addr: ucAddr(other, 0), PC: 7, At: at}).DoneAt
+
+	// A hit on page 3 reads way 1's slot first, mispredicts, and re-reads
+	// way 0 from the row the first read opened.
+	before := s.Stats()
+	start := at + 1000
+	mispredicted := u.Access(dramcache.Request{Addr: ucAddr(3, 1), PC: 7, At: start}).DoneAt - start
+	after := s.Stats()
+	if wp := u.Snapshot().WP; wp == nil || wp.Num != 0 || wp.Den != 1 {
+		t.Fatalf("way prediction %+v, want 0 of 1 correct", wp)
+	}
+	if after.Activations != before.Activations {
+		t.Errorf("mispredicted hit activated %d rows; the re-read should reuse the open row", after.Activations-before.Activations)
+	}
+	if after.RowHits != before.RowHits+2 {
+		t.Errorf("mispredicted hit added %d row hits, want 2: the first read and the re-read", after.RowHits-before.RowHits)
+	}
+
+	// The next hit on page 3 is predicted correctly, and faster.
+	start += 1000
+	predicted := u.Access(dramcache.Request{Addr: ucAddr(3, 2), PC: 7, At: start}).DoneAt - start
+	if wp := u.Snapshot().WP; wp.Num != 1 || wp.Den != 2 {
+		t.Fatalf("way prediction %+v, want 1 of 2 correct", wp)
+	}
+	if mispredicted <= predicted {
+		t.Errorf("mispredicted hit took %d cycles, predicted hit %d", mispredicted, predicted)
 	}
 }
 

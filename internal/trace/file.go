@@ -138,64 +138,129 @@ func WriteTrace(w io.Writer, h FileHeader, sources []Source) error {
 // exactly the header's event count — so the returned sources cannot fail
 // mid-replay.
 func ReadTrace(r io.Reader) (FileHeader, []*ReplaySource, error) {
-	data, err := readCapture(r)
+	c, err := ReadCapture(r)
 	if err != nil {
-		return FileHeader{}, nil, fmt.Errorf("trace: reading capture: %w", err)
+		return FileHeader{}, nil, err
 	}
+	return c.header, c.Sources(), nil
+}
+
+// Capture is a verified .utrace capture held in memory: its header and
+// each core's section, sliced from the bytes it was read from. It never
+// changes once built, so concurrent replays can share one Capture, each
+// through its own cursors from Sources.
+type Capture struct {
+	header   FileHeader
+	data     []byte
+	sections [][]byte
+}
+
+// ReadCapture reads r to EOF, then parses and verifies the capture as
+// ReadTrace does.
+func ReadCapture(r io.Reader) (*Capture, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading capture: %w", err)
+	}
+	return parseCapture(data)
+}
+
+// parseCapture parses the header of data and verifies every section. The
+// Capture keeps data.
+func parseCapture(data []byte) (*Capture, error) {
 	buf := bytes.NewBuffer(data)
 	if len(data) < len(fileMagic) || string(buf.Next(len(fileMagic))) != fileMagic {
-		return FileHeader{}, nil, fmt.Errorf("trace: not a .utrace capture (bad magic)")
+		return nil, fmt.Errorf("trace: not a .utrace capture (bad magic)")
 	}
 	version, err := binary.ReadUvarint(buf)
 	if err != nil {
-		return FileHeader{}, nil, fmt.Errorf("trace: truncated header")
+		return nil, fmt.Errorf("trace: truncated header")
 	}
 	if version != FileVersion {
-		return FileHeader{}, nil, fmt.Errorf("trace: unsupported .utrace version %d (have %d)", version, FileVersion)
+		return nil, fmt.Errorf("trace: unsupported .utrace version %d (have %d)", version, FileVersion)
 	}
 	var h FileHeader
 	nameLen, err := binary.ReadUvarint(buf)
 	if err != nil || nameLen > maxProfileName || int(nameLen) > buf.Len() {
-		return FileHeader{}, nil, fmt.Errorf("trace: corrupt header (profile name)")
+		return nil, fmt.Errorf("trace: corrupt header (profile name)")
 	}
 	h.Profile = string(buf.Next(int(nameLen)))
 	if h.Seed, err = binary.ReadUvarint(buf); err != nil {
-		return FileHeader{}, nil, fmt.Errorf("trace: truncated header")
+		return nil, fmt.Errorf("trace: truncated header")
 	}
 	scale, err0 := binary.ReadUvarint(buf)
 	cores, err1 := binary.ReadUvarint(buf)
 	events, err2 := binary.ReadUvarint(buf)
 	if err0 != nil || err1 != nil || err2 != nil ||
 		scale > math.MaxInt32 || cores > math.MaxInt32 || events > math.MaxInt32 {
-		return FileHeader{}, nil, fmt.Errorf("trace: truncated header")
+		return nil, fmt.Errorf("trace: truncated header")
 	}
 	h.ScaleDivisor, h.Cores, h.EventsPerCore = int(scale), int(cores), int(events)
 	if err := h.validate(); err != nil {
-		return FileHeader{}, nil, err
+		return nil, err
 	}
-	sources := make([]*ReplaySource, h.Cores)
-	for c := range sources {
+	sections := make([][]byte, h.Cores)
+	for c := range sections {
 		secLen, err := binary.ReadUvarint(buf)
 		if err != nil || secLen > uint64(buf.Len()) {
-			return FileHeader{}, nil, fmt.Errorf("trace: truncated section for core %d", c)
+			return nil, fmt.Errorf("trace: truncated section for core %d", c)
 		}
-		rs := &ReplaySource{data: buf.Next(int(secLen)), remaining: h.EventsPerCore}
+		sections[c] = buf.Next(int(secLen))
+		rs := ReplaySource{data: sections[c], remaining: h.EventsPerCore}
 		if err := rs.verify(); err != nil {
-			return FileHeader{}, nil, fmt.Errorf("trace: core %d: %w", c, err)
+			return nil, fmt.Errorf("trace: core %d: %w", c, err)
 		}
-		sources[c] = rs
 	}
 	if buf.Len() != 0 {
-		return FileHeader{}, nil, fmt.Errorf("trace: %d trailing bytes after last section", buf.Len())
+		return nil, fmt.Errorf("trace: %d trailing bytes after last section", buf.Len())
 	}
-	return h, sources, nil
+	return &Capture{header: h, data: data, sections: sections}, nil
 }
 
-// readCapture reads r to EOF. When r reports a regular file's size — an
+// Header returns the capture's header.
+func (c *Capture) Header() FileHeader { return c.header }
+
+// Sources returns a fresh cursor at the start of every core's section.
+func (c *Capture) Sources() []*ReplaySource {
+	sources := make([]*ReplaySource, len(c.sections))
+	for i, sec := range c.sections {
+		sources[i] = &ReplaySource{data: sec, remaining: c.header.EventsPerCore}
+	}
+	return sources
+}
+
+// equalChunk is how many bytes Equal reads at a time: a few reads per
+// megabyte of capture, and small beside any capture worth sharing.
+const equalChunk = 256 << 10
+
+// Equal reports whether r yields exactly the bytes c was read from,
+// comparing them equalChunk bytes at a time so that no second copy of the
+// capture is ever held. It stops at the first difference, leaving r
+// partly read; a read error returns false with the error.
+func (c *Capture) Equal(r io.Reader) (bool, error) {
+	chunk := make([]byte, equalChunk)
+	rest := c.data
+	for {
+		n, err := io.ReadFull(r, chunk)
+		if !bytes.HasPrefix(rest, chunk[:n]) {
+			return false, nil
+		}
+		rest = rest[n:]
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return len(rest) == 0, nil
+		default:
+			return false, err
+		}
+	}
+}
+
+// readAll reads r to EOF. When r reports a regular file's size — an
 // *os.File, as os.ReadFile uses — the buffer is allocated once at that
 // size (plus the slack ReadFrom needs to see EOF); otherwise it grows as
 // it reads.
-func readCapture(r io.Reader) ([]byte, error) {
+func readAll(r io.Reader) ([]byte, error) {
 	var buf bytes.Buffer
 	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
 		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() < math.MaxInt32 {
@@ -207,8 +272,9 @@ func readCapture(r io.Reader) ([]byte, error) {
 }
 
 // ReplaySource replays one core's section of a .utrace capture, decoding
-// events lazily so a full trace never materializes in memory. It implements
-// Source; construct it through ReadTrace, which validates every section.
+// events lazily from the encoded bytes so the decoded trace never
+// materializes in memory. It implements Source; construct it through
+// ReadTrace or a Capture, which validate every section first.
 type ReplaySource struct {
 	data      []byte
 	pos       int
@@ -220,7 +286,7 @@ type ReplaySource struct {
 // Remaining returns how many recorded events have not been replayed yet.
 func (s *ReplaySource) Remaining() int { return s.remaining }
 
-// Next implements Source. ReadTrace has already proven the section decodes
+// Next implements Source. Reading the capture proved the section decodes
 // cleanly, so the only possible failure is pulling past the recorded
 // length, which panics — bound demand with Remaining.
 func (s *ReplaySource) Next() Event {
@@ -238,8 +304,8 @@ func (s *ReplaySource) Next() Event {
 func (s *ReplaySource) NextBatch(dst []Event) int {
 	dst = dst[:min(len(dst), s.remaining)]
 	if err := s.decode(dst); err != nil {
-		// ReadTrace verified the section; only corruption of the
-		// backing array after construction could land here.
+		// Reading the capture verified the section; only corruption
+		// of the backing array after construction could land here.
 		panic("trace: replay: " + err.Error())
 	}
 	return len(dst)

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 )
 
 func captureStreams(t *testing.T, workload string, seed uint64, cores int) []Source {
@@ -117,6 +120,53 @@ func TestReadTraceRejectsCorruption(t *testing.T) {
 	wrongVersion[4] = 99 // the version uvarint directly follows the magic
 	if _, _, err := ReadTrace(bytes.NewReader(wrongVersion)); err == nil {
 		t.Error("unsupported version accepted")
+	}
+}
+
+// TestCaptureEqual holds Capture.Equal to bytes.Equal on readers that end,
+// differ or fail at and around its chunk boundaries.
+func TestCaptureEqual(t *testing.T) {
+	data := validCapture(t, 2, 100_000)
+	if len(data) <= 2*equalChunk {
+		t.Fatalf("capture is %d bytes; the test needs more than two %d-byte chunks", len(data), equalChunk)
+	}
+	c, err := ReadCapture(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(i int) []byte {
+		b := append([]byte(nil), data...)
+		b[i] ^= 1
+		return b
+	}
+	boom := errors.New("boom")
+	cases := []struct {
+		name string
+		r    io.Reader
+		want bool
+		err  error
+	}{
+		{"same bytes", bytes.NewReader(data), true, nil},
+		{"same bytes, short reads", iotest.HalfReader(bytes.NewReader(data)), true, nil},
+		{"first byte of the second chunk", bytes.NewReader(flip(equalChunk)), false, nil},
+		{"last byte", bytes.NewReader(flip(len(data) - 1)), false, nil},
+		{"one byte short", bytes.NewReader(data[:len(data)-1]), false, nil},
+		{"one byte more", bytes.NewReader(append(append([]byte(nil), data...), 0)), false, nil},
+		{"ends at a chunk boundary", bytes.NewReader(data[:equalChunk]), false, nil},
+		{"empty", bytes.NewReader(nil), false, nil},
+		{"read error", io.MultiReader(bytes.NewReader(data[:equalChunk+10]), iotest.ErrReader(boom)), false, boom},
+	}
+	for _, tc := range cases {
+		got, err := c.Equal(tc.r)
+		if got != tc.want || !errors.Is(err, tc.err) {
+			t.Errorf("%s: Equal = %v, %v; want %v, %v", tc.name, got, err, tc.want, tc.err)
+		}
+	}
+	// A capture whose length is a whole number of chunks ends on a
+	// zero-byte read.
+	whole := &Capture{data: data[:2*equalChunk]}
+	if got, err := whole.Equal(bytes.NewReader(data[:2*equalChunk])); !got || err != nil {
+		t.Errorf("whole-chunk capture: Equal = %v, %v; want true, nil", got, err)
 	}
 }
 

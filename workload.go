@@ -145,21 +145,61 @@ func RecordTrace(r Run, w io.Writer) error {
 	}, sources)
 }
 
-// replaySources opens r.TracePath and returns the capture's per-core
+// captures is the process's memo of the capture replays last verified.
+// It pins one capture's bytes between runs, so a design sweep or a
+// segmented run over one capture reads and verifies it once.
+var captures captureMemo
+
+// captureMemo holds the most recently verified capture and the path it
+// was read from. Its mutex is held through a load, so concurrent first
+// users of a capture verify it once.
+type captureMemo struct {
+	mu   sync.Mutex
+	path string
+	c    *trace.Capture
+}
+
+// load returns the verified capture the file at path holds now. The
+// memoized capture is returned only when path names it and the file's
+// bytes still equal it; any other case reads and verifies the file and
+// memoizes the result.
+func (m *captureMemo) load(path string) (*trace.Capture, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("unisoncache: opening trace: %w", err)
+	}
+	defer f.Close()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.path == path {
+		// A read error during the compare counts as a difference: the
+		// full read below reports it.
+		if same, err := m.c.Equal(f); same && err == nil {
+			return m.c, nil
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, fmt.Errorf("unisoncache: rereading trace: %w", err)
+		}
+	}
+	c, err := trace.ReadCapture(f)
+	if err != nil {
+		return nil, err
+	}
+	m.path, m.c = path, c
+	return c, nil
+}
+
+// replaySources loads r.TracePath and returns the capture's per-core
 // sources, reconciling the Run against the file header: zero-valued
 // Workload, Seed, Cores and AccessesPerCore take the header's values;
 // explicitly set ones must match (AccessesPerCore may replay a prefix),
 // and the run's effective ScaleDivisor must equal the capture's.
 func replaySources(r Run) (Run, []trace.Source, error) {
-	f, err := os.Open(r.TracePath)
-	if err != nil {
-		return r, nil, fmt.Errorf("unisoncache: opening trace: %w", err)
-	}
-	defer f.Close()
-	hdr, replays, err := trace.ReadTrace(f)
+	c, err := captures.load(r.TracePath)
 	if err != nil {
 		return r, nil, err
 	}
+	hdr := c.Header()
 	if r.Workload == "" {
 		r.Workload = hdr.Profile
 	} else if r.Workload != hdr.Profile {
@@ -187,6 +227,7 @@ func replaySources(r Run) (Run, []trace.Source, error) {
 	} else if r.AccessesPerCore > hdr.EventsPerCore {
 		return r, nil, fmt.Errorf("unisoncache: trace %s holds %d events per core, run wants %d", r.TracePath, hdr.EventsPerCore, r.AccessesPerCore)
 	}
+	replays := c.Sources()
 	sources := make([]trace.Source, len(replays))
 	for i, rs := range replays {
 		sources[i] = rs
