@@ -37,9 +37,10 @@ type options struct {
 	workloads []string
 	outDir    string
 	jobs      int
-	// segments, when >= 2, runs every simulation point time-parallel
-	// (Run.Segments). Results — and therefore every CSV — are
-	// byte-identical to serial execution; only wall-clock changes.
+	// segments, when >= 2, runs every plain simulation point time-parallel
+	// (Run.Segments); sampled and telemetry points ignore it. Results —
+	// and therefore every CSV — are byte-identical to serial execution;
+	// only wall-clock changes.
 	segments int
 	// sample, when enabled, switches the speedup figures (fig7, fig8) to
 	// SMARTS-style sampled simulation: SweepSampled plans, CI columns
@@ -51,7 +52,8 @@ type options struct {
 	// the speedup figures' design points and writes them as companion
 	// per-epoch CSVs (fig7_epochs.csv, fig8_epochs.csv). The figure CSVs
 	// themselves stay byte-identical — recording never perturbs a replay.
-	// Mutually exclusive with -sample (epoch slicing needs every event).
+	// Telemetry points replay serially whatever -segments says. Mutually
+	// exclusive with -sample (epoch slicing needs every event).
 	telemetry uc.TelemetrySpec
 	// srv, when non-nil, routes every simulation through the unisonserved
 	// service (-server, one or more comma-separated daemon URLs) instead
@@ -169,11 +171,11 @@ func main() {
 	workloadsFlag := flag.String("workloads", "", "comma-separated workload filter")
 	out := flag.String("out", "results", "CSV output directory")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = one per CPU)")
-	segments := flag.Int("segments", 0, "time-parallel segments per simulation (0/1 = serial; results are byte-identical either way)")
+	segments := flag.Int("segments", 0, "time-parallel segments per simulation (0/1 = serial; results are byte-identical either way; sampled and telemetry points run serially)")
 	sampleFlag := flag.Bool("sample", false, "sampled simulation for the speedup figures: CI-target sweeps, CI columns in fig7/fig8 CSVs")
 	confidence := flag.Float64("confidence", 0, "confidence level for -sample intervals (default 0.95)")
 	sampleSpec := flag.String("sample-spec", "", "full sampling spec, e.g. interval=1000,gap=3000,ci=0.03 (implies -sample)")
-	telemetryFlag := flag.Bool("telemetry", false, "record epoch-sliced counter timelines on the speedup figures and write per-epoch CSVs (fig7_epochs.csv, fig8_epochs.csv); figure CSVs stay byte-identical")
+	telemetryFlag := flag.Bool("telemetry", false, "record epoch-sliced counter timelines on the speedup figures and write per-epoch CSVs (fig7_epochs.csv, fig8_epochs.csv); figure CSVs stay byte-identical; telemetry points run serially whatever -segments")
 	epochEvents := flag.Int("epoch-events", 0, "telemetry epoch length in retired events per core (0 = default; implies -telemetry)")
 	server := flag.String("server", "", "unisonserved base URL(s), comma-separated for a cluster (e.g. http://127.0.0.1:8080,http://127.0.0.1:8081); route all simulations through the service")
 	flag.Parse()

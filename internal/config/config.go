@@ -47,16 +47,6 @@ func FCTagLatency(cacheBytes uint64) uint64 {
 	return fcTagTable[len(fcTagTable)-1].LatencyCycles
 }
 
-// FCTagMB returns the Table IV SRAM tag size for the given capacity.
-func FCTagMB(cacheBytes uint64) float64 {
-	for _, p := range fcTagTable {
-		if cacheBytes <= p.CacheBytes {
-			return p.TagMB
-		}
-	}
-	return fcTagTable[len(fcTagTable)-1].TagMB
-}
-
 // CloudSuiteSizes is the Figure 6/7 cache-size sweep for the CloudSuite
 // workloads.
 func CloudSuiteSizes() []uint64 {

@@ -41,12 +41,14 @@ func TestFCTagLatencyLookup(t *testing.T) {
 	}
 }
 
+// TestFCTagMB pins Table IV's tag-array sizes, up to the paper's
+// impractical 50 MB SRAM array at 8 GB.
 func TestFCTagMB(t *testing.T) {
-	if got := FCTagMB(8 << 30); got != 50 {
-		t.Errorf("FCTagMB(8GB) = %v, want 50 (the paper's impractical SRAM array)", got)
-	}
-	if got := FCTagMB(512 << 20); got != 3.12 {
-		t.Errorf("FCTagMB(512MB) = %v", got)
+	want := []float64{0.8, 1.58, 3.12, 6.2, 12.5, 25, 50}
+	for i, p := range FCTagTable() {
+		if p.TagMB != want[i] {
+			t.Errorf("Table IV at %d MB: tag array %v MB, want %v", p.CacheBytes>>20, p.TagMB, want[i])
+		}
 	}
 }
 

@@ -56,10 +56,6 @@ type Config struct {
 	// Ways is the set associativity: 1, 4 (the design point) or 32 (the
 	// Figure 5 reference).
 	Ways int
-	// FootprintEntries sizes the history table (default 16 K ≈ 144 KB).
-	FootprintEntries int
-	// SingletonEntries sizes the singleton table (default 256 ≈ 3 KB).
-	SingletonEntries int
 	// DisableWayPrediction forces the fetch-all-ways fallback the paper
 	// argues against (§V-B ablation): every lookup streams every way.
 	DisableWayPrediction bool
@@ -68,23 +64,14 @@ type Config struct {
 	SerializeTagData bool
 	// DisableSingleton turns off singleton bypass (ablation).
 	DisableSingleton bool
-	// FootprintLookupCycles is the SRAM latency of the footprint history
-	// table consulted on trigger misses (fixed, small, and off the hit
-	// path; default 2).
-	FootprintLookupCycles uint64
 }
+
+// footprintLookupCycles is the SRAM latency of the footprint history table
+// consulted on trigger misses (fixed, small, and off the hit path).
+const footprintLookupCycles = 2
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.FootprintEntries == 0 {
-		c.FootprintEntries = 16384
-	}
-	if c.SingletonEntries == 0 {
-		c.SingletonEntries = 256
-	}
-	if c.FootprintLookupCycles == 0 {
-		c.FootprintLookupCycles = 2
-	}
 	if c.LabelBytes == 0 {
 		c.LabelBytes = c.CapacityBytes
 	}
@@ -181,8 +168,8 @@ func New(cfg Config, stacked, offchip *dram.Controller) (*Unison, error) {
 		cfg:        cfg,
 		stacked:    stacked,
 		offchip:    offchip,
-		fp:         predictor.NewFootprintPredictor(cfg.FootprintEntries, cfg.PageBlocks),
-		single:     predictor.NewSingletonTable(cfg.SingletonEntries),
+		fp:         predictor.NewFootprintPredictor(predictor.FootprintEntries, cfg.PageBlocks),
+		single:     predictor.NewSingletonTable(predictor.SingletonEntries),
 		wp:         predictor.NewWayPredictor(predictor.HashBitsFor(cfg.LabelBytes), cfg.Ways),
 		table:      table,
 		div:        mem.NewDivider(n),
@@ -354,7 +341,7 @@ func (d *Unison) accessPresent(r dramcache.Request, page uint64, off int, bit pr
 // uncached page.
 func (d *Unison) triggerMiss(r dramcache.Request, page uint64, off int, set uint64, tagKnown uint64) dramcache.Response {
 	// Consult the footprint history table (small fixed SRAM latency).
-	predictAt := tagKnown + d.cfg.FootprintLookupCycles
+	predictAt := tagKnown + footprintLookupCycles
 
 	var predicted predictor.Footprint
 	if pc0, off0, promoted := d.singleCheck(page); promoted {

@@ -290,14 +290,6 @@ func (c *Controller) Access(addr uint64, at uint64, bytes int, write bool) Resul
 	return c.Do(Request{Channel: ch, Bank: bk, Row: row, Bytes: bytes, Write: write, At: at})
 }
 
-// RowCount returns how many distinct rows the part exposes per bank for a
-// given total capacity in bytes.
-func (c *Controller) RowCount(capacityBytes uint64) uint64 {
-	perRow := uint64(c.cfg.Org.RowBytes)
-	totalRows := capacityBytes / perRow
-	return totalRows / uint64(c.cfg.Org.Channels*c.cfg.Org.Ranks*c.cfg.Org.Banks)
-}
-
 func maxU(a, b uint64) uint64 {
 	if a > b {
 		return a

@@ -323,14 +323,6 @@ func TestDoPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestRowCount(t *testing.T) {
-	c := mustController(t, StackedConfig())
-	// 1GB / 8KB rows = 131072 rows; over 4 channels x 8 banks = 4096 per bank.
-	if got := c.RowCount(1 << 30); got != 4096 {
-		t.Errorf("RowCount(1GB) = %d, want 4096", got)
-	}
-}
-
 func TestAccessUsesMapping(t *testing.T) {
 	c := mustController(t, StackedConfig())
 	res1 := c.Access(0, 0, 64, false)

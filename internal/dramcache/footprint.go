@@ -36,22 +36,12 @@ type FCConfig struct {
 	// TagLatency is the SRAM tag-array lookup latency in CPU cycles
 	// (Table IV; grows with capacity).
 	TagLatency uint64
-	// PredictorEntries sizes the footprint history table (16 K ≈ 144 KB).
-	PredictorEntries int
-	// SingletonEntries sizes the singleton table (256 ≈ 3 KB).
-	SingletonEntries int
 }
 
 // NewFootprint builds a Footprint Cache over the two DRAM parts.
 func NewFootprint(cfg FCConfig, stacked, offchip *dram.Controller) (*Footprint, error) {
 	if cfg.Ways <= 0 {
 		cfg.Ways = 32
-	}
-	if cfg.PredictorEntries == 0 {
-		cfg.PredictorEntries = 16384
-	}
-	if cfg.SingletonEntries == 0 {
-		cfg.SingletonEntries = 256
 	}
 	pages := cfg.CapacityBytes / (FCPageBlocks * mem.BlockSize)
 	if pages < uint64(cfg.Ways) {
@@ -64,8 +54,8 @@ func NewFootprint(cfg FCConfig, stacked, offchip *dram.Controller) (*Footprint, 
 	return &Footprint{
 		stacked:    stacked,
 		offchip:    offchip,
-		fp:         predictor.NewFootprintPredictor(cfg.PredictorEntries, FCPageBlocks),
-		single:     predictor.NewSingletonTable(cfg.SingletonEntries),
+		fp:         predictor.NewFootprintPredictor(predictor.FootprintEntries, FCPageBlocks),
+		single:     predictor.NewSingletonTable(predictor.SingletonEntries),
 		table:      table,
 		tagLatency: cfg.TagLatency,
 	}, nil

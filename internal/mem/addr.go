@@ -26,9 +26,6 @@ type Addr uint64
 // Block returns the block number (address / 64).
 func (a Addr) Block() uint64 { return uint64(a) >> BlockBits }
 
-// BlockAligned returns the address truncated to the start of its block.
-func (a Addr) BlockAligned() Addr { return a &^ (BlockSize - 1) }
-
 // BlockAddr converts a block number back to the byte address of its first
 // byte.
 func BlockAddr(block uint64) Addr { return Addr(block << BlockBits) }

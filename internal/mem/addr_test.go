@@ -24,10 +24,12 @@ func TestAddrBlock(t *testing.T) {
 	}
 }
 
+// TestBlockAligned: an address's block number maps back to the start of
+// its block, the address a write-back of that block carries.
 func TestBlockAligned(t *testing.T) {
 	f := func(a uint64) bool {
-		al := Addr(a).BlockAligned()
-		return uint64(al)%BlockSize == 0 && uint64(al) <= a && a-uint64(al) < BlockSize
+		al := uint64(BlockAddr(Addr(a).Block()))
+		return al%BlockSize == 0 && al <= a && a-al < BlockSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

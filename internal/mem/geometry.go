@@ -85,12 +85,6 @@ func AlloyGeometry() PageGeometry {
 	return PageGeometry{PageBlocks: 1, Ways: 1, SetsPerRow: RowBytes / 72, MetadataBytesPerSet: 8}
 }
 
-// FootprintGeometry returns the Footprint Cache layout: tags in SRAM, so a
-// row is pure data — four 2 KB pages, 128 blocks per row (Table II).
-func FootprintGeometry() PageGeometry {
-	return PageGeometry{PageBlocks: 32, Ways: 32, SetsPerRow: 0, MetadataBytesPerSet: 0}
-}
-
 // SRAMTagBytes estimates the SRAM tag array size for a page-based cache of
 // the given capacity with off-DRAM tags (the scaling argument of §II-B and
 // Table IV). Per-page cost covers tag, valid/dirty vectors, footprint

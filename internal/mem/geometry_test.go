@@ -53,13 +53,6 @@ func TestAlloyGeometry(t *testing.T) {
 	}
 }
 
-func TestFootprintGeometry(t *testing.T) {
-	g := FootprintGeometry()
-	if g.PageBytes() != 2048 {
-		t.Errorf("FC page = %d bytes, want 2048", g.PageBytes())
-	}
-}
-
 func TestMetadataFractionTable2(t *testing.T) {
 	// Table II: Unison's in-DRAM tag overhead is 3.1-6.2% of DRAM.
 	for _, tc := range []struct {

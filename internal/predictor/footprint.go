@@ -52,6 +52,10 @@ type fpEntry struct {
 	valid bool
 }
 
+// FootprintEntries is the footprint history table size both page-based
+// designs, Unison Cache and Footprint Cache, use: 16 K entries.
+const FootprintEntries = 16384
+
 // NewFootprintPredictor creates a table with the given number of entries
 // (rounded up to a power of two) for pages of pageBlocks blocks.
 func NewFootprintPredictor(entries int, pageBlocks int) *FootprintPredictor {

@@ -26,6 +26,10 @@ type singletonEntry struct {
 	valid  bool
 }
 
+// SingletonEntries is the singleton table size both page-based designs
+// use: 256 entries ≈ 3 KB (Table II).
+const SingletonEntries = 256
+
 // NewSingletonTable creates a table with the given entry count (rounded up
 // to a power of two).
 func NewSingletonTable(entries int) *SingletonTable {

@@ -587,3 +587,32 @@ func TestServeDecodeErrors(t *testing.T) {
 		t.Errorf("unknown job status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestServeRejectsRunSizes: a submitted run whose size Execute rejects —
+// a negative AccessesPerCore, more cores than a capture may hold — ends
+// failed with an error naming the field, and the result cache stays empty.
+func TestServeRejectsRunSizes(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+
+	for field, mut := range map[string]func(*uc.Run){
+		"AccessesPerCore": func(r *uc.Run) { r.AccessesPerCore = -5 },
+		"Cores":           func(r *uc.Run) { r.Cores = 5000 },
+	} {
+		r := smallRun(uc.DesignUnison)
+		mut(&r)
+		var j client.Job
+		if code := post(t, ts, "/v1/runs", `{"run":`+mustJSON(t, r)+`}`, &j); code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d", field, code)
+		}
+		j = waitJob(t, ts, j.ID)
+		if j.State != client.StateFailed || !strings.Contains(j.Error, field) {
+			t.Errorf("%s: job ended %s with error %q, want failed naming the field", field, j.State, j.Error)
+		}
+	}
+	if n := s.cache.len(); n != 0 {
+		t.Errorf("result cache holds %d entries after the failed runs, want 0", n)
+	}
+}

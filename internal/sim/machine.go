@@ -92,11 +92,10 @@ type Machine struct {
 
 	// bounds and emit arm the boundary recorder (Observe): telemetry's
 	// fixed-stride epochs or a sampled run's windows and gaps. rec is the
-	// run's recorder, created lazily when the measurement phase first
-	// advances so machines restored from a checkpoint — which never call
-	// BeginRun — record too. Unarmed (bounds nil), RunTo selects plain
-	// continuePhase, which never enters the clamp-and-park driver:
-	// recording disabled costs nothing.
+	// run's recorder, created when the measurement phase first advances;
+	// it records the run from the measurement boundary on. Unarmed
+	// (bounds nil), RunTo selects plain continuePhase, which never enters
+	// the clamp-and-park driver: recording disabled costs nothing.
 	bounds func(meas int) []int
 	emit   func(telemetry.Epoch) bool
 	rec    *telemetry.Recorder
@@ -399,18 +398,15 @@ func (m *Machine) continuePhase(budget uint64) uint64 {
 }
 
 // continueObserved is continuePhase for a recorder-armed measurement
-// phase: clamp-and-park over the recorder's boundaries. Sync first
-// repositions the recorder's cursors from the persisted remaining budgets,
-// so chunked and checkpoint-restored execution resumes recording exactly
-// where the schedule stands; boundaries crossed before a restored segment
-// are skipped (their cells belong to the earlier segment's recorder). An
-// emit that asks to stop ends the run (phase 3).
+// phase: clamp-and-park over the recorder's boundaries. The first entry
+// builds the recorder at the measurement boundary; later chunks resume it
+// where the last one parked, since its cursors advance only as cores
+// cross. An emit that asks to stop ends the run (phase 3).
 func (m *Machine) continueObserved(budget uint64) uint64 {
 	meas := m.run.accesses - m.run.warm
 	if m.rec == nil {
 		m.rec = telemetry.NewRecorder(m.bounds(meas), len(m.cores), m.emit)
 	}
-	m.rec.Sync(func(c int) int { return meas - m.remaining[c] })
 	steps, goOn := m.clampAndPark(budget, meas)
 	if !goOn {
 		m.run.phase = 3
@@ -430,10 +426,10 @@ func (m *Machine) continueObserved(budget uint64) uint64 {
 // re-enters. When a crossing completes a boundary — every core has
 // crossed it — the machine-wide statistics row is recorded: the state is
 // then exactly the state after the completing step, independent of
-// chunking and segmentation. total is the phase's per-core budget, so
-// core c has consumed total-remaining[c] events. Returns the steps
-// executed and false when the recorder's emit asked to stop, which ends
-// the phase right after the step that completed the boundary.
+// chunking. total is the phase's per-core budget, so core c has consumed
+// total-remaining[c] events. Returns the steps executed and false when
+// the recorder's emit asked to stop, which ends the phase right after the
+// step that completed the boundary.
 func (m *Machine) clampAndPark(budget uint64, total int) (uint64, bool) {
 	remaining, clamp, rec := m.remaining, m.clamp, m.rec
 	var steps uint64

@@ -63,47 +63,46 @@ func TestTQuantile(t *testing.T) {
 }
 
 // TestWelfordClosedForm pins Mean against closed-form fixtures: the first
-// n integers have mean (n+1)/2 and sample variance n(n+1)/12.
+// n integers have mean (n+1)/2.
 func TestWelfordClosedForm(t *testing.T) {
 	for _, n := range []int{2, 5, 10, 100} {
 		var m Mean
 		for i := 1; i <= n; i++ {
 			m.Add(float64(i))
 		}
-		wantMean := float64(n+1) / 2
-		wantVar := float64(n) * float64(n+1) / 12
-		if math.Abs(m.Value()-wantMean) > 1e-9 {
-			t.Errorf("n=%d: mean %v, want %v", n, m.Value(), wantMean)
-		}
-		if math.Abs(m.Variance()-wantVar) > 1e-9*wantVar {
-			t.Errorf("n=%d: variance %v, want %v", n, m.Variance(), wantVar)
+		if want := float64(n+1) / 2; math.Abs(m.Value()-want) > 1e-9 {
+			t.Errorf("n=%d: mean %v, want %v", n, m.Value(), want)
 		}
 	}
+}
+
+// meanEstimator returns the one-series ratio estimator over unit
+// denominators: its Value is the sample mean of ys and its CI the
+// textbook Student t interval, t·s/√n.
+func meanEstimator(ys ...float64) *SummedRatios {
+	windows := make([]RatioSample, len(ys))
+	for i, y := range ys {
+		windows[i] = RatioSample{Y: y, X: 1}
+	}
+	return ratioEstimator(windows...)
 }
 
 // TestMeanCIDegenerate covers the cases a deterministic simulator actually
 // produces: a single interval (no variance information) and identical
 // intervals (zero variance).
 func TestMeanCIDegenerate(t *testing.T) {
-	var one Mean
-	one.Add(3.5)
+	one := meanEstimator(3.5)
 	if hw := one.CI(0.95); hw != 0 {
 		t.Errorf("one sample: CI half-width %v, want 0", hw)
 	}
 	if rel := one.RelCI(0.95); rel != 0 {
 		t.Errorf("one sample: RelCI %v, want 0", rel)
 	}
-	var flat Mean
-	for i := 0; i < 10; i++ {
-		flat.Add(2.0)
-	}
+	flat := meanEstimator(2, 2, 2, 2, 2, 2, 2, 2, 2, 2)
 	if hw := flat.CI(0.95); hw != 0 {
 		t.Errorf("zero variance: CI half-width %v, want 0", hw)
 	}
-	var zero Mean
-	zero.Add(-1)
-	zero.Add(1)
-	if rel := zero.RelCI(0.95); !math.IsInf(rel, 1) {
+	if rel := meanEstimator(-1, 1).RelCI(0.95); !math.IsInf(rel, 1) {
 		t.Errorf("zero mean with spread: RelCI %v, want +Inf", rel)
 	}
 }
@@ -113,11 +112,11 @@ func TestMeanCIDegenerate(t *testing.T) {
 func TestMeanCIShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ci := func(n int) float64 {
-		var m Mean
-		for i := 0; i < n; i++ {
-			m.Add(10 + rng.NormFloat64())
+		ys := make([]float64, n)
+		for i := range ys {
+			ys[i] = 10 + rng.NormFloat64()
 		}
-		return m.CI(0.95)
+		return meanEstimator(ys...).CI(0.95)
 	}
 	small, large := ci(50), ci(200)
 	if large >= small {
@@ -136,10 +135,11 @@ func TestMeanCICoverage(t *testing.T) {
 	const trials, n, trueMean = 2000, 12, 5.0
 	covered := 0
 	for trial := 0; trial < trials; trial++ {
-		var m Mean
-		for i := 0; i < n; i++ {
-			m.Add(trueMean + 0.8*rng.NormFloat64())
+		ys := make([]float64, n)
+		for i := range ys {
+			ys[i] = trueMean + 0.8*rng.NormFloat64()
 		}
+		m := meanEstimator(ys...)
 		if math.Abs(m.Value()-trueMean) <= m.CI(0.95) {
 			covered++
 		}
@@ -150,6 +150,16 @@ func TestMeanCICoverage(t *testing.T) {
 	}
 }
 
+// ratioEstimator returns the one-series SummedRatios over windows: the
+// plain ratio estimator ΣY/ΣX with its linearized CI.
+func ratioEstimator(windows ...RatioSample) *SummedRatios {
+	u := NewSummedRatios(1)
+	for _, w := range windows {
+		u.AddWindow([]RatioSample{w})
+	}
+	return u
+}
+
 // TestRatioMeanExactOnTiling pins the property the sampled UIPC estimator
 // is chosen for: when the windows tile a region, ΣY/ΣX *is* the region's
 // ratio, no matter how unevenly the denominators split — exactly where a
@@ -157,14 +167,12 @@ func TestMeanCICoverage(t *testing.T) {
 func TestRatioMeanExactOnTiling(t *testing.T) {
 	// Region: 1000 instructions over 800 cycles, split into uneven windows.
 	windows := []RatioSample{{100, 50}, {400, 200}, {300, 350}, {200, 200}}
-	var r RatioMean
 	var naive Mean
 	for _, w := range windows {
-		r.Add(w.Y, w.X)
 		naive.Add(w.Y / w.X)
 	}
 	want := 1000.0 / 800
-	if got := r.Value(); math.Abs(got-want) > 1e-12 {
+	if got := ratioEstimator(windows...).Value(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("ratio estimator = %v, want exact region ratio %v", got, want)
 	}
 	if math.Abs(naive.Value()-want) < 1e-3 {
@@ -180,14 +188,13 @@ func TestRatioMeanCoverage(t *testing.T) {
 	const trials, n, trueR = 2000, 15, 2.5
 	covered := 0
 	for trial := 0; trial < trials; trial++ {
-		var r RatioMean
-		for i := 0; i < n; i++ {
+		windows := make([]RatioSample, n)
+		for i := range windows {
 			// Instructions fixed per window, cycles noisy — the shape the
 			// simulator produces. The true ratio of totals is trueR.
-			y := trueR * 100
-			x := 100 * (1 + 0.2*rng.NormFloat64())
-			r.Add(y, x)
+			windows[i] = RatioSample{Y: trueR * 100, X: 100 * (1 + 0.2*rng.NormFloat64())}
 		}
+		r := ratioEstimator(windows...)
 		if math.Abs(r.Value()-trueR) <= r.CI(0.95) {
 			covered++
 		}
@@ -198,25 +205,21 @@ func TestRatioMeanCoverage(t *testing.T) {
 	}
 }
 
-// TestRatioMeanDegenerate: one window and zero variance.
+// TestRatioMeanDegenerate: one window, zero variance and no windows.
 func TestRatioMeanDegenerate(t *testing.T) {
-	var one RatioMean
-	one.Add(30, 20)
+	one := ratioEstimator(RatioSample{30, 20})
 	if one.N() != 1 || one.Value() != 1.5 {
 		t.Errorf("one sample: N=%d Value=%v, want 1, 1.5", one.N(), one.Value())
 	}
 	if hw := one.CI(0.95); hw != 0 {
 		t.Errorf("one sample: CI %v, want 0", hw)
 	}
-	var flat RatioMean
-	for i := 0; i < 5; i++ {
-		flat.Add(40, 20)
-	}
+	w := RatioSample{40, 20}
+	flat := ratioEstimator(w, w, w, w, w)
 	if flat.Value() != 2 || flat.CI(0.95) != 0 {
 		t.Errorf("zero variance: Value=%v CI=%v, want 2, 0", flat.Value(), flat.CI(0.95))
 	}
-	var empty RatioMean
-	if empty.Value() != 0 || empty.CI(0.95) != 0 {
+	if empty := ratioEstimator(); empty.Value() != 0 || empty.CI(0.95) != 0 {
 		t.Errorf("empty estimator must report zeros")
 	}
 }

@@ -43,29 +43,20 @@ func (r Ratio) Value() float64 {
 // Percent returns the ratio scaled to percent.
 func (r Ratio) Percent() float64 { return r.Value() * 100 }
 
-// Merge folds other into r.
-func (r *Ratio) Merge(other Ratio) {
-	r.Num += other.Num
-	r.Den += other.Den
-}
-
 func (r Ratio) String() string {
 	return fmt.Sprintf("%d/%d (%.2f%%)", r.Num, r.Den, r.Percent())
 }
 
-// Mean accumulates a running mean/variance using Welford's algorithm.
+// Mean accumulates a running mean using Welford's update.
 type Mean struct {
 	n    uint64
 	mean float64
-	m2   float64
 }
 
 // Add records one sample.
 func (m *Mean) Add(x float64) {
 	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
+	m.mean += (x - m.mean) / float64(m.n)
 }
 
 // N returns the sample count.
@@ -73,55 +64,6 @@ func (m Mean) N() uint64 { return m.n }
 
 // Value returns the mean.
 func (m Mean) Value() float64 { return m.mean }
-
-// Variance returns the sample variance.
-func (m Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// under a normal approximation (the SimFlex-style error bound the paper
-// quotes: "average error of less than 2% at a 95% confidence level").
-func (m Mean) CI95() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return 1.96 * m.StdDev() / math.Sqrt(float64(m.n))
-}
-
-// CI returns the half-width of the confidence interval of the mean at the
-// given two-sided confidence level (e.g. 0.95), using the Student t
-// quantile for the sample count — the small-n-honest version of CI95 the
-// sampled-simulation subsystem stops on. Fewer than two samples carry no
-// variance information, so the half-width is 0 by convention; callers that
-// gate on "CI tight enough" must also require a minimum sample count.
-func (m Mean) CI(confidence float64) float64 {
-	if m.n < 2 {
-		return 0
-	}
-	t := TQuantile(1-(1-confidence)/2, int(m.n)-1)
-	return t * m.StdDev() / math.Sqrt(float64(m.n))
-}
-
-// RelCI returns CI(confidence) relative to the absolute mean — the
-// "±2% at 95%" form sampling targets are stated in. A zero mean with
-// nonzero spread has no meaningful relative width and reports +Inf.
-func (m Mean) RelCI(confidence float64) float64 {
-	hw := m.CI(confidence)
-	if hw == 0 {
-		return 0
-	}
-	if m.mean == 0 {
-		return math.Inf(1)
-	}
-	return hw / math.Abs(m.mean)
-}
 
 // NormalQuantile returns the standard normal inverse CDF at p (0 < p < 1),
 // via Acklam's rational approximation (relative error below 1.2e-9 —
@@ -195,15 +137,15 @@ type RatioSample struct {
 	Y, X float64
 }
 
-// RatioMean is the survey-sampling ratio estimator: it estimates
-// R = ΣY/ΣX from paired samples, with the classical linearized variance
-// over the residuals Y - R·X. This is the right estimator for a
-// throughput that is itself a ratio of totals: the naive mean of
-// per-window Y/X values weights every window equally regardless of how
-// many cycles it spans, which biases the estimate by several percent as
-// soon as windows differ in length; the ratio estimator reproduces the
-// whole-region value exactly when the windows tile the region, and is
-// consistent (bias O(1/n)) on a systematic sample of it.
+// RatioMean holds one series of the survey-sampling ratio estimator
+// SummedRatios sums: its paired samples and their totals, from which
+// R = ΣY/ΣX. This is the right estimator for a throughput that is itself
+// a ratio of totals: the naive mean of per-window Y/X values weights
+// every window equally regardless of how many cycles it spans, which
+// biases the estimate by several percent as soon as windows differ in
+// length; the ratio estimator reproduces the whole-region value exactly
+// when the windows tile the region, and is consistent (bias O(1/n)) on a
+// systematic sample of it.
 type RatioMean struct {
 	samples []RatioSample
 	sy, sx  float64
@@ -218,46 +160,6 @@ func (r *RatioMean) Add(y, x float64) {
 
 // N returns the sample count.
 func (r *RatioMean) N() int { return len(r.samples) }
-
-// Value returns the ratio estimate ΣY/ΣX.
-func (r *RatioMean) Value() float64 {
-	if r.sx == 0 {
-		return 0
-	}
-	return r.sy / r.sx
-}
-
-// CI returns the half-width of the confidence interval on Value at the
-// given two-sided level: t_{n-1} · s_d / (√n · x̄), where d = Y - R·X.
-// Fewer than two samples carry no variance information (half-width 0).
-func (r *RatioMean) CI(confidence float64) float64 {
-	n := len(r.samples)
-	if n < 2 || r.sx == 0 {
-		return 0
-	}
-	R := r.sy / r.sx
-	var ss float64
-	for _, s := range r.samples {
-		d := s.Y - R*s.X
-		ss += d * d
-	}
-	xbar := r.sx / float64(n)
-	sd := math.Sqrt(ss / float64(n-1))
-	return TQuantile(1-(1-confidence)/2, n-1) * sd / (math.Sqrt(float64(n)) * math.Abs(xbar))
-}
-
-// RelCI returns CI relative to the absolute estimate.
-func (r *RatioMean) RelCI(confidence float64) float64 {
-	hw := r.CI(confidence)
-	if hw == 0 {
-		return 0
-	}
-	v := r.Value()
-	if v == 0 {
-		return math.Inf(1)
-	}
-	return hw / math.Abs(v)
-}
 
 // Samples returns the recorded samples (not a copy).
 func (r *RatioMean) Samples() []RatioSample { return r.samples }

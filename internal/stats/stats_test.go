@@ -27,9 +27,9 @@ func TestRatioAddNMerge(t *testing.T) {
 	var a, b Ratio
 	a.AddN(3, 10)
 	b.AddN(7, 10)
-	a.Merge(b)
+	a.AddN(b.Num, b.Den) // merging one ratio into another
 	if a.Num != 10 || a.Den != 20 {
-		t.Errorf("after Merge: %+v, want 10/20", a)
+		t.Errorf("after merging: %+v, want 10/20", a)
 	}
 	if a.String() == "" {
 		t.Error("String should be non-empty")
@@ -44,22 +44,16 @@ func TestMeanWelford(t *testing.T) {
 	if got := m.Value(); got != 5 {
 		t.Errorf("mean = %v, want 5", got)
 	}
-	if got := m.StdDev(); math.Abs(got-2.138) > 0.01 {
-		t.Errorf("stddev = %v, want ~2.138 (sample)", got)
-	}
 	if m.N() != 8 {
 		t.Errorf("N = %d, want 8", m.N())
-	}
-	if m.CI95() <= 0 {
-		t.Error("CI95 should be positive with varied samples")
 	}
 }
 
 func TestMeanSingleSample(t *testing.T) {
 	var m Mean
 	m.Add(42)
-	if m.Variance() != 0 || m.CI95() != 0 {
-		t.Error("single-sample variance and CI must be 0")
+	if m.N() != 1 || m.Value() != 42 {
+		t.Errorf("single sample: N = %d, mean = %v; want 1, 42", m.N(), m.Value())
 	}
 }
 

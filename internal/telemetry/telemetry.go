@@ -5,22 +5,20 @@
 // crosses them inside the one continuous min-clock-first schedule — no
 // barrier, no replay perturbation — so a run's Result is bit-identical
 // with recording on or off, and the epochs are bit-identical no matter how
-// the run was chunked or segmented. Two schedules arm it: epoch-sliced
-// telemetry (Spec.Bounds, a fixed stride) and sampled simulation
-// (internal/sample, alternating window and gap offsets, whose emit callback
-// ends the run early once its confidence target holds).
+// the run was chunked. Two schedules arm it: epoch-sliced telemetry
+// (Spec.Bounds, a fixed stride) and sampled simulation (internal/sample,
+// alternating window and gap offsets, whose emit callback ends the run
+// early once its confidence target holds).
 //
-// The recorder stores measurement-relative values only (per-core deltas
-// since the warmup boundary; global statistics, which reset at that
-// boundary). That makes every cell segment-invariant: a checkpointed
-// segment worker that crosses a boundary writes exactly the value the
-// serial run would, so merging segment recorders is a sparse union of
-// cells followed by ordinary epoch assembly.
+// A recorder records one serial run from its measurement boundary. It
+// stores measurement-relative values (per-core deltas since the warmup
+// boundary; global statistics, which reset at that boundary), so the
+// boundary itself is the implicit all-zero row every first epoch starts
+// from.
 package telemetry
 
 import (
 	"fmt"
-	"slices"
 
 	"unisoncache/internal/cache"
 	"unisoncache/internal/dram"
@@ -124,28 +122,22 @@ type Epoch struct {
 	L2Accesses, L2Hits uint64
 }
 
-// Recorder accumulates boundary snapshots for one run (or one segment of
-// one). The replay engine drives it: Next tells the clamp-and-park driver
-// where each core must stop, Cross records a core's crossing, Global
-// records the machine-wide row once a boundary completes. Cells are sparse
-// — a segment worker only fills the boundaries its steps cross — and
-// Absorb unions another recorder's cells, so segmented execution merges
-// into the identical timeline the serial run records.
+// Recorder accumulates boundary snapshots for one run. The replay engine
+// drives it: Next tells the clamp-and-park driver where each core must
+// stop, Cross records a core's crossing, Global records the machine-wide
+// row once a boundary completes and emits its epoch.
 type Recorder struct {
 	cores  int
 	bounds []int // ascending per-core event offsets; the last ends the region
 
 	coreRows []CoreRow // [b*cores+c]
-	haveCore []bool
 	globals  []GlobalRow
-	haveGlob []bool
 
 	cursor []int // per core: next boundary index to cross
 	next   []int // per core: bounds[cursor[c]], or maxInt when done
 	left   []int // per boundary: cores yet to cross it
 
-	emit    func(Epoch) bool
-	emitted int
+	emit func(Epoch) bool
 }
 
 const maxInt = int(^uint(0) >> 1)
@@ -154,11 +146,9 @@ const maxInt = int(^uint(0) >> 1)
 // at bounds: per-core measured-event offsets, strictly ascending and
 // positive (the measurement boundary itself is the implicit all-zero row
 // 0). Epoch b spans [bounds[b-1], bounds[b]), so the last offset ends the
-// recorded region. emit, when non-nil, is invoked with each fully
-// assembled epoch the moment its closing boundary completes (serial
-// execution only; segment workers record with emit nil and the merged
-// recorder emits); returning false asks the run to stop right after the
-// step that completed the boundary.
+// recorded region. emit, when non-nil, is invoked with each epoch the
+// moment its closing boundary completes; returning false asks the run to
+// stop right after the step that completed the boundary.
 func NewRecorder(bounds []int, cores int, emit func(Epoch) bool) *Recorder {
 	for i, b := range bounds {
 		if b <= 0 || (i > 0 && b <= bounds[i-1]) {
@@ -172,9 +162,7 @@ func NewRecorder(bounds []int, cores int, emit func(Epoch) bool) *Recorder {
 	r.bounds = bounds
 	n := len(r.bounds)
 	r.coreRows = make([]CoreRow, n*cores)
-	r.haveCore = make([]bool, n*cores)
 	r.globals = make([]GlobalRow, n)
-	r.haveGlob = make([]bool, n)
 	r.cursor = make([]int, cores)
 	r.next = make([]int, cores)
 	r.left = make([]int, n)
@@ -185,49 +173,6 @@ func NewRecorder(bounds []int, cores int, emit func(Epoch) bool) *Recorder {
 		r.left[b] = cores
 	}
 	return r
-}
-
-// Bounds returns the boundary offsets (per-core measured events).
-func (r *Recorder) Bounds() []int { return r.bounds }
-
-// Sync positions the cursors for a (re)entered execution chunk: consumed
-// holds each core's measured events executed so far. Boundaries at or
-// below a core's consumed count were crossed before this chunk — by an
-// earlier chunk on the same recorder (cursor already past them; no-op) or
-// by an earlier segment on a different recorder (skip without recording;
-// that segment's recorder owns those cells). Idempotent, and O(cores)
-// when no cursor moves: the left counts are rebuilt only after a skip,
-// since NewRecorder seeds them and Cross keeps them consistent with the
-// cursors through normal execution. Chunked replay calls Sync at every
-// chunk entry, so the no-skip path must not scan the boundary table.
-func (r *Recorder) Sync(consumed func(c int) int) {
-	if len(r.bounds) == 0 {
-		return
-	}
-	moved := false
-	for c := 0; c < r.cores; c++ {
-		done := consumed(c)
-		for r.cursor[c] < len(r.bounds) && r.bounds[r.cursor[c]] <= done {
-			r.cursor[c]++
-			moved = true
-		}
-		if r.cursor[c] < len(r.bounds) {
-			r.next[c] = r.bounds[r.cursor[c]]
-		} else {
-			r.next[c] = maxInt
-		}
-	}
-	if !moved {
-		return
-	}
-	for b := range r.left {
-		r.left[b] = 0
-	}
-	for c := 0; c < r.cores; c++ {
-		for b := r.cursor[c]; b < len(r.bounds); b++ {
-			r.left[b]++
-		}
-	}
 }
 
 // Next returns the measured-event offset of core c's next uncrossed
@@ -245,7 +190,6 @@ func (r *Recorder) Cross(c, consumed int, instr, cycles uint64) (boundary int, c
 	for r.cursor[c] < len(r.bounds) && r.bounds[r.cursor[c]] <= consumed {
 		b := r.cursor[c]
 		r.coreRows[b*r.cores+c] = CoreRow{Instructions: instr, Cycles: cycles}
-		r.haveCore[b*r.cores+c] = true
 		r.cursor[c]++
 		if r.left[b]--; r.left[b] == 0 {
 			boundary, complete = b, true
@@ -259,71 +203,25 @@ func (r *Recorder) Cross(c, consumed int, instr, cycles uint64) (boundary int, c
 	return boundary, complete
 }
 
-// Global records the machine-wide statistics row for a completed boundary
-// and emits any now-assemblable epochs. Boundaries complete in ascending
-// order (the slowest core crosses b before b+1), so live emission is a
-// simple in-order drain. It reports false — and stops draining — when emit
-// returns false: the observer wants the run to end here.
+// Global records the machine-wide statistics row for completed boundary b
+// and emits epoch b. Boundaries complete in ascending order — every core
+// crosses b before b+1 — so epoch b is always assemblable here. It
+// reports false when emit returns false: the observer wants the run to
+// end here.
 func (r *Recorder) Global(b int, row GlobalRow) bool {
 	r.globals[b] = row
-	r.haveGlob[b] = true
-	if r.emit == nil {
-		return true
-	}
-	for r.emitted < len(r.bounds) && r.haveGlob[r.emitted] && r.rowComplete(r.emitted) {
-		e := r.epoch(r.emitted)
-		r.emitted++
-		if !r.emit(e) {
-			return false
-		}
-	}
-	return true
+	return r.emit == nil || r.emit(r.epoch(b))
 }
 
-func (r *Recorder) rowComplete(b int) bool {
-	for c := 0; c < r.cores; c++ {
-		if !r.haveCore[b*r.cores+c] {
-			return false
-		}
-	}
-	return true
-}
-
-// Absorb unions another recorder's recorded cells into this one. Both must
-// describe the same schedule (boundary offsets and core count). Segment workers each
-// record the boundaries their step ranges cross; absorbing them in any
-// order reconstructs the serial recorder's full cell set, because every
-// cell value is measurement-relative and therefore identical to what the
-// serial run records.
-func (r *Recorder) Absorb(o *Recorder) error {
-	if o.cores != r.cores || !slices.Equal(o.bounds, r.bounds) {
-		return fmt.Errorf("telemetry: absorbing mismatched recorder (%d cores, bounds %v vs %d, %v)",
-			o.cores, o.bounds, r.cores, r.bounds)
-	}
-	for i, have := range o.haveCore {
-		if have {
-			r.coreRows[i] = o.coreRows[i]
-			r.haveCore[i] = true
-		}
-	}
-	for b, have := range o.haveGlob {
-		if have {
-			r.globals[b] = o.globals[b]
-			r.haveGlob[b] = true
-		}
-	}
-	return nil
-}
-
-// Epochs assembles the complete timeline. It fails if any cell was never
-// recorded (a segment merge that missed a boundary). A recorder with no
+// Epochs assembles the complete timeline. It fails if some core never
+// crossed a boundary (a run that stopped early). A recorder with no
 // boundaries yields an empty, non-nil slice, so a Result's empty timeline
 // encodes as [] rather than null.
 func (r *Recorder) Epochs() ([]Epoch, error) {
 	epochs := make([]Epoch, len(r.bounds))
 	for b := range r.bounds {
-		if !r.haveGlob[b] || !r.rowComplete(b) {
-			return nil, fmt.Errorf("telemetry: boundary %d (offset %d) has unrecorded cells", b, r.bounds[b])
+		if r.left[b] != 0 {
+			return nil, fmt.Errorf("telemetry: %d of %d cores never crossed boundary %d (offset %d)", r.left[b], r.cores, b, r.bounds[b])
 		}
 		epochs[b] = r.epoch(b)
 	}

@@ -42,125 +42,67 @@ func TestNewRecorderRejectsUnorderedOffsets(t *testing.T) {
 	}
 }
 
-func TestSyncSkipsCrossedBoundaries(t *testing.T) {
-	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
-	if got := r.Bounds(); !reflect.DeepEqual(got, []int{10, 20, 30}) {
-		t.Fatalf("bounds = %v, want [10 20 30]", got)
-	}
-	// A segment starting mid-run: core 0 already stands on boundary 10
-	// (at or below counts as crossed), core 1 has not reached it.
-	consumed := []int{10, 5}
-	r.Sync(func(c int) int { return consumed[c] })
-	if r.Next(0) != 20 || r.Next(1) != 10 {
-		t.Fatalf("Next = %d, %d after Sync; want 20, 10", r.Next(0), r.Next(1))
-	}
-	for i, have := range r.haveCore {
-		if have {
-			t.Fatalf("Sync recorded cell %d; skipped boundaries belong to another recorder", i)
+// TestCoreRunsAhead: a core two boundaries ahead of the others records its
+// cells as it goes, but no boundary completes until the last core crosses
+// it, and then in ascending order.
+func TestCoreRunsAhead(t *testing.T) {
+	var emitted []Epoch
+	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, func(e Epoch) bool {
+		emitted = append(emitted, e)
+		return true
+	})
+	for _, at := range []int{10, 20} {
+		if _, complete := r.Cross(0, at, uint64(2*at), uint64(3*at)); complete {
+			t.Fatalf("boundary at %d completed with core 1 short of it", at)
 		}
 	}
-	if !reflect.DeepEqual(r.left, []int{1, 2, 2}) {
-		t.Fatalf("left = %v after Sync, want [1 2 2]", r.left)
+	if r.Next(0) != 30 || r.Next(1) != 10 {
+		t.Fatalf("Next = %d, %d; want 30, 10", r.Next(0), r.Next(1))
 	}
-	// Only core 1 still owes boundary 0, so its crossing completes it.
-	if b, complete := r.Cross(1, 10, 1, 1); !complete || b != 0 {
-		t.Fatalf("Cross(1, 10) = %d, %v; want boundary 0 complete", b, complete)
+	for b, at := range []int{10, 20} {
+		got, complete := r.Cross(1, at, uint64(5*at), uint64(7*at))
+		if !complete || got != b {
+			t.Fatalf("Cross(1, %d) = %d, %v; want boundary %d complete", at, got, complete, b)
+		}
+		r.Global(b, row(b))
 	}
-	// Sync is idempotent once the cursors agree with the consumed counts.
-	consumed = []int{10, 10}
-	r.Sync(func(c int) int { return consumed[c] })
-	if r.Next(0) != 20 || r.Next(1) != 20 || !reflect.DeepEqual(r.left, []int{0, 2, 2}) {
-		t.Fatalf("re-Sync moved cursors: Next %d, %d, left %v", r.Next(0), r.Next(1), r.left)
+	if len(emitted) != 2 {
+		t.Fatalf("emitted %d epochs, want 2", len(emitted))
 	}
-	if _, complete := r.Cross(0, 20, 1, 1); complete {
-		t.Fatal("boundary 1 completed with core 1 still short of it")
+	// Core 0's second-epoch share is the delta between its own rows.
+	if got, want := emitted[1].PerCore[0], (CoreRow{Instructions: 20, Cycles: 30}); got != want {
+		t.Errorf("epoch 1 core 0 = %+v, want %+v", got, want)
 	}
-	if b, complete := r.Cross(1, 20, 1, 1); !complete || b != 1 {
-		t.Fatalf("Cross(1, 20) = %d, %v; want boundary 1 complete", b, complete)
+	if got, want := emitted[1].PerCore[1], (CoreRow{Instructions: 50, Cycles: 70}); got != want {
+		t.Errorf("epoch 1 core 1 = %+v, want %+v", got, want)
 	}
 }
 
-func TestAbsorb(t *testing.T) {
-	base := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
-	for _, o := range []*Recorder{
-		NewRecorder(Spec{EpochEvents: 5}.Bounds(30), 2, nil),
-		NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 3, nil),
-		NewRecorder(Spec{EpochEvents: 10}.Bounds(40), 2, nil),
-	} {
-		if err := base.Absorb(o); err == nil {
-			t.Errorf("absorbing %d cores, bounds %v into 2 cores, bounds %v succeeded", o.cores, o.bounds, base.bounds)
-		}
-	}
-
-	serial := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
-	for _, at := range []int{10, 20, 30} {
-		crossAll(serial, at)
-	}
-	want, err := serial.Epochs()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Two segments: the first records boundary 0, the second starts past
-	// it (Sync skips it) and records the rest.
-	first := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
-	crossAll(first, 10)
-	second := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
-	second.Sync(func(int) int { return 15 })
-	crossAll(second, 20)
-	crossAll(second, 30)
-	if _, err := second.Epochs(); err == nil {
-		t.Fatal("a segment missing boundary 0 assembled a full timeline")
-	}
-
-	merged := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, nil)
-	for _, seg := range []*Recorder{second, first} { // order must not matter
-		if err := merged.Absorb(seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := merged.Epochs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("merged timeline differs from serial:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
+// TestGlobalEmitsInOrderOnceComplete: each boundary's epoch is emitted by
+// the Global call of the crossing that completed it, in index order.
 func TestGlobalEmitsInOrderOnceComplete(t *testing.T) {
 	var emitted []int
 	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, func(e Epoch) bool {
 		emitted = append(emitted, e.Index)
 		return true
 	})
-
-	// Boundary 0's row completes, but its global row is withheld.
-	r.Cross(0, 10, 20, 30)
-	r.Cross(1, 10, 30, 40)
-	r.Cross(0, 20, 40, 60)
-	if _, complete := r.Cross(1, 20, 60, 80); !complete {
-		t.Fatal("boundary 1 did not complete")
-	}
-	r.Global(1, row(1))
-	if len(emitted) != 0 {
-		t.Fatalf("emitted %v before boundary 0's global row existed", emitted)
-	}
-	r.Global(0, row(0))
-	if !reflect.DeepEqual(emitted, []int{0, 1}) {
-		t.Fatalf("emitted %v, want [0 1] in index order", emitted)
-	}
-
-	// Boundary 2 has its global row but only one core's cell: no epoch.
-	r.Cross(0, 30, 60, 90)
-	r.Global(2, row(2))
-	if len(emitted) != 2 {
-		t.Fatalf("emitted %v with boundary 2's row incomplete", emitted)
-	}
-	r.Cross(1, 30, 90, 120)
-	r.Global(2, row(2))
-	if !reflect.DeepEqual(emitted, []int{0, 1, 2}) {
-		t.Fatalf("emitted %v, want [0 1 2]", emitted)
+	for b, at := range []int{10, 20, 30} {
+		if _, complete := r.Cross(0, at, uint64(at), uint64(at)); complete {
+			t.Fatalf("boundary %d completed with one core across", b)
+		}
+		got, complete := r.Cross(1, at, uint64(at), uint64(at))
+		if !complete || got != b {
+			t.Fatalf("Cross(1, %d) = %d, %v; want boundary %d complete", at, got, complete, b)
+		}
+		if len(emitted) != b {
+			t.Fatalf("emitted %v before boundary %d's global row", emitted, b)
+		}
+		if !r.Global(b, row(b)) {
+			t.Fatalf("Global(%d) reported a stop", b)
+		}
+		if len(emitted) != b+1 || emitted[b] != b {
+			t.Fatalf("emitted %v after Global(%d), want [0..%d]", emitted, b, b)
+		}
 	}
 }
 
@@ -168,24 +110,21 @@ func TestGlobalStopsWhenEmitDeclines(t *testing.T) {
 	var emitted []int
 	r := NewRecorder([]int{10, 20, 30}, 2, func(e Epoch) bool {
 		emitted = append(emitted, e.Index)
-		return e.Index != 0 // decline after the first epoch
+		return e.Index != 1 // decline the second epoch
 	})
-	for _, at := range []int{10, 20} {
+	for b, at := range []int{10, 20} {
 		r.Cross(0, at, uint64(at), uint64(at))
 		r.Cross(1, at, uint64(at), uint64(at))
+		if goOn := r.Global(b, row(b)); goOn != (b == 0) {
+			t.Fatalf("Global(%d) = %v, want %v", b, goOn, b == 0)
+		}
 	}
-	// Boundary 1 completes first: epoch 0 still lacks its global row, so
-	// nothing drains and the run goes on.
-	if !r.Global(1, row(1)) {
-		t.Fatal("Global reported a stop before any epoch was emitted")
+	if !reflect.DeepEqual(emitted, []int{0, 1}) {
+		t.Fatalf("emitted %v, want [0 1]", emitted)
 	}
-	// Boundary 0's row makes epochs 0 and 1 assemblable; emit declines
-	// epoch 0, so Global reports the stop and epoch 1 stays undrained.
-	if r.Global(0, row(0)) {
-		t.Fatal("Global did not report the declined emit")
-	}
-	if !reflect.DeepEqual(emitted, []int{0}) {
-		t.Fatalf("emitted %v, want [0]: draining must stop at the declined epoch", emitted)
+	// The run stopped at boundary 1: boundary 2 was never crossed.
+	if _, err := r.Epochs(); err == nil {
+		t.Error("Epochs assembled a timeline the run stopped short of")
 	}
 }
 
@@ -211,23 +150,11 @@ func TestEpochsFailsOnMissingCell(t *testing.T) {
 		t.Errorf("epoch sums: %d instructions, %d reads; want %d, %d", instr, reads, 25*2+25*3, row(2).Design.Reads)
 	}
 
-	noGlobal := NewRecorder(Spec{EpochEvents: 10}.Bounds(25), 2, nil)
-	for _, at := range []int{10, 20, 25} {
-		for c := 0; c < 2; c++ {
-			if b, complete := noGlobal.Cross(c, at, 1, 1); complete && b != 1 {
-				noGlobal.Global(b, row(b))
-			}
-		}
-	}
-	if _, err := noGlobal.Epochs(); err == nil {
-		t.Error("Epochs succeeded with boundary 1's global row missing")
-	}
-
+	// Core 1 never crossed boundary 1 (its run ended early).
 	noCore := NewRecorder(Spec{EpochEvents: 10}.Bounds(25), 2, nil)
 	crossAll(noCore, 10)
 	noCore.Cross(0, 20, 1, 1)
-	noCore.Global(1, row(1))
 	if _, err := noCore.Epochs(); err == nil {
-		t.Error("Epochs succeeded with core 1's cells missing")
+		t.Error("Epochs succeeded with core 1 short of boundary 1")
 	}
 }

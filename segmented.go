@@ -7,7 +7,6 @@ import (
 	"unisoncache/internal/checkpoint"
 	"unisoncache/internal/runner"
 	"unisoncache/internal/sim"
-	"unisoncache/internal/telemetry"
 )
 
 // maxSegments bounds Run.Segments. Far beyond any useful parallelism —
@@ -22,15 +21,12 @@ const maxSegments = 1024
 var ckStore = checkpoint.NewStore(512 << 20)
 
 // checkpointPrefix returns the snapshot-store key prefix of a run: the
-// RunKey of the configuration with Segments and Telemetry stripped. Every
-// segment count and a telemetry-observed run of the same underlying
-// configuration replay the same event schedule up to any boundary —
-// telemetry records without perturbing and checkpoints carry no recorder
-// state — so they deliberately share snapshots. Sampled runs never reach
-// the store (they ignore Segments).
+// RunKey of the configuration with Segments stripped. Every segment count
+// of the same configuration replays the same event schedule up to any
+// boundary, so they deliberately share snapshots. Sampled and telemetry
+// runs never reach the store (they ignore Segments).
 func checkpointPrefix(r Run) (string, error) {
 	r.Segments = 0
-	r.Telemetry = TelemetrySpec{}
 	return RunKey(r)
 }
 
@@ -97,7 +93,7 @@ func restoreMachine(r Run, prefix string, offset uint64, blob []byte) (*sim.Mach
 // executions restore every segment's start state concurrently and stitch
 // the segments together with a deterministic fix-up pass. Either way the
 // Results are bit-identical to the serial replay.
-func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
+func executeSegmented(r Run) (Result, error) {
 	prefix, err := checkpointPrefix(r)
 	if err != nil {
 		return Result{}, err
@@ -124,9 +120,9 @@ func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 		blobs[i] = blob
 	}
 	if !have {
-		return segmentedSerialSave(m, rr, prefix, bounds, onEpoch)
+		return segmentedSerialSave(m, rr, prefix, bounds), nil
 	}
-	res, err := segmentedParallel(m, rr, prefix, total, bounds, blobs, onEpoch)
+	res, err := segmentedParallel(m, rr, prefix, total, bounds, blobs)
 	if err != nil {
 		// A snapshot failed to restore (corrupt entry, geometry skew after
 		// a code change): fall back to the serial pass, which also rewrites
@@ -136,7 +132,7 @@ func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 			return Result{}, err
 		}
 		m.BeginRun(rr.AccessesPerCore)
-		return segmentedSerialSave(m, rr, prefix, bounds, onEpoch)
+		return segmentedSerialSave(m, rr, prefix, bounds), nil
 	}
 	return res, nil
 }
@@ -144,37 +140,22 @@ func executeSegmented(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 // segmentedSerialSave replays the run serially on the prepared machine,
 // saving a snapshot at every segment boundary. Snapshot encoding failures
 // are not errors — a source without checkpoint support simply leaves the
-// store unpopulated and every execution serial. With telemetry enabled the
-// one machine records the whole timeline and streams epochs live.
-func segmentedSerialSave(m *sim.Machine, rr Run, prefix string, bounds []uint64, onEpoch func(TimelineEpoch)) (Result, error) {
-	if rr.Telemetry.Enabled() {
-		m.Observe(rr.Telemetry.Bounds, emitFunc(onEpoch))
-	}
+// store unpopulated and every execution serial.
+func segmentedSerialSave(m *sim.Machine, rr Run, prefix string, bounds []uint64) Result {
 	for _, t := range bounds {
 		m.RunTo(t)
 		if blob, err := encodeMachine(m, prefix, t); err == nil {
 			ckStore.Put(prefix, t, blob)
 		}
 	}
-	res := Result{Results: m.FinishRun(), Run: rr}
-	if rr.Telemetry.Enabled() {
-		tl, err := timelineFrom(m.Recorder(), rr.Telemetry)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Timeline = tl
-	}
-	return res, nil
+	return Result{Results: m.FinishRun(), Run: rr}
 }
 
 // segOut is one segment worker's product: interior segments hand back
-// their encoded end state, the last segment the run's Results. With
-// telemetry enabled each segment also carries its recorder — the sparse
-// set of boundary cells its step range crossed — for the merge.
+// their encoded end state, the last segment the run's Results.
 type segOut struct {
 	endBlob []byte
 	res     sim.Results
-	tele    *telemetry.Recorder
 	err     error
 }
 
@@ -183,11 +164,7 @@ type segOut struct {
 // bounds, every later segment on a private machine restored from its
 // boundary snapshot. The last segment completes the run and collects
 // Results — bit-identical to serial because its whole state, statistics
-// counters included, came through the checkpoint chain. Telemetry cells
-// are measurement-relative, so a segment records exactly the values the
-// serial run would for the boundaries its steps cross; the recorder's Sync
-// skips boundaries crossed before the segment (they belong to segments to
-// the left).
+// counters included, came through the checkpoint chain.
 func runSegment(m *sim.Machine, rr Run, prefix string, start []byte, startOff, end uint64, last bool) segOut {
 	if start != nil {
 		restored, _, err := restoreMachine(rr, prefix, startOff, start)
@@ -196,18 +173,15 @@ func runSegment(m *sim.Machine, rr Run, prefix string, start []byte, startOff, e
 		}
 		m = restored
 	}
-	if rr.Telemetry.Enabled() {
-		m.Observe(rr.Telemetry.Bounds, nil)
-	}
 	if last {
-		return segOut{res: m.FinishRun(), tele: m.Recorder()}
+		return segOut{res: m.FinishRun()}
 	}
 	m.RunTo(end)
 	blob, err := encodeMachine(m, prefix, end)
 	if err != nil {
 		return segOut{err: err}
 	}
-	return segOut{endBlob: blob, tele: m.Recorder()}
+	return segOut{endBlob: blob}
 }
 
 // segmentedParallel runs every segment concurrently — segment 0 on the
@@ -218,11 +192,8 @@ func runSegment(m *sim.Machine, rr Run, prefix string, start []byte, startOff, e
 // stale boundary — the authoritative state is written back and the next
 // segment re-runs from it; the cascade proceeds only while mismatches keep
 // propagating. The final segment's Results therefore always descend from
-// an authoritative state chain. Telemetry merges the same way: each
-// segment's recorder holds the cells its (authoritative) step range
-// crossed, a re-run replaces the stale segment's recorder wholesale, and
-// the union assembles the timeline the serial run records, bit for bit.
-func segmentedParallel(m *sim.Machine, rr Run, prefix string, total uint64, bounds []uint64, blobs [][]byte, onEpoch func(TimelineEpoch)) (Result, error) {
+// an authoritative state chain.
+func segmentedParallel(m *sim.Machine, rr Run, prefix string, total uint64, bounds []uint64, blobs [][]byte) (Result, error) {
 	k := len(bounds) + 1
 	endOf := func(i int) uint64 {
 		if i < len(bounds) {
@@ -262,33 +233,5 @@ func segmentedParallel(m *sim.Machine, rr Run, prefix string, total uint64, boun
 			return Result{}, outs[i+1].err
 		}
 	}
-	res := Result{Results: outs[k-1].res, Run: rr}
-	if rr.Telemetry.Enabled() {
-		// Union the segments' sparse cell sets left to right (a segment
-		// that never reached the measurement phase has no recorder).
-		var merged *telemetry.Recorder
-		for _, o := range outs {
-			if o.tele == nil {
-				continue
-			}
-			if merged == nil {
-				merged = o.tele
-				continue
-			}
-			if err := merged.Absorb(o.tele); err != nil {
-				return Result{}, err
-			}
-		}
-		tl, err := timelineFrom(merged, rr.Telemetry)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Timeline = tl
-		if onEpoch != nil {
-			for _, e := range tl.Epochs {
-				onEpoch(e)
-			}
-		}
-	}
-	return res, nil
+	return Result{Results: outs[k-1].res, Run: rr}, nil
 }

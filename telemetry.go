@@ -17,10 +17,10 @@ const DefaultEpochEvents = telemetry.DefaultEpochEvents
 // DefaultEpochEvents) during the measured region, carried on
 // Result.Timeline. Recording is barrier-free (the boundary recorder
 // sampled runs measure their windows with), so the run's measured Results
-// are bit-identical with telemetry on or off, and timelines compose
-// bit-identically with time-parallel execution (Segments) and
-// chunked/checkpointed replay. Telemetry and Sampling are mutually
-// exclusive: epoch slicing needs every event simulated.
+// are bit-identical with telemetry on or off. A telemetry run replays
+// serially whatever its Segments, and never touches the snapshot store.
+// Telemetry and Sampling are mutually exclusive: epoch slicing needs every
+// event simulated.
 //
 // TelemetrySpec is part of the service wire format; its JSON field names
 // are its Go field names and are stable.
@@ -72,11 +72,8 @@ func timelineFrom(rec *telemetry.Recorder, spec telemetry.Spec) (*Timeline, erro
 // ExecuteObserved is Execute with live epoch streaming: when the run has
 // telemetry enabled, onEpoch is invoked with each timeline epoch the
 // moment its closing boundary completes, in order — while the simulation
-// is still running. Serial and serial-with-save executions stream truly
-// live; a time-parallel repeat execution (Segments with all checkpoints
-// present) records per segment and emits the merged timeline in order
-// once segments complete. With telemetry disabled (or onEpoch nil) it
-// behaves exactly like Execute.
+// is still running. With telemetry disabled (or onEpoch nil) it behaves
+// exactly like Execute.
 func ExecuteObserved(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 	return execute(r, onEpoch)
 }

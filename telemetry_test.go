@@ -177,55 +177,58 @@ func TestTelemetryOnOffBitIdentity(t *testing.T) {
 	}
 }
 
-// TestTelemetrySegmentedMatchesSerial: epoch timelines must compose with
-// time-parallel replay — the serial recording, the first segmented
-// execution (serial-with-save), and the repeat (parallel from
-// checkpoints, merged across segment recorders) must all produce the
-// identical timeline. Live observation must stream those same epochs.
+// TestTelemetrySegmentedMatchesSerial: a telemetry run ignores Segments,
+// as a sampled run does. With Segments 4 it replays serially, writes no
+// snapshot, and returns the Segments 0 run's Result, timeline and live
+// epochs — also after a plain Segments 4 run has filled the store.
 func TestTelemetrySegmentedMatchesSerial(t *testing.T) {
 	r := telemetryRun(DesignUnison, "web-search")
-	r.Seed = 777 // private snapshot-store key: the first segmented run below must save serially
-
-	var live []TimelineEpoch
-	serial, err := ExecuteObserved(r, func(e TimelineEpoch) { live = append(live, e) })
-	if err != nil {
-		t.Fatal(err)
+	observe := func(r Run) (Result, []TimelineEpoch) {
+		t.Helper()
+		var live []TimelineEpoch
+		res, err := ExecuteObserved(r, func(e TimelineEpoch) { live = append(live, e) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, live
 	}
+	serial, serialLive := observe(r)
 	if serial.Timeline == nil || len(serial.Timeline.Epochs) == 0 {
 		t.Fatal("serial run recorded no timeline")
 	}
-	if !reflect.DeepEqual(live, serial.Timeline.Epochs) {
+	if !reflect.DeepEqual(serialLive, serial.Timeline.Epochs) {
 		t.Error("live-streamed epochs differ from the assembled timeline")
 	}
 
-	r.Segments = 4
-	saved, err := Execute(r) // no snapshots yet: serial-with-save
-	if err != nil {
+	seg := r
+	seg.Segments = 4
+	check := func(store string) {
+		t.Helper()
+		got, live := observe(seg)
+		if got.Run.Segments != 4 {
+			t.Errorf("%s store: echoed Segments = %d, want 4", store, got.Run.Segments)
+		}
+		if g, w := resultJSON(t, got), resultJSON(t, serial); g != w {
+			t.Errorf("%s store: Segments changed a telemetry run\nSegments 4: %s\nSegments 0: %s", store, g, w)
+		}
+		if !reflect.DeepEqual(live, serialLive) {
+			t.Errorf("%s store: Segments changed the live epochs", store)
+		}
+	}
+	ckStore.Reset()
+	check("cold")
+	if n := ckStore.Len(); n != 0 {
+		t.Errorf("a telemetry run with Segments 4 wrote %d snapshots, want 0", n)
+	}
+	plain := seg
+	plain.Telemetry = TelemetrySpec{}
+	if _, err := Execute(plain); err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Execute(r) // snapshots present: parallel + merge
-	if err != nil {
-		t.Fatal(err)
+	if ckStore.Len() == 0 {
+		t.Fatal("the plain Segments 4 run wrote no snapshots")
 	}
-	want := timelineJSON(t, serial.Timeline)
-	if got := timelineJSON(t, saved.Timeline); got != want {
-		t.Errorf("serial-with-save timeline diverged:\n%s\nwant:\n%s", got, want)
-	}
-	if got := timelineJSON(t, parallel.Timeline); got != want {
-		t.Errorf("parallel merged timeline diverged:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func timelineJSON(t *testing.T, tl *Timeline) string {
-	t.Helper()
-	if tl == nil {
-		t.Fatal("nil timeline")
-	}
-	b, err := json.MarshalIndent(tl, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	check("warm")
 }
 
 // TestTelemetryValidation pins the spec's error surface: sampling and

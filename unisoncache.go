@@ -32,6 +32,7 @@ import (
 	"unisoncache/internal/dramcache"
 	"unisoncache/internal/mem"
 	"unisoncache/internal/sim"
+	"unisoncache/internal/trace"
 )
 
 // DesignKind selects the DRAM cache organization under test.
@@ -84,7 +85,8 @@ type Run struct {
 	AccessesPerCore int `json:"AccessesPerCore"`
 	// Seed makes runs reproducible (default 1).
 	Seed uint64 `json:"Seed"`
-	// Cores overrides the 16-core default.
+	// Cores overrides the 16-core default (at most 4096, the most a
+	// capture can hold).
 	Cores int `json:"Cores"`
 	// ScaleDivisor applies the proportional-scaling methodology: the
 	// simulated cache capacity and the workload working set are both
@@ -128,17 +130,17 @@ type Run struct {
 	// the first execution of a configuration simulates serially while
 	// writing the segment checkpoints, and repeat executions (the sweep
 	// refinement pattern, result-cache misses on design variants) run all
-	// segments concurrently. 0 and 1 both mean serial. A sampled run
-	// (Sampling set) ignores Segments: it replays its own warmup and
-	// returns the same Result it would with Segments 0.
+	// segments concurrently. 0 and 1 both mean serial. Sampled and
+	// telemetry runs (Sampling or Telemetry set) ignore Segments: they
+	// replay serially and return the same Result they would with
+	// Segments 0.
 	Segments int `json:"Segments"`
 
 	// Telemetry, when non-zero, records an epoch-sliced counter timeline
 	// over the measured region (Result.Timeline): per-core and per-design
 	// statistic deltas every EpochEvents retired events per core.
 	// Recording is barrier-free, so the measured Results are bit-identical
-	// with telemetry on or off, and it composes with Segments. Mutually
-	// exclusive with Sampling.
+	// with telemetry on or off. Mutually exclusive with Sampling.
 	Telemetry TelemetrySpec `json:"Telemetry,omitzero"`
 
 	// UnisonWays overrides Unison Cache's 4-way associativity (Figure 5
@@ -225,8 +227,8 @@ func (r Result) MissRatioPct() float64 { return r.Design.MissRatioPct() }
 // Execute runs one simulation to completion. The event streams come from
 // the workload's synthetic generator, or — when Run.TracePath is set — from
 // a .utrace capture, which reproduces the recorded run bit-identically.
-// With Run.Segments >= 2 the replay executes time-parallel (see Segments);
-// the Results are bit-identical either way.
+// With Run.Segments >= 2 a plain replay executes time-parallel (see
+// Segments); the Results are bit-identical either way.
 func Execute(r Run) (Result, error) {
 	return execute(r, nil)
 }
@@ -237,6 +239,15 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 	r = r.withDefaults()
 	if r.ScaleDivisor < 1 {
 		return Result{}, fmt.Errorf("unisoncache: ScaleDivisor must be >= 1, got %d", r.ScaleDivisor)
+	}
+	if r.AccessesPerCore < 0 {
+		return Result{}, fmt.Errorf("unisoncache: AccessesPerCore must be >= 0, got %d", r.AccessesPerCore)
+	}
+	// The bound a capture header allows: a request cannot make the
+	// machine allocate per-core caches and streams beyond what a replay
+	// of the same run could.
+	if r.Cores > trace.FileMaxCores {
+		return Result{}, fmt.Errorf("unisoncache: Cores must be <= %d, got %d", trace.FileMaxCores, r.Cores)
 	}
 	if r.Segments < 0 || r.Segments > maxSegments {
 		return Result{}, fmt.Errorf("unisoncache: Segments must be in [0, %d], got %d", maxSegments, r.Segments)
@@ -256,8 +267,8 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 		}
 		return executeSampled(machine, r)
 	}
-	if r.Segments > 1 {
-		return executeSegmented(r, onEpoch)
+	if r.Segments > 1 && !r.Telemetry.Enabled() {
+		return executeSegmented(r)
 	}
 	machine, r, err := newMachine(r)
 	if err != nil {

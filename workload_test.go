@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	uc "unisoncache"
@@ -206,6 +207,45 @@ func TestReplayRejectsHeaderMismatch(t *testing.T) {
 	prefix.AccessesPerCore = 1_000
 	if _, err := uc.Execute(prefix); err != nil {
 		t.Errorf("prefix replay rejected: %v", err)
+	}
+}
+
+// TestExecuteRejectsRunSizes: a negative AccessesPerCore, or more cores
+// than a capture header may hold, fails at Execute with an error naming
+// the field — live and replayed, plain, with telemetry and segmented.
+func TestExecuteRejectsRunSizes(t *testing.T) {
+	live := uc.Run{Workload: "web-search", Design: uc.DesignUnison, Capacity: 128 << 20,
+		Cores: 2, Seed: 9, AccessesPerCore: 2_000}
+	var buf bytes.Buffer
+	if err := uc.RecordTrace(live, &buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.utrace")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replay := uc.Run{Design: uc.DesignUnison, Capacity: 128 << 20, TracePath: path}
+
+	modes := map[string]func(*uc.Run){
+		"plain":     func(*uc.Run) {},
+		"telemetry": func(r *uc.Run) { r.Telemetry = uc.DefaultTelemetrySpec() },
+		"segmented": func(r *uc.Run) { r.Segments = 2 },
+	}
+	sizes := map[string]func(*uc.Run){
+		"AccessesPerCore": func(r *uc.Run) { r.AccessesPerCore = -5 },
+		"Cores":           func(r *uc.Run) { r.Cores = 5000 },
+	}
+	for source, base := range map[string]uc.Run{"live": live, "replay": replay} {
+		for mode, setMode := range modes {
+			for field, setSize := range sizes {
+				r := base
+				setMode(&r)
+				setSize(&r)
+				if _, err := uc.Execute(r); err == nil || !strings.Contains(err.Error(), field) {
+					t.Errorf("%s %s run with a bad %s: err = %v, want an error naming it", source, mode, field, err)
+				}
+			}
+		}
 	}
 }
 
