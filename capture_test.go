@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"unisoncache/internal/mem"
+	"unisoncache/internal/sim"
 	"unisoncache/internal/trace"
 )
 
@@ -54,7 +55,7 @@ func replayJSON(t *testing.T, r Run) string {
 func forgetCapture() {
 	captures.mu.Lock()
 	defer captures.mu.Unlock()
-	captures.path, captures.c = "", nil
+	captures.path, captures.c, captures.l1 = "", nil, nil
 }
 
 // memoHolds reports whether the memo holds a capture read from path.
@@ -159,9 +160,10 @@ func TestCaptureMemoSecondPath(t *testing.T) {
 	}
 }
 
-// TestCaptureMemoConcurrentReplays shares one capture between concurrent
-// loads — a Segments: 2 repeat's segment workers and ExecuteMany's pool at
-// Jobs: 4 — and requires every Result to equal its serial replay.
+// TestCaptureMemoConcurrentReplays shares one capture between a
+// Segments: 2 repeat's concurrent segment workers and requires both passes
+// to equal the serial replay. TestCaptureMemoOutcomesConcurrent covers
+// ExecuteMany's pool.
 func TestCaptureMemoConcurrentReplays(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ws.utrace")
 	f, err := os.Create(path)
@@ -174,39 +176,159 @@ func TestCaptureMemoConcurrentReplays(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var runs []Run
-	var want []string
-	for _, d := range []DesignKind{DesignUnison, DesignAlloy, DesignFootprint, DesignNone} {
-		r := Run{TracePath: path, Design: d, Capacity: memoCapacity}
-		runs = append(runs, r)
-		want = append(want, replayJSON(t, r))
-	}
-
+	seg := Run{TracePath: path, Design: DesignUnison, Capacity: memoCapacity}
+	want := replayJSON(t, seg)
 	ckStore.Reset()
-	seg := runs[0]
 	seg.Segments = 2
 	for _, pass := range []string{"serial-with-save", "repeat"} {
-		if got := replayJSON(t, seg); got != want[0] {
+		if got := replayJSON(t, seg); got != want {
 			t.Errorf("Segments: 2 %s diverged from the serial replay", pass)
 		}
 	}
+}
 
-	forgetCapture() // the pool's first loads race to verify the capture
+// TestCaptureMemoOutcomesConcurrent: concurrent replays of one capture
+// share its bytes and its L1 outcome streams. ExecuteMany at Jobs: 4 over
+// every design, plain and with telemetry, starts from an empty memo, so
+// the pool's first loads race to verify the capture and build the
+// streams, and every Result must equal its serial replay.
+func TestCaptureMemoOutcomesConcurrent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ws.utrace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RecordTrace(Run{Workload: "web-serving", Capacity: memoCapacity, Cores: 2, AccessesPerCore: 4_000, Seed: 6}, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var runs []Run
+	var want []string
+	for _, d := range Designs() {
+		for _, tele := range []TelemetrySpec{{}, {EpochEvents: 500}} {
+			r := Run{TracePath: path, Design: d, Capacity: memoCapacity, Telemetry: tele}
+			runs = append(runs, r)
+			want = append(want, replayJSON(t, r))
+		}
+	}
+	forgetCapture()
 	res, err := ExecuteMany(Plan{Points: runs, Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res {
 		if got := resultJSON(t, r); got != want[i] {
-			t.Errorf("%s: ExecuteMany at Jobs: 4 diverged from the serial replay", runs[i].Design)
+			t.Errorf("%s (telemetry %v): ExecuteMany at Jobs: 4 diverged from the serial replay", runs[i].Design, runs[i].Telemetry.Enabled())
+		}
+	}
+}
+
+// TestCaptureMemoShortOutcomesRejected: a replay's machine runs on the L1
+// outcome streams in the memo and refuses streams shorter than its run.
+// Streams built from a 1000-event prefix of the capture, put beside its
+// bytes, fail a 20k-event replay with an error, and a 1000-event replay
+// still runs on them.
+func TestCaptureMemoShortOutcomesRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stride.utrace")
+	writeStrideCapture(t, path, 2)
+	r := Run{TracePath: path, Design: DesignUnison, Capacity: memoCapacity}
+	replayJSON(t, r)
+
+	var short bytes.Buffer
+	h := trace.FileHeader{Profile: "stride", Seed: 1, ScaleDivisor: AutoScaleDivisor(memoCapacity), Cores: 2, EventsPerCore: 1_000}
+	if err := trace.WriteTrace(&short, h, []trace.Source{&strideSource{k: 2}, &strideSource{k: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sim.NewL1OutcomeBuilder(sim.Default().L1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.ReadCapture(&short, b); err != nil {
+		t.Fatal(err)
+	}
+	captures.mu.Lock()
+	captures.l1 = b.Outcomes()
+	captures.mu.Unlock()
+	defer forgetCapture()
+	if !memoHolds(path) {
+		t.Fatal("the memo lost the capture")
+	}
+	if _, err := Execute(r); err == nil || !strings.Contains(err.Error(), "run needs 20000") {
+		t.Errorf("replay on short outcome streams returned %v, want a rejection", err)
+	}
+	prefix := r
+	prefix.AccessesPerCore = 1_000
+	got := replayJSON(t, prefix)
+	forgetCapture()
+	if want := replayJSON(t, prefix); got != want {
+		t.Error("a prefix replay on the prefix's own outcome streams diverged")
+	}
+}
+
+// TestReplayMatchesLiveEveryMode extends TestRecordReplayBitIdentical to
+// every design and mode: a replay of a capture — plain, sampled with an
+// early stop, with telemetry, both Segments: 2 passes, and a prefix of the
+// capture — returns the Result, timeline included, byte for byte, of the
+// live run of the same Run, whose machine simulates its L1s.
+func TestReplayMatchesLiveEveryMode(t *testing.T) {
+	rec := Run{Workload: "web-serving", Capacity: 256 << 20, Cores: 4, Seed: 3, AccessesPerCore: 30_000}
+	path := filepath.Join(t.TempDir(), "modes.utrace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RecordTrace(rec, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	modes := []struct {
+		name   string
+		set    func(*Run)
+		passes []string
+	}{
+		{"plain", func(*Run) {}, []string{""}},
+		{"sampled", func(r *Run) {
+			r.Sampling = SampleSpec{IntervalEvents: 500, GapEvents: 1500, MinIntervals: 4, TargetRelCI: 0.5}
+		}, []string{""}},
+		{"telemetry", func(r *Run) { r.Telemetry = TelemetrySpec{EpochEvents: 1_000} }, []string{""}},
+		{"segments", func(r *Run) { r.Segments = 2 }, []string{"serial-with-save ", "repeat "}},
+		{"prefix", func(r *Run) { r.AccessesPerCore = 20_000 }, []string{""}},
+	}
+	ckStore.Reset()
+	for _, d := range Designs() {
+		for _, m := range modes {
+			live := rec
+			live.Design = d
+			m.set(&live)
+			replay := live
+			replay.TracePath = path
+			for _, pass := range m.passes {
+				want := replayJSON(t, live)
+				res, err := Execute(replay)
+				if err != nil {
+					t.Fatalf("%s %s%s replay: %v", d, pass, m.name, err)
+				}
+				res.Run.TracePath = ""
+				if got := resultJSON(t, res); got != want {
+					t.Errorf("%s %s%s replay diverged from the live run\nwant: %s\n got: %s", d, pass, m.name, want, got)
+				}
+				if m.name == "sampled" && !res.CI.Converged {
+					t.Errorf("%s sampled replay did not stop early", d)
+				}
+			}
 		}
 	}
 }
 
 // BenchmarkCaptureLoad times one load of observed-replay's capture shape
-// (web-serving at 1 GB, 16 cores × 200k events): cold reads and verifies
-// the file with ReadTrace, warm is a memo hit, an open and a chunked
-// compare.
+// (web-serving at 1 GB, 16 cores × 200k events): cold empties the memo and
+// loads through it, which reads and verifies the file and builds the L1
+// outcome streams, what a first replay pays; warm is a memo hit, an open
+// and a chunked compare. Both report the outcome streams' size.
 func BenchmarkCaptureLoad(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "load.utrace")
 	f, err := os.Create(path)
@@ -219,32 +341,30 @@ func BenchmarkCaptureLoad(b *testing.B) {
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	perLoad := func(b *testing.B) {
+	var l1 *sim.L1Outcomes
+	load := func(b *testing.B) {
+		var err error
+		if _, l1, err = captures.load(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	report := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/load")
+		b.ReportMetric(float64(l1.SizeBytes()), "outcome-bytes")
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f, err := os.Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := trace.ReadTrace(f); err != nil {
-				b.Fatal(err)
-			}
-			f.Close()
+			forgetCapture()
+			load(b)
 		}
-		perLoad(b)
+		report(b)
 	})
 	b.Run("warm", func(b *testing.B) {
-		if _, err := captures.load(path); err != nil {
-			b.Fatal(err)
-		}
+		load(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := captures.load(path); err != nil {
-				b.Fatal(err)
-			}
+			load(b)
 		}
-		perLoad(b)
+		report(b)
 	})
 }

@@ -36,8 +36,9 @@ type FootprintStats struct {
 
 // FootprintPredictor is the SRAM footprint history table: entries tagged by
 // a hash of the triggering (PC, offset) pair, each holding the last
-// observed footprint for that trigger. 4096 entries ≈ 144 KB per Table II
-// (36 B of tag+footprint+metadata per entry).
+// observed footprint for that trigger. FootprintEntries (16384) entries ≈
+// 144 KB per Table II, at the 9 B of tag, valid bit and footprint per entry
+// that SizeBytes counts.
 type FootprintPredictor struct {
 	entries []fpEntry
 	mask    uint64

@@ -87,10 +87,9 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		},
 	}
 	const (
-		cores  = 4
-		warm   = 20_000 // per core: warms caches, visit buffers and predictor tables
-		chunk  = 5_000  // per core per timed advance
-		chunks = 11     // AllocsPerRun's untimed warm-up call plus 10 runs
+		cores = 4
+		warm  = 20_000 // per core: warms caches, visit buffers and predictor tables
+		chunk = 5_000  // per core per timed advance
 	)
 	for name, build := range designs {
 		t.Run(name, func(t *testing.T) {
@@ -118,19 +117,29 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.BeginPhases(warm, chunks*chunk)
-			m.RunTo(m.WarmSteps()) // cross the boundary
-			target := m.WarmSteps()
-			if allocs := testing.AllocsPerRun(10, func() {
-				target += chunk * cores
-				m.RunTo(target)
-			}); allocs != 0 {
-				t.Errorf("steady-state replay allocates %v times per %d-event chunk, want 0", allocs, chunk)
-			}
-			if target != m.TotalSteps() {
-				t.Fatalf("advanced to step %d of %d: the chunks did not cover the measured phase", target, m.TotalSteps())
-			}
+			checkSteadyAllocs(t, m, warm, chunk)
 		})
+	}
+}
+
+// checkSteadyAllocs runs warm events per core, crosses the measurement
+// boundary, then advances the measured phase in chunk-event steps per core
+// and fails if any step allocates.
+func checkSteadyAllocs(t *testing.T, m *Machine, warm, chunk int) {
+	t.Helper()
+	const chunks = 11 // AllocsPerRun's untimed warm-up call plus 10 runs
+	cores := uint64(len(m.cores))
+	m.BeginPhases(warm, chunks*chunk)
+	m.RunTo(m.WarmSteps()) // cross the boundary
+	target := m.WarmSteps()
+	if allocs := testing.AllocsPerRun(10, func() {
+		target += uint64(chunk) * cores
+		m.RunTo(target)
+	}); allocs != 0 {
+		t.Errorf("steady-state replay allocates %v times per %d-event chunk, want 0", allocs, chunk)
+	}
+	if target != m.TotalSteps() {
+		t.Fatalf("advanced to step %d of %d: the chunks did not cover the measured phase", target, m.TotalSteps())
 	}
 }
 

@@ -26,7 +26,6 @@ func (m *Machine) SaveState(w *checkpoint.Writer) {
 		c := &m.cores[i]
 		w.U64(c.clock)
 		w.U64(c.instr)
-		w.U64(c.stall)
 		w.U64(c.latSum)
 		w.U64(c.latN)
 		w.U64(c.clock0)
@@ -57,6 +56,27 @@ func (m *Machine) SaveState(w *checkpoint.Writer) {
 	m.offchip.SaveState(w)
 }
 
+// restoreL1Cursor derives an outcome-driven core's stream cursors from the
+// restored run cursor and the core's remaining budget: the core has
+// executed its whole warmup less rem events in phase 1, and every event
+// but rem in the measurement phase, since it replays one run from the
+// start of its stream.
+func (c *coreState) restoreL1Cursor(run runState, rem int) error {
+	ev, ev0 := 0, 0
+	switch {
+	case run.phase == 1:
+		ev = run.warm - rem
+	case run.phase >= 2:
+		ev, ev0 = run.accesses-rem, run.warm
+	}
+	if ev < 0 || ev > c.out.events || ev0 > ev {
+		return fmt.Errorf("snapshot places the L1 outcome cursor at event %d (measured from %d) of %d", ev, ev0, c.out.events)
+	}
+	c.ev, c.ev0 = ev, ev0
+	c.vic = countBits(c.out.wb, 0, ev)
+	return nil
+}
+
 // LoadState restores state saved by SaveState into a machine constructed
 // with the same configuration, sources, design and DRAM parts. On error
 // the machine may hold a partial restore and must be discarded — callers
@@ -82,7 +102,6 @@ func (m *Machine) LoadState(r *checkpoint.Reader) error {
 		c := &m.cores[i]
 		c.clock = r.U64()
 		c.instr = r.U64()
-		c.stall = r.U64()
 		c.latSum = r.U64()
 		c.latN = r.U64()
 		c.clock0 = r.U64()
@@ -118,6 +137,11 @@ func (m *Machine) LoadState(r *checkpoint.Reader) error {
 		}
 		if err := c.l1.LoadState(r); err != nil {
 			return err
+		}
+		if c.out != nil {
+			if err := c.restoreL1Cursor(m.run, m.remaining[i]); err != nil {
+				return fmt.Errorf("sim: core %d: %w", i, err)
+			}
 		}
 	}
 	if err := m.l2.LoadState(r); err != nil {

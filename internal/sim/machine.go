@@ -5,7 +5,9 @@
 // shared L2; L2 misses go to the DRAM cache design under test, which in turn uses
 // the shared stacked and off-chip DRAM timing models. Contention emerges
 // from the shared DRAM bank/bus reservations; cores are advanced
-// minimum-clock-first so their clocks stay interleaved.
+// minimum-clock-first so their clocks stay interleaved. A replay of a
+// recorded capture may take each core's L1 outcomes from streams built
+// once per capture (UseL1Outcomes) instead of looking them up.
 //
 // The core model: one instruction per cycle while not stalled; a load that
 // misses the L1 stalls the core for the portion of its latency an
@@ -130,11 +132,17 @@ const eventBatch = 256
 type coreState struct {
 	clock  uint64
 	instr  uint64
-	stall  uint64
 	latSum uint64
 	latN   uint64
 	l1     *cache.Cache
 	src    trace.Batcher
+
+	// out, when set (UseL1Outcomes), supplies the core's L1 outcomes in
+	// place of l1, which then stays untouched: ev is the index of the
+	// core's next event in it and vic of its next dirty victim.
+	out *l1Stream
+	ev  int
+	vic int
 
 	// buf is the reusable prefetch slab: buf[pos:n] holds events pulled
 	// from src but not yet executed. Unconsumed events survive the
@@ -144,8 +152,10 @@ type coreState struct {
 	pos int
 	n   int
 
-	// Measurement checkpoint (set when warmup ends).
+	// Measurement checkpoint (set when warmup ends); ev0 is an
+	// outcome-driven core's first measured event.
 	clock0, instr0 uint64
+	ev0            int
 }
 
 // nextEvent returns the core's next event, refilling the prefetch slab
@@ -541,7 +551,18 @@ func (m *Machine) step(i, budget int) {
 	c.instr += uint64(ev.Gap) + 1
 
 	block := ev.Addr.Block()
-	if r := c.l1.Access(block, ev.Write); r.Hit {
+	if o := c.out; o != nil {
+		k := c.ev
+		c.ev++
+		bit := uint64(1) << (k & 63)
+		if o.hit[k>>6]&bit != 0 {
+			return // L1 hits are pipelined away.
+		}
+		if o.wb[k>>6]&bit != 0 {
+			m.l2Write(o.victims[c.vic], c.clock, i)
+			c.vic++
+		}
+	} else if r := c.l1.Access(block, ev.Write); r.Hit {
 		return // L1 hits are pipelined away.
 	} else if r.Writeback {
 		m.l2Write(r.WritebackBlock, c.clock, i)
@@ -573,11 +594,8 @@ func (m *Machine) step(i, budget int) {
 	if ev.Write {
 		return // Stores retire through the write buffer.
 	}
-	lat := doneAt - c.clock
-	if lat > m.cfg.HideCycles {
-		stall := lat - m.cfg.HideCycles
-		c.clock += stall
-		c.stall += stall
+	if lat := doneAt - c.clock; lat > m.cfg.HideCycles {
+		c.clock += lat - m.cfg.HideCycles
 	}
 }
 
@@ -613,9 +631,22 @@ func (m *Machine) resetForMeasurement() {
 		c.l1.ResetStats()
 		c.clock0 = c.clock
 		c.instr0 = c.instr
-		c.stall = 0
+		c.ev0 = c.ev
 		c.latSum, c.latN = 0, 0
 	}
+}
+
+// l1HitRate returns the core's L1 hit ratio since the measurement boundary
+// (since construction before it). An outcome-driven core counts its hits
+// in its stream, since its L1 never sees an access.
+func (c *coreState) l1HitRate() float64 {
+	if c.out == nil {
+		return c.l1.Stats().HitRate()
+	}
+	return cache.Stats{
+		Accesses: uint64(c.ev - c.ev0),
+		Hits:     uint64(countBits(c.out.hit, c.ev0, c.ev)),
+	}.HitRate()
 }
 
 // collect assembles the measured-interval results.
@@ -634,7 +665,7 @@ func (m *Machine) collect() Results {
 		if cycles > 0 {
 			res.UIPC += float64(instr) / float64(cycles)
 		}
-		l1Hit += c.l1.Stats().HitRate()
+		l1Hit += c.l1HitRate()
 	}
 	var latSum, latN uint64
 	for i := range m.cores {

@@ -105,7 +105,7 @@ func (s *ReplaySource) LoadState(r *checkpoint.Reader) error {
 		prevBlock: prevBlock,
 		prevPC:    prevPC,
 	}
-	if err := restored.verify(); err != nil {
+	if err := restored.verify(nil); err != nil {
 		return fmt.Errorf("trace: snapshot replay cursor does not decode: %w", err)
 	}
 	*s = restored

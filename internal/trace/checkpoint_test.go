@@ -68,7 +68,7 @@ func TestReplaySourceLoadState(t *testing.T) {
 	for i := 1; i < events; i++ {
 		section = append(section, 0x00, 0x02, 0x00)
 	}
-	if err := (&ReplaySource{data: section, remaining: events}).verify(); err != nil {
+	if err := (&ReplaySource{data: section, remaining: events}).verify(nil); err != nil {
 		t.Fatal(err)
 	}
 	bad := []struct {

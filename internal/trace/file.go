@@ -7,6 +7,9 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"unisoncache/internal/mem"
 )
@@ -138,7 +141,7 @@ func WriteTrace(w io.Writer, h FileHeader, sources []Source) error {
 // exactly the header's event count — so the returned sources cannot fail
 // mid-replay.
 func ReadTrace(r io.Reader) (FileHeader, []*ReplaySource, error) {
-	c, err := ReadCapture(r)
+	c, err := ReadCapture(r, nil)
 	if err != nil {
 		return FileHeader{}, nil, err
 	}
@@ -155,19 +158,32 @@ type Capture struct {
 	sections [][]byte
 }
 
+// A Visitor sees a capture's events as ReadCapture verifies them, in the
+// one pass that decodes them.
+type Visitor interface {
+	// Begin receives the validated header before any event.
+	Begin(h FileHeader)
+	// Events receives core's next decoded events. Each core's events
+	// arrive in order; different cores' may arrive concurrently. evs is
+	// reused once Events returns.
+	Events(core int, evs []Event)
+}
+
 // ReadCapture reads r to EOF, then parses and verifies the capture as
-// ReadTrace does.
-func ReadCapture(r io.Reader) (*Capture, error) {
+// ReadTrace does, handing every decoded event to v when it is non-nil. A
+// capture that fails verification may already have shown v some of its
+// events.
+func ReadCapture(r io.Reader, v Visitor) (*Capture, error) {
 	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading capture: %w", err)
 	}
-	return parseCapture(data)
+	return parseCapture(data, v)
 }
 
-// parseCapture parses the header of data and verifies every section. The
-// Capture keeps data.
-func parseCapture(data []byte) (*Capture, error) {
+// parseCapture parses the header of data and verifies every section,
+// showing a non-nil v the events. The Capture keeps data.
+func parseCapture(data []byte, v Visitor) (*Capture, error) {
 	buf := bytes.NewBuffer(data)
 	if len(data) < len(fileMagic) || string(buf.Next(len(fileMagic))) != fileMagic {
 		return nil, fmt.Errorf("trace: not a .utrace capture (bad magic)")
@@ -200,21 +216,61 @@ func parseCapture(data []byte) (*Capture, error) {
 		return nil, err
 	}
 	sections := make([][]byte, h.Cores)
+	var truncated error
 	for c := range sections {
 		secLen, err := binary.ReadUvarint(buf)
 		if err != nil || secLen > uint64(buf.Len()) {
-			return nil, fmt.Errorf("trace: truncated section for core %d", c)
+			truncated = fmt.Errorf("trace: truncated section for core %d", c)
+			sections = sections[:c]
+			break
 		}
 		sections[c] = buf.Next(int(secLen))
-		rs := ReplaySource{data: sections[c], remaining: h.EventsPerCore}
-		if err := rs.verify(); err != nil {
-			return nil, fmt.Errorf("trace: core %d: %w", c, err)
-		}
+	}
+	if v != nil {
+		v.Begin(h)
+	}
+	// Sections are checked in core order: a core's verification error
+	// outranks a later core's and a truncation found after it.
+	if err := verifySections(sections, h.EventsPerCore, v); err != nil {
+		return nil, err
+	}
+	if truncated != nil {
+		return nil, truncated
 	}
 	if buf.Len() != 0 {
 		return nil, fmt.Errorf("trace: %d trailing bytes after last section", buf.Len())
 	}
 	return &Capture{header: h, data: data, sections: sections}, nil
+}
+
+// verifySections verifies every section, each holding events events, on
+// up to one goroutine per CPU, and returns the error of the lowest core
+// that fails.
+func verifySections(sections [][]byte, events int, v Visitor) error {
+	errs := make([]error, len(sections))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(sections)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := int(next.Add(1) - 1); c < len(sections); c = int(next.Add(1) - 1) {
+				var visit func([]Event)
+				if v != nil {
+					visit = func(evs []Event) { v.Events(c, evs) }
+				}
+				rs := ReplaySource{data: sections[c], remaining: events}
+				errs[c] = rs.verify(visit)
+			}
+		}()
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			return fmt.Errorf("trace: core %d: %w", c, err)
+		}
+	}
+	return nil
 }
 
 // Header returns the capture's header.
@@ -370,13 +426,18 @@ func (s *ReplaySource) decode(dst []Event) error {
 }
 
 // verify decodes the whole section on a scratch copy: exactly `remaining`
-// events consuming exactly the section's bytes.
-func (s *ReplaySource) verify() error {
+// events consuming exactly the section's bytes. A non-nil visit receives
+// each decoded batch in order.
+func (s *ReplaySource) verify(visit func([]Event)) error {
 	t := *s
 	var slab [256]Event
 	for t.remaining > 0 {
-		if err := t.decode(slab[:min(len(slab), t.remaining)]); err != nil {
+		batch := slab[:min(len(slab), t.remaining)]
+		if err := t.decode(batch); err != nil {
 			return err
+		}
+		if visit != nil {
+			visit(batch)
 		}
 	}
 	if t.pos != len(t.data) {

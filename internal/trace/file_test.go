@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -123,6 +124,44 @@ func TestReadTraceRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestReadTraceReportsLowestBadCore: sections verify concurrently, yet a
+// capture with several faults fails with the error a pass in core order
+// meets first — a core's decode error before a later core's, and before a
+// truncated section after it.
+func TestReadTraceReportsLowestBadCore(t *testing.T) {
+	const events = 1000
+	good := bytes.Repeat([]byte{2, 0, 0}, events) // gap 1, no deltas
+	trailing := append(append([]byte(nil), good...), 0)
+	short := good[:len(good)-1]
+	raw := func(cores int, sections ...[]byte) []byte {
+		b := append([]byte(fileMagic), FileVersion, 1, 'x', 1, 1, byte(cores))
+		b = binary.AppendUvarint(b, events)
+		for _, sec := range sections {
+			b = binary.AppendUvarint(b, uint64(len(sec)))
+			b = append(b, sec...)
+		}
+		return b
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"later cores bad", raw(3, good, trailing, short), "trace: core 1: 1 trailing bytes in section"},
+		{"first core bad", raw(3, short, good, trailing), "trace: core 0: truncated event at byte 2999"},
+		{"bad core before a truncated section", raw(3, trailing, good), "trace: core 0: 1 trailing bytes in section"},
+		{"truncated section", raw(3, good, good), "trace: truncated section for core 2"},
+	}
+	for _, tc := range cases {
+		if _, _, err := ReadTrace(bytes.NewReader(tc.data)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: ReadTrace = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, _, err := ReadTrace(bytes.NewReader(raw(3, good, good, good))); err != nil {
+		t.Fatalf("the well-formed capture failed: %v", err)
+	}
+}
+
 // TestCaptureEqual holds Capture.Equal to bytes.Equal on readers that end,
 // differ or fail at and around its chunk boundaries.
 func TestCaptureEqual(t *testing.T) {
@@ -130,7 +169,7 @@ func TestCaptureEqual(t *testing.T) {
 	if len(data) <= 2*equalChunk {
 		t.Fatalf("capture is %d bytes; the test needs more than two %d-byte chunks", len(data), equalChunk)
 	}
-	c, err := ReadCapture(bytes.NewReader(data))
+	c, err := ReadCapture(bytes.NewReader(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

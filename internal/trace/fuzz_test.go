@@ -122,7 +122,7 @@ func FuzzReplaySection(f *testing.F) {
 	f.Fuzz(func(t *testing.T, events uint16, sec []byte) {
 		src := &ReplaySource{data: sec, remaining: int(events)}
 		ref := &refSource{data: sec, remaining: int(events)}
-		if err, rerr := src.verify(), ref.verify(); !sameError(err, rerr) {
+		if err, rerr := src.verify(nil), ref.verify(); !sameError(err, rerr) {
 			t.Fatalf("verify error %v, reference error %v", err, rerr)
 		}
 		var slab [255]Event

@@ -1,6 +1,7 @@
 package unisoncache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -268,6 +269,62 @@ func TestSegmentedReplayMatchesPlain(t *testing.T) {
 	}
 	if n := ckStore.Len(); n == 0 {
 		t.Error("segmented replay left no snapshots in the store")
+	}
+}
+
+// TestSegmentedReplayRepeatNeedsNoFixup: a replay's machines never touch
+// their L1s, so the boundary a Segments: 2 first run stores byte-equals
+// the end state segment 0 computes on a fresh machine, and the repeat
+// finds nothing to fix up: the store keeps the very snapshot the first run
+// wrote.
+func TestSegmentedReplayRepeatNeedsNoFixup(t *testing.T) {
+	ckStore.Reset()
+	path := filepath.Join(t.TempDir(), "fixup.utrace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RecordTrace(Run{Workload: "web-serving", Capacity: 128 << 20, Cores: 2, AccessesPerCore: 4_000, Seed: 8}, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := Run{TracePath: path, Design: DesignAlloy, Capacity: 128 << 20, Segments: 2}
+	first := replayJSON(t, r) // serial-with-save
+
+	rr := r.withDefaults()
+	prefix, err := checkpointPrefix(rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, rr, err := newMachine(rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.BeginRun(rr.AccessesPerCore)
+	bounds := segmentBounds(m.TotalSteps(), rr.Segments)
+	if len(bounds) != 1 {
+		t.Fatalf("expected 1 interior bound, got %v", bounds)
+	}
+	stored, ok := ckStore.Get(prefix, bounds[0])
+	if !ok {
+		t.Fatal("boundary snapshot missing after serial-with-save")
+	}
+	m.RunTo(bounds[0])
+	end, err := encodeMachine(m, prefix, bounds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(end, stored) {
+		t.Fatal("segment 0's end state differs from the stored boundary, so every repeat rewrites it")
+	}
+
+	if got := replayJSON(t, r); got != first {
+		t.Error("the repeat diverged from the first run")
+	}
+	if after, _ := ckStore.Get(prefix, bounds[0]); &after[0] != &stored[0] {
+		t.Error("the repeat rewrote the stored boundary")
 	}
 }
 

@@ -302,11 +302,13 @@ func emitFunc(onEpoch func(TimelineEpoch)) func(TimelineEpoch) bool {
 // newMachine builds the complete simulated system a defaulted Run
 // describes — event sources, DRAM controllers, the design under test and
 // the core/cache machine — and returns the Run with trace-header
-// reconciliation applied. Machines for the same Run are interchangeable:
-// construction is deterministic, which is what lets segment workers build
-// private machines and restore checkpoints into them.
+// reconciliation applied. A replay's machine takes its L1 outcomes from
+// the capture's streams; a live run's simulates its L1s. Machines for the
+// same Run are interchangeable: construction is deterministic, which is
+// what lets segment workers build private machines and restore
+// checkpoints into them.
 func newMachine(r Run) (*sim.Machine, Run, error) {
-	r, sources, err := r.sources()
+	r, sources, l1, err := r.sources()
 	if err != nil {
 		return nil, Run{}, err
 	}
@@ -336,6 +338,11 @@ func newMachine(r Run) (*sim.Machine, Run, error) {
 	machine, err := sim.New(cfg, sources, design, stacked, offchip)
 	if err != nil {
 		return nil, Run{}, err
+	}
+	if l1 != nil {
+		if err := machine.UseL1Outcomes(l1, r.AccessesPerCore); err != nil {
+			return nil, Run{}, err
+		}
 	}
 	return machine, r, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"unisoncache/internal/sim"
 	"unisoncache/internal/trace"
 )
 
@@ -150,23 +151,25 @@ func RecordTrace(r Run, w io.Writer) error {
 // segmented run over one capture reads and verifies it once.
 var captures captureMemo
 
-// captureMemo holds the most recently verified capture and the path it
-// was read from. Its mutex is held through a load, so concurrent first
-// users of a capture verify it once.
+// captureMemo holds the most recently verified capture, the path it was
+// read from, and its cores' L1 outcome streams. Its mutex is held through
+// a load, so concurrent first users of a capture verify it once.
 type captureMemo struct {
 	mu   sync.Mutex
 	path string
 	c    *trace.Capture
+	l1   *sim.L1Outcomes
 }
 
-// load returns the verified capture the file at path holds now. The
-// memoized capture is returned only when path names it and the file's
-// bytes still equal it; any other case reads and verifies the file and
-// memoizes the result.
-func (m *captureMemo) load(path string) (*trace.Capture, error) {
+// load returns the verified capture the file at path holds now, with the
+// L1 outcome streams of every machine newMachine builds (the streams are
+// built in the same pass that verifies the events). The memoized capture
+// is returned only when path names it and the file's bytes still equal
+// it; any other case reads and verifies the file and memoizes the result.
+func (m *captureMemo) load(path string) (*trace.Capture, *sim.L1Outcomes, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("unisoncache: opening trace: %w", err)
+		return nil, nil, fmt.Errorf("unisoncache: opening trace: %w", err)
 	}
 	defer f.Close()
 	m.mu.Lock()
@@ -175,73 +178,81 @@ func (m *captureMemo) load(path string) (*trace.Capture, error) {
 		// A read error during the compare counts as a difference: the
 		// full read below reports it.
 		if same, err := m.c.Equal(f); same && err == nil {
-			return m.c, nil
+			return m.c, m.l1, nil
 		}
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("unisoncache: rereading trace: %w", err)
+			return nil, nil, fmt.Errorf("unisoncache: rereading trace: %w", err)
 		}
 	}
-	c, err := trace.ReadCapture(f)
+	// Every machine newMachine builds has the default L1.
+	b, err := sim.NewL1OutcomeBuilder(sim.Default().L1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m.path, m.c = path, c
-	return c, nil
+	c, err := trace.ReadCapture(f, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.path, m.c, m.l1 = path, c, b.Outcomes()
+	return c, m.l1, nil
 }
 
 // replaySources loads r.TracePath and returns the capture's per-core
-// sources, reconciling the Run against the file header: zero-valued
-// Workload, Seed, Cores and AccessesPerCore take the header's values;
-// explicitly set ones must match (AccessesPerCore may replay a prefix),
-// and the run's effective ScaleDivisor must equal the capture's.
-func replaySources(r Run) (Run, []trace.Source, error) {
-	c, err := captures.load(r.TracePath)
+// sources and L1 outcome streams, reconciling the Run against the file
+// header: zero-valued Workload, Seed, Cores and AccessesPerCore take the
+// header's values; explicitly set ones must match (AccessesPerCore may
+// replay a prefix), and the run's effective ScaleDivisor must equal the
+// capture's.
+func replaySources(r Run) (Run, []trace.Source, *sim.L1Outcomes, error) {
+	c, l1, err := captures.load(r.TracePath)
 	if err != nil {
-		return r, nil, err
+		return r, nil, nil, err
 	}
 	hdr := c.Header()
 	if r.Workload == "" {
 		r.Workload = hdr.Profile
 	} else if r.Workload != hdr.Profile {
-		return r, nil, fmt.Errorf("unisoncache: trace %s was captured from workload %q, not %q", r.TracePath, hdr.Profile, r.Workload)
+		return r, nil, nil, fmt.Errorf("unisoncache: trace %s was captured from workload %q, not %q", r.TracePath, hdr.Profile, r.Workload)
 	}
 	if r.Seed == 0 {
 		r.Seed = hdr.Seed
 	} else if r.Seed != hdr.Seed {
-		return r, nil, fmt.Errorf("unisoncache: trace %s was captured with seed %d, not %d", r.TracePath, hdr.Seed, r.Seed)
+		return r, nil, nil, fmt.Errorf("unisoncache: trace %s was captured with seed %d, not %d", r.TracePath, hdr.Seed, r.Seed)
 	}
 	// The frozen events embed the capture-time divided working set, so a
 	// replay under any other divisor would silently break the
 	// capacity-to-working-set ratio. r.ScaleDivisor is already defaulted
 	// (auto from Capacity) and validated >= 1 by Execute.
 	if r.ScaleDivisor != hdr.ScaleDivisor {
-		return r, nil, fmt.Errorf("unisoncache: trace %s was captured at scale divisor %d, run uses %d (match the capture's Capacity/ScaleDivisor)", r.TracePath, hdr.ScaleDivisor, r.ScaleDivisor)
+		return r, nil, nil, fmt.Errorf("unisoncache: trace %s was captured at scale divisor %d, run uses %d (match the capture's Capacity/ScaleDivisor)", r.TracePath, hdr.ScaleDivisor, r.ScaleDivisor)
 	}
 	if r.Cores == 0 {
 		r.Cores = hdr.Cores
 	} else if r.Cores != hdr.Cores {
-		return r, nil, fmt.Errorf("unisoncache: trace %s holds %d cores, run wants %d", r.TracePath, hdr.Cores, r.Cores)
+		return r, nil, nil, fmt.Errorf("unisoncache: trace %s holds %d cores, run wants %d", r.TracePath, hdr.Cores, r.Cores)
 	}
 	if r.AccessesPerCore == 0 {
 		r.AccessesPerCore = hdr.EventsPerCore
 	} else if r.AccessesPerCore > hdr.EventsPerCore {
-		return r, nil, fmt.Errorf("unisoncache: trace %s holds %d events per core, run wants %d", r.TracePath, hdr.EventsPerCore, r.AccessesPerCore)
+		return r, nil, nil, fmt.Errorf("unisoncache: trace %s holds %d events per core, run wants %d", r.TracePath, hdr.EventsPerCore, r.AccessesPerCore)
 	}
 	replays := c.Sources()
 	sources := make([]trace.Source, len(replays))
 	for i, rs := range replays {
 		sources[i] = rs
 	}
-	return r, sources, nil
+	return r, sources, l1, nil
 }
 
 // sources resolves the Run's event producers — a .utrace replay when
 // TracePath is set, live synthetic streams otherwise — and returns the Run
-// with any header-derived fields filled in.
-func (r Run) sources() (Run, []trace.Source, error) {
+// with any header-derived fields filled in. A replay also returns its
+// capture's L1 outcome streams; live streams return none, and their
+// machines simulate the L1.
+func (r Run) sources() (Run, []trace.Source, *sim.L1Outcomes, error) {
 	if r.TracePath != "" {
 		return replaySources(r)
 	}
 	live, err := liveSources(r)
-	return r, live, err
+	return r, live, nil, err
 }
