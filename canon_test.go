@@ -1,9 +1,6 @@
 package unisoncache
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // The canonicalization wall: the service's content-addressed cache keys
 // stand on runKey (in-plan memoization identity) and baselineRun
@@ -98,53 +95,5 @@ func TestBaselineRunCanonicalization(t *testing.T) {
 	replay.TracePath = "some.utrace"
 	if b := baselineRun(replay); b.TracePath != "some.utrace" {
 		t.Error("baseline dropped the trace path")
-	}
-}
-
-// TestSpeedupCIArithmetic: Low/High/RelHalfWidth across regular,
-// zero-width, zero-center and negative-center intervals — the degenerate
-// cases the CI-target refinement loop must never misread as converged.
-func TestSpeedupCIArithmetic(t *testing.T) {
-	cases := []struct {
-		name               string
-		ci                 SpeedupCI
-		low, high, relhalf float64
-	}{
-		{"regular", SpeedupCI{Speedup: 1.25, HalfWidth: 0.05}, 1.20, 1.30, 0.04},
-		{"exact", SpeedupCI{Speedup: 2, HalfWidth: 0}, 2, 2, 0},
-		{"zero speedup zero width", SpeedupCI{}, 0, 0, 0},
-		{"zero speedup nonzero width", SpeedupCI{Speedup: 0, HalfWidth: 0.3}, -0.3, 0.3, math.Inf(1)},
-		{"negative speedup", SpeedupCI{Speedup: -2, HalfWidth: 0.5}, -2.5, -1.5, 0.25},
-		{"tiny speedup", SpeedupCI{Speedup: 1e-300, HalfWidth: 1e-3}, -1e-3 + 1e-300, 1e-3 + 1e-300, 1e297},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.ci.Low(); math.Abs(got-tc.low) > 1e-12 {
-				t.Errorf("Low = %v, want %v", got, tc.low)
-			}
-			if got := tc.ci.High(); math.Abs(got-tc.high) > 1e-12 {
-				t.Errorf("High = %v, want %v", got, tc.high)
-			}
-			got := tc.ci.RelHalfWidth()
-			switch {
-			case math.IsInf(tc.relhalf, 1):
-				if !math.IsInf(got, 1) {
-					t.Errorf("RelHalfWidth = %v, want +Inf", got)
-				}
-			case tc.relhalf >= 1e296:
-				if got < 1e296 {
-					t.Errorf("RelHalfWidth = %v, want huge", got)
-				}
-			default:
-				if math.Abs(got-tc.relhalf) > 1e-12 {
-					t.Errorf("RelHalfWidth = %v, want %v", got, tc.relhalf)
-				}
-			}
-			// The refinement loop's invariant: an interval that is not
-			// actually tight never reports a small relative width.
-			if tc.ci.HalfWidth > 0 && got <= 0 {
-				t.Errorf("nonzero interval reported RelHalfWidth %v — a CI target would accept it", got)
-			}
-		})
 	}
 }

@@ -2,6 +2,7 @@ package unisoncache
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -271,7 +272,8 @@ func TestCaptureMemoShortOutcomesRejected(t *testing.T) {
 // every design and mode: a replay of a capture — plain, sampled with an
 // early stop, with telemetry, both Segments: 2 passes, and a prefix of the
 // capture — returns the Result, timeline included, byte for byte, of the
-// live run of the same Run, whose machine simulates its L1s.
+// live run of the same Run, whose machine simulates its L1s. Every live
+// and replayed Result obeys the conservation laws.
 func TestReplayMatchesLiveEveryMode(t *testing.T) {
 	rec := Run{Workload: "web-serving", Capacity: 256 << 20, Cores: 4, Seed: 3, AccessesPerCore: 30_000}
 	path := filepath.Join(t.TempDir(), "modes.utrace")
@@ -307,14 +309,21 @@ func TestReplayMatchesLiveEveryMode(t *testing.T) {
 			replay := live
 			replay.TracePath = path
 			for _, pass := range m.passes {
-				want := replayJSON(t, live)
+				name := fmt.Sprintf("%s %s%s", d, pass, m.name)
+				liveRes, err := Execute(live)
+				if err != nil {
+					t.Fatalf("%s live: %v", name, err)
+				}
+				CheckConservation(t, name+" live", liveRes)
+				want := resultJSON(t, liveRes)
 				res, err := Execute(replay)
 				if err != nil {
-					t.Fatalf("%s %s%s replay: %v", d, pass, m.name, err)
+					t.Fatalf("%s replay: %v", name, err)
 				}
+				CheckConservation(t, name+" replay", res)
 				res.Run.TracePath = ""
 				if got := resultJSON(t, res); got != want {
-					t.Errorf("%s %s%s replay diverged from the live run\nwant: %s\n got: %s", d, pass, m.name, want, got)
+					t.Errorf("%s replay diverged from the live run\nwant: %s\n got: %s", name, want, got)
 				}
 				if m.name == "sampled" && !res.CI.Converged {
 					t.Errorf("%s sampled replay did not stop early", d)

@@ -1,9 +1,9 @@
 // Package client is the Go client for the unisonserved simulation
 // service (internal/serve behind cmd/unisonserved): submit Runs and
 // sweeps over HTTP/JSON, follow job progress, and collect results that
-// are bit-identical to calling Execute / ExecuteMany / SpeedupMany /
-// SweepSampled in process — repeat submissions come back from the
-// daemon's content-addressed result cache without re-simulating.
+// are bit-identical to calling Execute / ExecuteMany / SpeedupMany in
+// process — repeat submissions come back from the daemon's
+// content-addressed result cache without re-simulating.
 //
 //	cl := client.New("http://127.0.0.1:8080")
 //	res, err := cl.Execute(ctx, unisoncache.Run{
@@ -12,10 +12,10 @@
 //	    Capacity: 1 << 30,
 //	})
 //
-// The high-level calls (Execute, ExecuteMany, SpeedupMany, SweepSampled)
-// submit, wait on the job's NDJSON event stream, and unwrap the results;
-// the low-level Submit/Job/Wait/Cancel surface is exported for callers
-// that manage jobs themselves.
+// The high-level calls (Execute, ExecuteMany, SpeedupMany) submit, wait
+// on the job's NDJSON event stream, and unwrap the results; the
+// low-level Submit/Job/Wait/Cancel surface is exported for callers that
+// manage jobs themselves.
 package client
 
 import (
@@ -502,17 +502,6 @@ func (c *Client) ExecuteMany(ctx context.Context, points []uc.Run) ([]uc.Result,
 func (c *Client) SpeedupMany(ctx context.Context, points []uc.Run) ([]uc.SpeedupResult, error) {
 	ctx, _ = obs.EnsureRequestID(ctx)
 	j, err := c.SubmitSweep(ctx, SweepRequest{Points: points, Mode: ModeSpeedup})
-	if j, err = c.await(ctx, j, err); err != nil {
-		return nil, err
-	}
-	return j.Speedups, nil
-}
-
-// SweepSampled is the service-side SweepSampled: a CI-target sampled
-// speedup sweep under spec.
-func (c *Client) SweepSampled(ctx context.Context, points []uc.Run, spec uc.SampleSpec) ([]uc.SpeedupResult, error) {
-	ctx, _ = obs.EnsureRequestID(ctx)
-	j, err := c.SubmitSweep(ctx, SweepRequest{Points: points, Mode: ModeSpeedup, Sample: &spec})
 	if j, err = c.await(ctx, j, err); err != nil {
 		return nil, err
 	}

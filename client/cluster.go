@@ -211,10 +211,10 @@ func (c *Cluster) ExecuteMany(ctx context.Context, points []uc.Run) ([]uc.Result
 	return results, nil
 }
 
-// coordinator picks the daemon that runs a whole-plan job (speedup
-// sweeps, sampled sweeps): a stable digest of the point keys chooses
-// the node, so resubmitting the same plan lands on the same daemon and
-// hits its plan-level caches. The coordinator's own server-side routing
+// coordinator picks the daemon that runs a whole-plan job (a speedup
+// sweep): a stable digest of the point keys chooses the node, so
+// resubmitting the same plan lands on the same daemon and hits its
+// plan-level caches. The coordinator's own server-side routing
 // spreads the member runs across the ring.
 func (c *Cluster) coordinator(points []uc.Run) []string {
 	keys := make([]string, len(points))
@@ -238,21 +238,6 @@ func (c *Cluster) SpeedupMany(ctx context.Context, points []uc.Run) ([]uc.Speedu
 	var out []uc.SpeedupResult
 	err := c.failover(ctx, c.coordinator(points), func(cl *Client) error {
 		r, err := cl.SpeedupMany(ctx, points)
-		if err == nil {
-			out = r
-		}
-		return err
-	})
-	return out, err
-}
-
-// SweepSampled submits a CI-target sampled sweep to the plan's
-// coordinator daemon.
-func (c *Cluster) SweepSampled(ctx context.Context, points []uc.Run, spec uc.SampleSpec) ([]uc.SpeedupResult, error) {
-	ctx, _ = obs.EnsureRequestID(ctx)
-	var out []uc.SpeedupResult
-	err := c.failover(ctx, c.coordinator(points), func(cl *Client) error {
-		r, err := cl.SweepSampled(ctx, points, spec)
 		if err == nil {
 			out = r
 		}

@@ -25,21 +25,17 @@ const (
 	// ModeExecute runs every point through Execute (ExecuteMany).
 	ModeExecute = "execute"
 	// ModeSpeedup adds the memoized no-DRAM-cache baselines and returns
-	// per-point speedups (SpeedupMany), or a CI-target sampled sweep
-	// (SweepSampled) when Sample is set.
+	// per-point speedups (SpeedupMany).
 	ModeSpeedup = "speedup"
 )
 
 // SweepRequest is the POST /v1/sweeps payload: an ordered point list plus
 // the execution mode. Results come back in point order, bit-identical to
-// calling ExecuteMany / SpeedupMany / SweepSampled in-process.
+// calling ExecuteMany / SpeedupMany in-process.
 type SweepRequest struct {
 	Points []uc.Run `json:"points"`
 	// Mode is ModeExecute (the default when empty) or ModeSpeedup.
 	Mode string `json:"mode,omitempty"`
-	// Sample, when non-nil, runs the sweep as a CI-target sampled plan
-	// (SweepSampled with this spec). Requires ModeSpeedup.
-	Sample *uc.SampleSpec `json:"sample,omitempty"`
 }
 
 // Job states.
@@ -61,8 +57,8 @@ type Job struct {
 	State string `json:"state"`
 	// Done counts run executions performed so far (cached or fresh);
 	// Total is the planned upper bound — in-plan memoization can finish a
-	// job below it, and sampled refinement rounds can exceed it. Treat
-	// the pair as a progress hint; State is the source of truth.
+	// job below it. Treat the pair as a progress hint; State is the
+	// source of truth.
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// CacheHits counts the job's executions served straight from the

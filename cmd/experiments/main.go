@@ -9,7 +9,6 @@
 //	experiments -exp fig6              # one experiment, full length
 //	experiments -exp all -quick        # everything, shortened runs
 //	experiments -exp table5 -workloads web-search,tpch
-//	experiments -exp fig7 -quick -sample -confidence 0.95
 //	experiments -exp fig7 -quick -telemetry    # + fig7_epochs.csv timeline
 package main
 
@@ -38,22 +37,15 @@ type options struct {
 	outDir    string
 	jobs      int
 	// segments, when >= 2, runs every plain simulation point time-parallel
-	// (Run.Segments); sampled and telemetry points ignore it. Results —
-	// and therefore every CSV — are byte-identical to serial execution;
-	// only wall-clock changes.
+	// (Run.Segments); telemetry points ignore it. Results — and therefore
+	// every CSV — are byte-identical to serial execution; only wall-clock
+	// changes.
 	segments int
-	// sample, when enabled, switches the speedup figures (fig7, fig8) to
-	// SMARTS-style sampled simulation: SweepSampled plans, CI columns
-	// appended to the CSVs, and a detailed-event accounting line. Every
-	// other experiment — including the speedup-reporting ablations —
-	// ignores it and runs full-length.
-	sample uc.SampleSpec
 	// telemetry, when enabled, records epoch-sliced counter timelines on
 	// the speedup figures' design points and writes them as companion
 	// per-epoch CSVs (fig7_epochs.csv, fig8_epochs.csv). The figure CSVs
 	// themselves stay byte-identical — recording never perturbs a replay.
-	// Telemetry points replay serially whatever -segments says. Mutually
-	// exclusive with -sample (epoch slicing needs every event).
+	// Telemetry points replay serially whatever -segments says.
 	telemetry uc.TelemetrySpec
 	// srv, when non-nil, routes every simulation through the unisonserved
 	// service (-server, one or more comma-separated daemon URLs) instead
@@ -72,7 +64,6 @@ type service interface {
 	Health(context.Context) (client.Health, error)
 	ExecuteMany(context.Context, []uc.Run) ([]uc.Result, error)
 	SpeedupMany(context.Context, []uc.Run) ([]uc.SpeedupResult, error)
-	SweepSampled(context.Context, []uc.Run, uc.SampleSpec) ([]uc.SpeedupResult, error)
 }
 
 // newService builds the -server client: a fan-out Cluster for a
@@ -171,10 +162,7 @@ func main() {
 	workloadsFlag := flag.String("workloads", "", "comma-separated workload filter")
 	out := flag.String("out", "results", "CSV output directory")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = one per CPU)")
-	segments := flag.Int("segments", 0, "time-parallel segments per simulation (0/1 = serial; results are byte-identical either way; sampled and telemetry points run serially)")
-	sampleFlag := flag.Bool("sample", false, "sampled simulation for the speedup figures: CI-target sweeps, CI columns in fig7/fig8 CSVs")
-	confidence := flag.Float64("confidence", 0, "confidence level for -sample intervals (default 0.95)")
-	sampleSpec := flag.String("sample-spec", "", "full sampling spec, e.g. interval=1000,gap=3000,ci=0.03 (implies -sample)")
+	segments := flag.Int("segments", 0, "time-parallel segments per simulation (0/1 = serial; results are byte-identical either way; telemetry points run serially)")
 	telemetryFlag := flag.Bool("telemetry", false, "record epoch-sliced counter timelines on the speedup figures and write per-epoch CSVs (fig7_epochs.csv, fig8_epochs.csv); figure CSVs stay byte-identical; telemetry points run serially whatever -segments")
 	epochEvents := flag.Int("epoch-events", 0, "telemetry epoch length in retired events per core (0 = default; implies -telemetry)")
 	server := flag.String("server", "", "unisonserved base URL(s), comma-separated for a cluster (e.g. http://127.0.0.1:8080,http://127.0.0.1:8081); route all simulations through the service")
@@ -196,26 +184,10 @@ func main() {
 		}
 		opt.srv = srv
 	}
-	if *sampleFlag || *sampleSpec != "" || *confidence != 0 {
-		opt.sample = uc.DefaultSampleSpec()
-		if *sampleSpec != "" {
-			spec, err := uc.ParseSampleSpec(*sampleSpec)
-			if err != nil {
-				fatal(err)
-			}
-			opt.sample = spec
-		}
-		if *confidence != 0 {
-			opt.sample.Confidence = *confidence
-		}
-	}
 	if *telemetryFlag || *epochEvents != 0 {
 		opt.telemetry = uc.DefaultTelemetrySpec()
 		if *epochEvents != 0 {
 			opt.telemetry.EpochEvents = *epochEvents
-		}
-		if opt.sample.Enabled() {
-			fatal(fmt.Errorf("-telemetry and -sample are mutually exclusive (epoch slicing needs every event simulated)"))
 		}
 	}
 	if opt.accesses == 0 {
@@ -304,7 +276,6 @@ func writeCSV(opt options, name string, header []string, rows [][]string) error 
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 func u64(v uint64) string { return strconv.FormatUint(v, 10) }
 
@@ -357,55 +328,6 @@ func writeEpochsCSV(opt options, name string, results []uc.SpeedupResult) error 
 		return nil
 	}
 	return writeCSV(opt, name, header, rows)
-}
-
-// speedupResults executes a speedup plan, sampled (CI-target sweep) or
-// full, per the options — locally or through -server.
-func (o options) speedupResults(points []uc.Run) ([]uc.SpeedupResult, error) {
-	if o.sample.Enabled() {
-		if o.srv != nil {
-			return o.srv.SweepSampled(context.Background(), points, o.sample)
-		}
-		return uc.SweepSampled(o.plan(points), o.sample)
-	}
-	return o.speedupMany(points)
-}
-
-// sampleSummary prints the sampled sweep's event accounting — how many
-// detailed events the design runs measured versus what full runs would
-// have simulated — plus the spread of the speedup CIs.
-func sampleSummary(results []uc.SpeedupResult) {
-	if len(results) == 0 || results[0].Design.CI == nil {
-		return
-	}
-	var detailed, fullEvents uint64
-	var worst float64
-	within := 0
-	for _, r := range results {
-		d := r.Design.CI
-		detailed += d.DetailedEvents
-		fullEvents += d.FullRunEvents
-		if r.CI != nil {
-			if rel := r.CI.RelHalfWidth(); rel > worst {
-				worst = rel
-			}
-			target := r.Design.Run.Sampling.TargetRelCI
-			if target > 0 && r.CI.RelHalfWidth() <= target {
-				within++
-			}
-		}
-	}
-	conf := results[0].Design.CI.Confidence
-	fmt.Printf("sampling: %d detailed events vs %d full-run (%.1fx fewer); %d/%d speedup CIs within target, worst ±%.1f%% at %.0f%% confidence\n",
-		detailed, fullEvents, float64(fullEvents)/float64(detailed), within, len(results), 100*worst, 100*conf)
-}
-
-// ciCell renders a speedup with its half-width in sampled mode.
-func ciCell(sp float64, ci *uc.SpeedupCI) string {
-	if ci == nil {
-		return f2(sp)
-	}
-	return f2(sp) + "±" + f3(ci.HalfWidth)
 }
 
 // table1 prints the qualitative comparison (static, from §I Table I).
@@ -545,21 +467,12 @@ func fig6(opt options) error {
 
 // fig7 reproduces the CloudSuite performance comparison: speedup over the
 // no-DRAM-cache baseline for the four designs, plus the geometric mean.
-// With -sample the sweep runs as a CI-target plan and the CSV gains one
-// half-width column per design.
 func fig7(opt options) error {
 	fmt.Println("== Figure 7: speedup over no-DRAM-cache baseline ==")
-	sampled := opt.sample.Enabled()
 	header := []string{"workload", "size", "alloy", "footprint", "unison", "ideal"}
-	if sampled {
-		header = append(header, "alloy_ci", "footprint_ci", "unison_ci", "ideal_ci")
-	}
 	var rows [][]string
 	designs := []uc.DesignKind{uc.DesignAlloy, uc.DesignFootprint, uc.DesignUnison, uc.DesignIdeal}
-	rowFmt := "%-18s %-8s %8s %8s %8s %8s\n"
-	if sampled {
-		rowFmt = "%-18s %-8s %12s %12s %12s %12s\n"
-	}
+	const rowFmt = "%-18s %-8s %8s %8s %8s %8s\n"
 	fmt.Printf(rowFmt, "workload", "size", "alloy", "footpr", "unison", "ideal")
 	geo := map[uc.DesignKind]map[uint64][]float64{}
 	for _, d := range designs {
@@ -576,29 +489,19 @@ func fig7(opt options) error {
 			Designs:    designs,
 		}.Points()
 	}
-	results, err := opt.speedupResults(opt.telemetryPoints(points))
+	results, err := opt.speedupMany(opt.telemetryPoints(points))
 	if err != nil {
 		return err
 	}
 	for at := 0; at < len(results); at += len(designs) {
 		var sp [4]float64
-		var cells, cis [4]string
 		for i, d := range designs {
-			r := results[at+i]
-			sp[i] = r.Speedup
-			cells[i] = ciCell(sp[i], r.CI)
-			if r.CI != nil {
-				cis[i] = f3(r.CI.HalfWidth)
-			}
+			sp[i] = results[at+i].Speedup
 			geo[d][points[at].Capacity] = append(geo[d][points[at].Capacity], sp[i])
 		}
 		w, size := points[at].Workload, points[at].Capacity
-		row := []string{w, config.SizeLabel(size), f2(sp[0]), f2(sp[1]), f2(sp[2]), f2(sp[3])}
-		if sampled {
-			row = append(row, cis[0], cis[1], cis[2], cis[3])
-		}
-		rows = append(rows, row)
-		fmt.Printf(rowFmt, w, config.SizeLabel(size), cells[0], cells[1], cells[2], cells[3])
+		rows = append(rows, []string{w, config.SizeLabel(size), f2(sp[0]), f2(sp[1]), f2(sp[2]), f2(sp[3])})
+		fmt.Printf(rowFmt, w, config.SizeLabel(size), f2(sp[0]), f2(sp[1]), f2(sp[2]), f2(sp[3]))
 	}
 	for _, size := range config.CloudSuiteSizes() {
 		var g [4]float64
@@ -609,15 +512,8 @@ func fig7(opt options) error {
 			}
 			g[i] = v
 		}
-		row := []string{"geomean", config.SizeLabel(size), f2(g[0]), f2(g[1]), f2(g[2]), f2(g[3])}
-		if sampled {
-			row = append(row, "", "", "", "")
-		}
-		rows = append(rows, row)
+		rows = append(rows, []string{"geomean", config.SizeLabel(size), f2(g[0]), f2(g[1]), f2(g[2]), f2(g[3])})
 		fmt.Printf(rowFmt, "geomean", config.SizeLabel(size), f2(g[0]), f2(g[1]), f2(g[2]), f2(g[3]))
-	}
-	if sampled {
-		sampleSummary(results)
 	}
 	if opt.telemetry.Enabled() {
 		if err := writeEpochsCSV(opt, "fig7_epochs", results); err != nil {
@@ -634,48 +530,28 @@ func fig8(opt options) error {
 		return nil
 	}
 	fmt.Println("== Figure 8: TPC-H speedup, 1-8GB caches ==")
-	sampled := opt.sample.Enabled()
 	header := []string{"size", "alloy", "footprint", "unison", "ideal"}
-	if sampled {
-		header = append(header, "alloy_ci", "footprint_ci", "unison_ci", "ideal_ci")
-	}
 	var rows [][]string
 	designs := []uc.DesignKind{uc.DesignAlloy, uc.DesignFootprint, uc.DesignUnison, uc.DesignIdeal}
-	rowFmt := "%-8s %8s %8s %8s %8s\n"
-	if sampled {
-		rowFmt = "%-8s %12s %12s %12s %12s\n"
-	}
+	const rowFmt = "%-8s %8s %8s %8s %8s\n"
 	fmt.Printf(rowFmt, "size", "alloy", "footpr", "unison", "ideal")
 	points := uc.Sweep{
 		Base:       opt.run("tpch", "", 0),
 		Capacities: config.TPCHSizes(),
 		Designs:    designs,
 	}.Points()
-	results, err := opt.speedupResults(opt.telemetryPoints(points))
+	results, err := opt.speedupMany(opt.telemetryPoints(points))
 	if err != nil {
 		return err
 	}
 	for at := 0; at < len(results); at += len(designs) {
 		var sp [4]float64
-		var cells, cis [4]string
 		for i := range designs {
-			r := results[at+i]
-			sp[i] = r.Speedup
-			cells[i] = ciCell(sp[i], r.CI)
-			if r.CI != nil {
-				cis[i] = f3(r.CI.HalfWidth)
-			}
+			sp[i] = results[at+i].Speedup
 		}
 		size := points[at].Capacity
-		row := []string{config.SizeLabel(size), f2(sp[0]), f2(sp[1]), f2(sp[2]), f2(sp[3])}
-		if sampled {
-			row = append(row, cis[0], cis[1], cis[2], cis[3])
-		}
-		rows = append(rows, row)
-		fmt.Printf(rowFmt, config.SizeLabel(size), cells[0], cells[1], cells[2], cells[3])
-	}
-	if sampled {
-		sampleSummary(results)
+		rows = append(rows, []string{config.SizeLabel(size), f2(sp[0]), f2(sp[1]), f2(sp[2]), f2(sp[3])})
+		fmt.Printf(rowFmt, config.SizeLabel(size), f2(sp[0]), f2(sp[1]), f2(sp[2]), f2(sp[3]))
 	}
 	if opt.telemetry.Enabled() {
 		if err := writeEpochsCSV(opt, "fig8_epochs", results); err != nil {

@@ -37,52 +37,6 @@ func TestExperimentIndex(t *testing.T) {
 	}
 }
 
-// TestFig7SampledCSV: with sampling enabled the fig7 CSV gains one CI
-// column per design, populated for workload rows and empty for the
-// geomean aggregate rows.
-func TestFig7SampledCSV(t *testing.T) {
-	spec, err := uc.ParseSampleSpec("interval=250,gap=250,min=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := options{
-		accesses:  6_000,
-		seed:      1,
-		workloads: []string{"web-search"},
-		outDir:    t.TempDir(),
-		sample:    spec,
-	}
-	if err := fig7(opt); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(opt.outDir, "fig7.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	wantHeader := "workload,size,alloy,footprint,unison,ideal,alloy_ci,footprint_ci,unison_ci,ideal_ci"
-	if lines[0] != wantHeader {
-		t.Fatalf("header = %q, want %q", lines[0], wantHeader)
-	}
-	for _, line := range lines[1:] {
-		cols := strings.Split(line, ",")
-		if len(cols) != 10 {
-			t.Fatalf("row %q has %d columns, want 10", line, len(cols))
-		}
-		if strings.HasPrefix(line, "geomean") {
-			if cols[6] != "" {
-				t.Errorf("geomean row carries a CI: %q", line)
-			}
-			continue
-		}
-		for _, ci := range cols[6:] {
-			if ci == "" {
-				t.Errorf("workload row missing CI value: %q", line)
-			}
-		}
-	}
-}
-
 // TestFig7CSVMatchesSerial pins the acceptance criterion: the concurrent,
 // baseline-memoized fig7 must write a CSV byte-identical to the
 // pre-refactor serial path — one Execute per design point plus one

@@ -42,9 +42,6 @@ func realMain() (code int) {
 	ways := flag.Int("ways", 0, "Unison associativity override (1, 4, 32)")
 	scale := flag.Int("scale", 0, "capacity scale divisor (0 = automatic)")
 	tracePath := flag.String("trace", "", "replay a .utrace capture (tracegen -record); workload, seed and core count come from the file")
-	sampleFlag := flag.Bool("sample", false, "SMARTS-style sampled simulation: windowed measurement with a confidence interval and adaptive early stop")
-	confidence := flag.Float64("confidence", 0, "confidence level for -sample intervals (default 0.95)")
-	sampleSpec := flag.String("sample-spec", "", "full sampling spec, e.g. interval=1000,gap=3000,ci=0.03 (implies -sample)")
 	noBaseline := flag.Bool("no-baseline", false, "skip the baseline run (no speedup)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations for the design+baseline pair (0 = one per CPU)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file (go tool pprof)")
@@ -91,19 +88,6 @@ func realMain() (code int) {
 		ScaleDivisor:    *scale,
 		TracePath:       *tracePath,
 	}
-	if *sampleFlag || *sampleSpec != "" || *confidence != 0 {
-		run.Sampling = uc.DefaultSampleSpec()
-		if *sampleSpec != "" {
-			spec, err := uc.ParseSampleSpec(*sampleSpec)
-			if err != nil {
-				return fail(err)
-			}
-			run.Sampling = spec
-		}
-		if *confidence != 0 {
-			run.Sampling.Confidence = *confidence
-		}
-	}
 	if *tracePath != "" {
 		// The capture header defines the stream. Flags left at their
 		// defaults defer to the header; explicitly set ones pass through
@@ -122,24 +106,15 @@ func realMain() (code int) {
 
 	var res, base uc.Result
 	var speedup float64
-	var speedupCI *uc.SpeedupCI
 	if *noBaseline || run.Design == uc.DesignNone {
 		res, err = uc.Execute(run)
 	} else {
 		// The design and its no-DRAM-cache baseline run concurrently
-		// through the sweep engine; a sampled pair goes through the
-		// CI-target plan, which densifies the windows until the speedup
-		// CI meets the spec's target.
+		// through the sweep engine.
 		var sp []uc.SpeedupResult
-		plan := uc.Plan{Points: []uc.Run{run}, Jobs: *jobs}
-		if run.Sampling.Enabled() {
-			sp, err = uc.SweepSampled(plan, run.Sampling)
-		} else {
-			sp, err = uc.SpeedupMany(plan)
-		}
+		sp, err = uc.SpeedupMany(uc.Plan{Points: []uc.Run{run}, Jobs: *jobs})
 		if err == nil {
 			speedup, res, base = sp[0].Speedup, sp[0].Design, sp[0].Baseline
-			speedupCI = sp[0].CI
 		}
 	}
 	if err != nil {
@@ -155,22 +130,9 @@ func realMain() (code int) {
 	fmt.Printf("capacity        %s (simulated at 1/%d scale)\n", *size, res.Run.ScaleDivisor)
 	fmt.Printf("accesses/core   %d (x%d cores)\n", res.Run.AccessesPerCore, res.Run.Cores)
 	fmt.Println()
-	if ci := res.CI; ci != nil {
-		fmt.Printf("UIPC            %.3f ± %.3f (%.0f%% CI over %d windows, %s)\n",
-			res.UIPC, ci.HalfWidth, 100*ci.Confidence, ci.Intervals(), convergenceLabel(ci))
-		fmt.Printf("sampling        %d detailed events of %d simulated (full run: %d; %.1fx fewer detailed)\n",
-			ci.DetailedEvents, ci.SimulatedEvents, ci.FullRunEvents,
-			float64(ci.FullRunEvents)/float64(ci.DetailedEvents))
-	} else {
-		fmt.Printf("UIPC            %.3f\n", res.UIPC)
-	}
+	fmt.Printf("UIPC            %.3f\n", res.UIPC)
 	if speedup > 0 {
-		if speedupCI != nil {
-			fmt.Printf("speedup         %.2fx ± %.3f over no-DRAM-cache baseline (%.0f%% CI, %d matched windows; baseline UIPC %.3f)\n",
-				speedup, speedupCI.HalfWidth, 100*speedupCI.Confidence, speedupCI.Pairs, base.UIPC)
-		} else {
-			fmt.Printf("speedup         %.2fx over no-DRAM-cache baseline (UIPC %.3f)\n", speedup, base.UIPC)
-		}
+		fmt.Printf("speedup         %.2fx over no-DRAM-cache baseline (UIPC %.3f)\n", speedup, base.UIPC)
 	}
 	fmt.Printf("miss ratio      %.1f%%  (%d reads: %d trigger, %d underprediction, %d singleton-bypassed)\n",
 		d.MissRatioPct(), d.Reads, d.TriggerMisses, d.UnderpredMisses, d.SingletonSkips)
@@ -192,16 +154,8 @@ func realMain() (code int) {
 		100*res.Offchip.RowHitRate(), res.Offchip.Activations)
 	fmt.Printf("stacked DRAM    %.0f%% row-buffer hits, %d activations\n",
 		100*res.Stacked.RowHitRate(), res.Stacked.Activations)
-	fmt.Printf("L1 hit rate     %.1f%%   L2 hit rate %.1f%%\n", 100*res.L1HitRate, 100*res.L2.HitRate())
+	fmt.Printf("L1 hit rate     %.1f%%   L2 hit rate %.1f%%\n", 100*res.L1HitRate, 100*res.L2.HitRatio())
 	return 0
-}
-
-// convergenceLabel describes how a sampled run ended.
-func convergenceLabel(ci *uc.SampleStats) string {
-	if ci.Converged {
-		return "early-stopped at target"
-	}
-	return "window budget exhausted"
 }
 
 // fail reports err and returns the process exit code; callers return it so

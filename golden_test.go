@@ -73,16 +73,7 @@ func TestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", goldenKey(r), err)
 		}
-		// Conservation: the design's off-chip byte counters equal the
-		// bytes the off-chip controller moved.
-		if d, o := res.Design, res.Offchip; d.OffchipReadBytes != o.BytesRead || d.OffchipWriteBytes != o.BytesWritten {
-			t.Errorf("%s: design counted %d B read / %d B written off-chip, controller moved %d / %d",
-				goldenKey(r), d.OffchipReadBytes, d.OffchipWriteBytes, o.BytesRead, o.BytesWritten)
-		}
-		// Conservation: the design absorbed every L2 writeback.
-		if res.Design.Writes != res.L2.Writebacks {
-			t.Errorf("%s: design counted %d writes, L2 wrote back %d", goldenKey(r), res.Design.Writes, res.L2.Writebacks)
-		}
+		uc.CheckConservation(t, goldenKey(r), res)
 		got[goldenKey(r)] = encodeResult(t, res)
 	}
 
@@ -161,6 +152,7 @@ func TestGoldenSampled(t *testing.T) {
 		if res.CI == nil {
 			t.Fatalf("%s: sampled run returned no CI", goldenKey(r))
 		}
+		uc.CheckConservation(t, goldenKey(r), res)
 		got[goldenKey(r)] = encodeResult(t, res)
 	}
 

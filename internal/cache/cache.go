@@ -58,9 +58,6 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// HitRate returns the hit fraction (alias of HitRatio).
-func (s Stats) HitRate() float64 { return s.HitRatio() }
-
 // Reset zeroes the counters.
 func (s *Stats) Reset() { *s = Stats{} }
 

@@ -67,49 +67,6 @@ func MapKeyed[T any, K comparable, R any](points []T, key func(T) K, fn func(T) 
 	return execute(jobs, len(points), fn, opt)
 }
 
-// Refine is the adaptive-plan primitive CI-target sweeps are built on:
-// run executes a whole batch of points (fanning out over its own worker
-// pool, memoizing as it likes), then grow inspects each point/result
-// pair and may hand back a replacement point — typically the same
-// configuration with a larger budget — to re-execute; only the
-// unsatisfied subset re-runs, for at most rounds refinement rounds.
-// Results stay in point order, satisfied points keep their earlier
-// results untouched, and determinism is inherited from run and grow
-// being pure — the refined plan a point walks is a function of nothing
-// but the point list.
-func Refine[T, R any](points []T, run func([]T) ([]R, error), grow func(T, R) (T, bool), rounds int) ([]R, error) {
-	current := make([]T, len(points))
-	copy(current, points)
-	results, err := run(current)
-	if err != nil {
-		return nil, err
-	}
-	for round := 0; round < rounds; round++ {
-		var idx []int
-		for i := range current {
-			if next, again := grow(current[i], results[i]); again {
-				current[i] = next
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) == 0 {
-			break
-		}
-		subset := make([]T, len(idx))
-		for j, i := range idx {
-			subset[j] = current[i]
-		}
-		refined, err := run(subset)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range idx {
-			results[i] = refined[j]
-		}
-	}
-	return results, nil
-}
-
 // job is one unit of work and the point indices that share its result.
 type job[T any] struct {
 	point T

@@ -34,8 +34,6 @@ package sample
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"unisoncache/internal/sim"
 	"unisoncache/internal/stats"
@@ -53,18 +51,14 @@ type Spec struct {
 	WarmupFrac float64
 	// WarmupEvents, when positive, overrides WarmupFrac with an absolute
 	// per-core event count. An absolute warmup pins the window schedule
-	// to fixed event offsets independent of the run's budget, which
-	// keeps matched pairs aligned across runs with different budgets
-	// (CI-target plans refine window *density* instead and never need
-	// it — see SweepSampled).
+	// to fixed event offsets independent of the run's budget.
 	WarmupEvents int
 	// IntervalEvents is the detailed window length, in events per core
 	// (default 1000).
 	IntervalEvents int
 	// GapEvents is the functional gap between consecutive windows, in
 	// events per core (default 3x IntervalEvents — a 25% detailed duty
-	// cycle that CI-target sweeps densify on demand; -1 means no gap,
-	// tiling the windows back to back).
+	// cycle; -1 means no gap, tiling the windows back to back).
 	GapEvents int
 	// MinIntervals is the smallest number of windows measured before the
 	// stopping rule may trigger (default 4, floor 2 — one window carries
@@ -194,95 +188,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Parse reads the flag form of a Spec: a comma-separated key=value list,
-// e.g. "warmup=0.5,interval=1000,gap=1000,min=6,max=0,conf=0.95,ci=0.02".
-// The words "on" and "default" select the all-defaults spec. Keys may be
-// omitted; values use the same zero/-1 conventions as the struct fields.
-// The returned spec is raw (defaults not yet applied) but guaranteed to
-// validate after WithDefaults.
-func Parse(text string) (Spec, error) {
-	var s Spec
-	trimmed := strings.TrimSpace(text)
-	if trimmed == "" {
-		return s, fmt.Errorf("sample: empty spec")
-	}
-	if trimmed == "on" || trimmed == "default" {
-		return s, nil
-	}
-	for _, part := range strings.Split(trimmed, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return s, fmt.Errorf("sample: empty key=value element in %q", text)
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return s, fmt.Errorf("sample: element %q is not key=value", part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "warmup":
-			s.WarmupFrac, err = parseFloat(val)
-		case "warmupevents":
-			s.WarmupEvents, err = parseInt(val)
-		case "interval":
-			s.IntervalEvents, err = parseInt(val)
-		case "gap":
-			s.GapEvents, err = parseInt(val)
-		case "min":
-			s.MinIntervals, err = parseInt(val)
-		case "max":
-			s.MaxIntervals, err = parseInt(val)
-		case "conf", "confidence":
-			s.Confidence, err = parseFloat(val)
-		case "ci", "target":
-			s.TargetRelCI, err = parseFloat(val)
-		default:
-			return s, fmt.Errorf("sample: unknown key %q (have warmup, warmupevents, interval, gap, min, max, conf, ci)", key)
-		}
-		if err != nil {
-			return s, fmt.Errorf("sample: %s=%q: %w", key, val, err)
-		}
-	}
-	if err := s.WithDefaults().Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
-}
-
-func parseFloat(v string) (float64, error) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("not a number")
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("not finite")
-	}
-	return f, nil
-}
-
-func parseInt(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("not an integer")
-	}
-	return n, nil
-}
-
-// format renders the spec in Parse's format (defaults applied first), so
-// a spec round-trips through the flag form. It is deliberately not a
-// String method: fmt would then print a Run's Sampling as a defaulted flag
-// string, and a disabled spec as an enabled one.
-func (s Spec) format() string {
-	d := s.WithDefaults()
-	out := fmt.Sprintf("warmup=%g,interval=%d,gap=%d,min=%d,max=%d,conf=%g,ci=%g",
-		d.WarmupFrac, d.IntervalEvents, d.GapEvents, d.MinIntervals, d.MaxIntervals, d.Confidence, d.TargetRelCI)
-	if d.WarmupEvents > 0 {
-		out += fmt.Sprintf(",warmupevents=%d", d.WarmupEvents)
-	}
-	return out
-}
-
 // Windows returns how many detailed windows the schedule fits into
 // accessesPerCore events (before any early stop), and the warmup length.
 func (s Spec) Windows(accessesPerCore int) (fit, warm int) {
@@ -303,8 +208,7 @@ type Report struct {
 	// Windows holds one entry per detailed measurement window, in
 	// schedule order: the recorder's window epochs (gap epochs are left
 	// out, so Index counts epochs, not windows). The per-window
-	// (Instructions, Cycles) pairs are the estimator's samples;
-	// matched-pair speedup CIs pair them across runs.
+	// (Instructions, Cycles) pairs are the estimator's samples.
 	Windows []telemetry.Epoch
 	// UIPC is the sampled throughput estimate: the summed per-core ratio
 	// estimator Σ_core(Σinstr/Σcycles) over the windows, which reproduces
@@ -384,7 +288,7 @@ func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 		if est == nil {
 			est = stats.NewSummedRatios(len(e.PerCore))
 		}
-		est.AddWindow(RatioSamples(e.PerCore))
+		est.AddWindow(ratioSamples(e.PerCore))
 		if len(rep.Windows) >= spec.MinIntervals && spec.target() > 0 &&
 			est.RelCI(spec.Confidence) <= spec.target() {
 			rep.Converged = true
@@ -401,9 +305,9 @@ func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 	return rep, nil
 }
 
-// RatioSamples turns one window's per-core rows into the estimator's
+// ratioSamples turns one window's per-core rows into the estimator's
 // samples: retired instructions over elapsed cycles, one series per core.
-func RatioSamples(perCore []telemetry.CoreRow) []stats.RatioSample {
+func ratioSamples(perCore []telemetry.CoreRow) []stats.RatioSample {
 	samples := make([]stats.RatioSample, len(perCore))
 	for c, d := range perCore {
 		samples[c] = stats.RatioSample{Y: float64(d.Instructions), X: float64(d.Cycles)}

@@ -3,7 +3,6 @@ package sample
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"unisoncache/internal/dram"
@@ -54,37 +53,6 @@ func TestValidateRejects(t *testing.T) {
 		if err := s.WithDefaults().Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", s)
 		}
-	}
-}
-
-func TestParse(t *testing.T) {
-	s, err := Parse("warmup=0.25, interval=500, gap=250, min=4, max=20, conf=0.9, ci=0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Spec{WarmupFrac: 0.25, IntervalEvents: 500, GapEvents: 250,
-		MinIntervals: 4, MaxIntervals: 20, Confidence: 0.9, TargetRelCI: 0.05}
-	if s != want {
-		t.Errorf("Parse = %+v, want %+v", s, want)
-	}
-	if on, err := Parse("on"); err != nil || on != (Spec{}) {
-		t.Errorf("Parse(on) = %+v, %v; want zero spec", on, err)
-	}
-	for _, bad := range []string{"", "bogus=1", "interval", "interval=x", "conf=2", "warmup=0.5,,ci=0.02"} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) accepted", bad)
-		}
-	}
-}
-
-func TestStringRoundTrips(t *testing.T) {
-	s := Spec{WarmupFrac: 0.25, IntervalEvents: 500, MinIntervals: 4}
-	back, err := Parse(s.format())
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", s.format(), err)
-	}
-	if back.WithDefaults() != s.WithDefaults() {
-		t.Errorf("round trip changed the spec: %+v vs %+v", back.WithDefaults(), s.WithDefaults())
 	}
 }
 
@@ -208,11 +176,5 @@ func TestRunDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a.Windows[i], b.Windows[i]) {
 			t.Fatalf("window %d differs: %+v vs %+v", i, a.Windows[i], b.Windows[i])
 		}
-	}
-}
-
-func TestSpecStringIsFlagParseable(t *testing.T) {
-	if strings.ContainsAny(Default().format(), " \t") {
-		t.Error("Spec.format must be a flag-friendly single token")
 	}
 }

@@ -28,7 +28,7 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		// Accepted nested specs, so the round trip covers them.
 		`{"run":{"Workload":"web-search","Design":"unison","Sampling":{"WarmupFrac":0.5,"WarmupEvents":2000,"IntervalEvents":500,"GapEvents":1500,"MinIntervals":4,"MaxIntervals":16,"Confidence":0.9,"TargetRelCI":0.02}}}`,
 		`{"run":{"Workload":"web-search","Design":"alloy","Telemetry":{"EpochEvents":5000}}}`,
-		`{"points":[{"Workload":"web-search","Design":"unison"},{"Workload":"data-serving","Design":"footprint"}],"mode":"speedup","sample":{"IntervalEvents":500,"GapEvents":-1,"TargetRelCI":0.05}}`,
+		`{"points":[{"Workload":"web-search","Design":"unison"},{"Workload":"data-serving","Design":"footprint"}],"mode":"speedup"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -49,7 +49,7 @@ func FuzzDecodeRunRequest(f *testing.F) {
 			}
 		}
 		// The sweep decoder shares the strict-decoding core; same
-		// properties, minus struct comparability (slice + pointer fields).
+		// properties, minus struct comparability (a slice field).
 		sreq, err := DecodeSweepRequest(data)
 		if err == nil {
 			blob, err := json.Marshal(sreq)

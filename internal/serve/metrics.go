@@ -159,14 +159,10 @@ func (s *Server) runningProgress() (done, total int) {
 	return done, total
 }
 
-// progressRatio is done/total guarded against idle (0/0) and the
-// sampled-refinement case where done overshoots the planned total.
+// progressRatio is done/total guarded against idle (0/0).
 func progressRatio(done, total int) float64 {
 	if total <= 0 {
 		return 0
-	}
-	if done > total {
-		return 1
 	}
 	return float64(done) / float64(total)
 }

@@ -25,10 +25,10 @@
 // (log/slog) carry the request ID, run-key prefix and member name.
 //
 // Determinism contract: every result the service returns is bit-identical
-// to calling Execute / ExecuteMany / SpeedupMany / SweepSampled in
-// process. The cache can only serve a result that some execution of the
-// exact same defaulted configuration produced, runs are pure functions of
-// that configuration, and sweep assembly happens through the public sweep
+// to calling Execute / ExecuteMany / SpeedupMany in process. The cache
+// can only serve a result that some execution of the exact same
+// defaulted configuration produced, runs are pure functions of that
+// configuration, and sweep assembly happens through the public sweep
 // engine itself (the service merely interposes the Plan.Executor hook),
 // so caching and in-flight deduplication are observable in /metrics and
 // latency — never in payload bytes.
@@ -590,7 +590,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	s.m.jobsSubmitted.Add(1)
 	s.reqLog(r.Context()).Info("sweep submitted",
 		"job", j.id, "points", len(req.Points), "mode", req.Mode,
-		"sampled", req.Sample != nil, "forwarded", forwarded)
+		"forwarded", forwarded)
 
 	submitted := time.Now()
 	work := func(ctx context.Context) {
@@ -617,17 +617,13 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 			speedups []uc.SpeedupResult
 			err      error
 		)
-		if ctx.Err() != nil {
+		switch {
+		case ctx.Err() != nil:
 			err = context.Cause(ctx)
-		} else {
-			switch {
-			case req.Sample != nil:
-				speedups, err = uc.SweepSampled(plan, *req.Sample)
-			case req.Mode == client.ModeSpeedup:
-				speedups, err = uc.SpeedupMany(plan)
-			default:
-				results, err = uc.ExecuteMany(plan)
-			}
+		case req.Mode == client.ModeSpeedup:
+			speedups, err = uc.SpeedupMany(plan)
+		default:
+			results, err = uc.ExecuteMany(plan)
 		}
 		j.finish(ctx, err, nil, results, speedups)
 		s.countFinished(j)
@@ -853,7 +849,7 @@ func DecodeRunRequest(data []byte) (client.RunRequest, error) {
 }
 
 // DecodeSweepRequest strictly decodes a POST /v1/sweeps body and
-// validates the mode combination and every point's names.
+// validates the mode and every point's names.
 func DecodeSweepRequest(data []byte) (client.SweepRequest, error) {
 	var req client.SweepRequest
 	if err := decodeStrict(data, &req); err != nil {
@@ -868,9 +864,6 @@ func DecodeSweepRequest(data []byte) (client.SweepRequest, error) {
 	case "", client.ModeExecute, client.ModeSpeedup:
 	default:
 		return client.SweepRequest{}, fmt.Errorf("sweep request: unknown mode %q (have %q, %q)", req.Mode, client.ModeExecute, client.ModeSpeedup)
-	}
-	if req.Sample != nil && req.Mode != client.ModeSpeedup {
-		return client.SweepRequest{}, fmt.Errorf("sweep request: sample requires mode %q (sampled sweeps are speedup sweeps)", client.ModeSpeedup)
 	}
 	if len(req.Points) == 0 {
 		return client.SweepRequest{}, fmt.Errorf("sweep request: empty points")

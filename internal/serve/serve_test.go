@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -149,39 +148,6 @@ func TestServeRunBitIdentical(t *testing.T) {
 	}
 	if misses := s.m.cacheMisses.Load(); misses != 1 {
 		t.Errorf("cache misses = %d, want 1", misses)
-	}
-}
-
-// TestServeSampledSweepBitIdentical: a CI-target sampled speedup sweep
-// through the service matches SweepSampled in-process, bit for bit —
-// including the matched-pair CIs and refinement behaviour.
-func TestServeSampledSweepBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	spec := uc.SampleSpec{IntervalEvents: 250, GapEvents: 250, MinIntervals: 2}
-	points := []uc.Run{smallRun(uc.DesignUnison), smallRun(uc.DesignAlloy)}
-	want, err := uc.SweepSampled(uc.Plan{Points: points}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Drain(context.Background())
-
-	body := fmt.Sprintf(`{"points":%s,"mode":"speedup","sample":%s}`, mustJSON(t, points), mustJSON(t, spec))
-	var j client.Job
-	if code := post(t, ts, "/v1/sweeps", body, &j); code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
-	j = waitJob(t, ts, j.ID)
-	if j.State != client.StateDone {
-		t.Fatalf("job = %+v, want done", j)
-	}
-	if got, want := mustJSON(t, j.Speedups), mustJSON(t, want); got != want {
-		t.Errorf("service sweep diverges from SweepSampled\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -558,7 +524,7 @@ func TestServeDecodeErrors(t *testing.T) {
 		{"unknown design", "/v1/runs", `{"run":{"Workload":"web-search","Design":"unicorn"}}`, `unknown design "unicorn"`},
 		{"unknown workload", "/v1/runs", `{"run":{"Workload":"web-serch"}}`, `unknown workload "web-serch"`},
 		{"bad mode", "/v1/sweeps", `{"points":[{"Workload":"web-search"}],"mode":"turbo"}`, `unknown mode "turbo"`},
-		{"sample without speedup", "/v1/sweeps", `{"points":[{"Workload":"web-search"}],"sample":{"IntervalEvents":100}}`, "sample requires"},
+		{"speedup sweep with sample", "/v1/sweeps", `{"points":[{"Workload":"web-search"}],"mode":"speedup","sample":{"IntervalEvents":100}}`, `unknown field "sample"`},
 		{"empty points", "/v1/sweeps", `{"points":[]}`, "empty points"},
 		{"not json", "/v1/runs", `hello`, "invalid character"},
 	}
@@ -589,8 +555,9 @@ func TestServeDecodeErrors(t *testing.T) {
 }
 
 // TestServeRejectsRunSizes: a submitted run whose size Execute rejects —
-// a negative AccessesPerCore, more cores than a capture may hold — ends
-// failed with an error naming the field, and the result cache stays empty.
+// a negative AccessesPerCore, more cores than a capture may hold, a
+// simulated capacity (Capacity/ScaleDivisor) beyond 8 GB — ends failed
+// with an error naming the field, and the result cache stays empty.
 func TestServeRejectsRunSizes(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -598,8 +565,9 @@ func TestServeRejectsRunSizes(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	for field, mut := range map[string]func(*uc.Run){
-		"AccessesPerCore": func(r *uc.Run) { r.AccessesPerCore = -5 },
-		"Cores":           func(r *uc.Run) { r.Cores = 5000 },
+		"AccessesPerCore":       func(r *uc.Run) { r.AccessesPerCore = -5 },
+		"Cores":                 func(r *uc.Run) { r.Cores = 5000 },
+		"Capacity/ScaleDivisor": func(r *uc.Run) { r.Design, r.Capacity, r.ScaleDivisor = uc.DesignAlloy, 1<<40, 1 },
 	} {
 		r := smallRun(uc.DesignUnison)
 		mut(&r)

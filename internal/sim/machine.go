@@ -641,12 +641,12 @@ func (m *Machine) resetForMeasurement() {
 // in its stream, since its L1 never sees an access.
 func (c *coreState) l1HitRate() float64 {
 	if c.out == nil {
-		return c.l1.Stats().HitRate()
+		return c.l1.Stats().HitRatio()
 	}
 	return cache.Stats{
 		Accesses: uint64(c.ev - c.ev0),
 		Hits:     uint64(countBits(c.out.hit, c.ev0, c.ev)),
-	}.HitRate()
+	}.HitRatio()
 }
 
 // collect assembles the measured-interval results.

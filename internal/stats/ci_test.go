@@ -268,85 +268,3 @@ func TestSummedRatiosCoverage(t *testing.T) {
 		t.Errorf("95%% CI covered the true value in %.1f%% of trials, want ~95%%", 100*rate)
 	}
 }
-
-// TestPairedSpeedupCoverage checks matched-pair CI coverage on synthetic
-// known-distribution data: both runs share large per-window phase noise
-// in their cycle counts, the design is trueSpeedup faster with small
-// independent noise. The pairing must cancel the shared noise and the CI
-// must cover the true speedup at roughly its nominal rate.
-func TestPairedSpeedupCoverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	const trials, pairs, cores, trueSpeedup = 1200, 10, 2, 1.6
-	covered := 0
-	var width Mean
-	for trial := 0; trial < trials; trial++ {
-		design := NewSummedRatios(cores)
-		baseline := NewSummedRatios(cores)
-		for j := 0; j < pairs; j++ {
-			dw := make([]RatioSample, cores)
-			bw := make([]RatioSample, cores)
-			for c := range dw {
-				phase := 1 + 0.3*rng.Float64() // shared workload-phase hardness
-				bCycles := 400 * phase
-				dCycles := bCycles / trueSpeedup * (1 + 0.02*rng.NormFloat64())
-				bw[c] = RatioSample{Y: 1000, X: bCycles}
-				dw[c] = RatioSample{Y: 1000, X: dCycles}
-			}
-			design.AddWindow(dw)
-			baseline.AddWindow(bw)
-		}
-		s, hw := PairedSpeedupCI(design, baseline, 0.95)
-		width.Add(hw / s)
-		if math.Abs(s-trueSpeedup) <= hw {
-			covered++
-		}
-	}
-	rate := float64(covered) / trials
-	if rate < 0.92 || rate > 0.995 {
-		t.Errorf("matched-pair 95%% CI covered the true speedup in %.1f%% of trials, want ~95%%", 100*rate)
-	}
-	// The pairing must actually cancel the ±15% shared phase noise: the
-	// mean relative half-width must reflect only the ~2% pair noise.
-	if width.Value() > 0.06 {
-		t.Errorf("mean relative half-width %.3f: pairing failed to cancel shared phase noise", width.Value())
-	}
-}
-
-// TestPairedSpeedupDegenerate: empty, one-pair and mismatched-count
-// inputs.
-func TestPairedSpeedupDegenerate(t *testing.T) {
-	if s, hw := PairedSpeedupCI(NewSummedRatios(1), NewSummedRatios(1), 0.95); s != 0 || hw != 0 {
-		t.Errorf("empty: %v ± %v, want 0, 0", s, hw)
-	}
-	one := NewSummedRatios(1)
-	one.AddWindow([]RatioSample{{30, 10}})
-	base := NewSummedRatios(1)
-	base.AddWindow([]RatioSample{{30, 20}})
-	s, hw := PairedSpeedupCI(one, base, 0.95)
-	if s != 2 || hw != 0 {
-		t.Errorf("one pair: %v ± %v, want 2, 0", s, hw)
-	}
-	// Mismatched counts pair the common prefix.
-	d := NewSummedRatios(1)
-	d.AddWindow([]RatioSample{{30, 10}})
-	d.AddWindow([]RatioSample{{30, 10}})
-	d.AddWindow([]RatioSample{{99, 1}})
-	b := NewSummedRatios(1)
-	b.AddWindow([]RatioSample{{30, 20}})
-	b.AddWindow([]RatioSample{{30, 20}})
-	if s, _ := PairedSpeedupCI(d, b, 0.95); s != 2 {
-		t.Errorf("prefix pairing: speedup %v, want 2", s)
-	}
-	// Zero-variance pairs: exact speedup, zero width.
-	if s, hw := PairedSpeedupCI(d2x(2), d2x(4), 0.95); s != 2 || hw != 0 {
-		t.Errorf("zero variance: %v ± %v, want 2, 0", s, hw)
-	}
-}
-
-func d2x(cycles float64) *SummedRatios {
-	u := NewSummedRatios(1)
-	for i := 0; i < 5; i++ {
-		u.AddWindow([]RatioSample{{Y: 8, X: cycles}})
-	}
-	return u
-}

@@ -203,27 +203,21 @@ func (u *SummedRatios) N() int {
 
 // Value returns Σ_s ΣY_s/ΣX_s over all windows.
 func (u *SummedRatios) Value() float64 {
-	v, _, _ := u.prefix(u.N())
+	v, _, _ := u.totals()
 	return v
 }
 
-// prefix computes the estimate, the per-series ratios and the per-series
-// mean denominators over the first n windows.
-func (u *SummedRatios) prefix(n int) (value float64, ratio, xbar []float64) {
+// totals computes the estimate, the per-series ratios and the per-series
+// mean denominators over all windows.
+func (u *SummedRatios) totals() (value float64, ratio, xbar []float64) {
 	ratio = make([]float64, len(u.series))
 	xbar = make([]float64, len(u.series))
+	n := u.N()
 	if n == 0 {
 		return 0, ratio, xbar
 	}
 	for s := range u.series {
 		sy, sx := u.series[s].sy, u.series[s].sx
-		if n < u.series[s].N() {
-			sy, sx = 0, 0
-			for _, smp := range u.series[s].Samples()[:n] {
-				sy += smp.Y
-				sx += smp.X
-			}
-		}
 		xbar[s] = sx / float64(n)
 		if sx != 0 {
 			ratio[s] = sy / sx
@@ -233,12 +227,12 @@ func (u *SummedRatios) prefix(n int) (value float64, ratio, xbar []float64) {
 	return value, ratio, xbar
 }
 
-// influences returns the per-window delta-method influence values over
-// the first n windows: e_j = Σ_s (Y_sj - R_s·X_sj)/x̄_s. They sum to zero
-// by construction; their spread estimates the variance of Value.
-func (u *SummedRatios) influences(n int, ratio, xbar []float64) []float64 {
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
+// influences returns the per-window delta-method influence values:
+// e_j = Σ_s (Y_sj - R_s·X_sj)/x̄_s. They sum to zero by construction;
+// their spread estimates the variance of Value.
+func (u *SummedRatios) influences(ratio, xbar []float64) []float64 {
+	e := make([]float64, u.N())
+	for j := range e {
 		var sum float64
 		for s := range u.series {
 			if xbar[s] != 0 {
@@ -259,9 +253,9 @@ func (u *SummedRatios) CI(confidence float64) float64 {
 	if n < 2 {
 		return 0
 	}
-	_, ratio, xbar := u.prefix(n)
+	_, ratio, xbar := u.totals()
 	var ss float64
-	for _, e := range u.influences(n, ratio, xbar) {
+	for _, e := range u.influences(ratio, xbar) {
 		ss += e * e
 	}
 	return TQuantile(1-(1-confidence)/2, n-1) * math.Sqrt(ss/float64(n*(n-1)))
@@ -278,45 +272,6 @@ func (u *SummedRatios) RelCI(confidence float64) float64 {
 		return math.Inf(1)
 	}
 	return hw / math.Abs(v)
-}
-
-// PairedSpeedupCI estimates the speedup U_design/U_baseline from matched
-// measurement windows — window j of both estimators must cover the same
-// deterministic event range — with a delta-method confidence interval
-// over the per-window relative influence differences. The matching
-// matters: the difference cancels the workload-phase variance both runs
-// share, which is what lets short sampled runs bound a speedup tightly
-// (the SMARTS-style matched-pair comparison). When the two runs measured
-// different window counts (early stopping), the common prefix is paired.
-// Returns (0, 0) with no pairs or a degenerate margin; with one pair the
-// half-width is 0 by the n<2 convention.
-func PairedSpeedupCI(design, baseline *SummedRatios, confidence float64) (speedup, halfWidth float64) {
-	n := design.N()
-	if baseline.N() < n {
-		n = baseline.N()
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	ud, rd, xd := design.prefix(n)
-	ub, rb, xb := baseline.prefix(n)
-	if ud == 0 || ub == 0 {
-		return 0, 0
-	}
-	speedup = ud / ub
-	if n < 2 {
-		return speedup, 0
-	}
-	ed := design.influences(n, rd, xd)
-	eb := baseline.influences(n, rb, xb)
-	var ss float64
-	for j := 0; j < n; j++ {
-		e := ed[j]/ud - eb[j]/ub
-		ss += e * e
-	}
-	relVar := ss / float64(n*(n-1))
-	halfWidth = TQuantile(1-(1-confidence)/2, n-1) * math.Abs(speedup) * math.Sqrt(relVar)
-	return speedup, halfWidth
 }
 
 // Histogram is a fixed-bucket histogram over small non-negative integers

@@ -1,12 +1,8 @@
 package unisoncache
 
 import (
-	"fmt"
-	"math"
-
 	"unisoncache/internal/sample"
 	"unisoncache/internal/sim"
-	"unisoncache/internal/stats"
 	"unisoncache/internal/telemetry"
 )
 
@@ -34,19 +30,6 @@ type SampleSpec = sample.Spec
 // assign it to Run.Sampling to turn sampling on.
 func DefaultSampleSpec() SampleSpec { return sample.Default() }
 
-// ParseSampleSpec reads the flag form of a spec, e.g.
-// "warmup=0.5,interval=1000,gap=1000,min=6,max=0,conf=0.95,ci=0.02" ("on"
-// selects the defaults). See internal/sample.Parse for the grammar.
-func ParseSampleSpec(text string) (SampleSpec, error) {
-	s, err := sample.Parse(text)
-	if err != nil {
-		return SampleSpec{}, fmt.Errorf("unisoncache: %w", err)
-	}
-	// A spec parsed from a flag is meant to sample: canonicalize through
-	// the defaults so even "on" (the zero spec) comes back enabled.
-	return s.WithDefaults(), nil
-}
-
 // SampleStats is a sampled run's statistical outcome, carried on
 // Result.CI. The run's Result.UIPC is the sampled estimate (the ratio
 // estimator over the measurement windows); every other Result field
@@ -63,8 +46,7 @@ type SampleStats struct {
 	// Converged reports whether the early-stop target was reached.
 	Converged bool
 	// Windows holds one entry per measurement window, in schedule order;
-	// the (Instructions, Cycles) pairs are the estimator's samples, and
-	// the matched-pair speedup CI pairs them across runs.
+	// the (Instructions, Cycles) pairs are the estimator's samples.
 	Windows []WindowStat
 	// DetailedEvents counts events simulated inside measurement windows,
 	// across all cores. SimulatedEvents adds the functional warmup and
@@ -82,8 +64,7 @@ type SampleStats struct {
 
 // WindowStat is one measurement window's metrics: summed per-core IPC,
 // total retired instructions, the maximum per-core cycle delta, and the
-// per-core deltas the estimator and the matched-pair speedup CI are
-// built from.
+// per-core deltas the estimator is built from.
 type WindowStat struct {
 	UIPC         float64
 	Instructions uint64
@@ -95,37 +76,6 @@ type WindowStat struct {
 // instructions and elapsed cycles. It is internal/telemetry.CoreRow, the
 // row the recorder measures windows with; its JSON field names are stable.
 type CoreWindowStat = telemetry.CoreRow
-
-// RelHalfWidth is HalfWidth relative to the estimate (the ±x% form).
-func (s SampleStats) RelHalfWidth() float64 {
-	if s.HalfWidth == 0 {
-		return 0
-	}
-	if s.UIPC == 0 {
-		return math.Inf(1)
-	}
-	return s.HalfWidth / math.Abs(s.UIPC)
-}
-
-// Low and High are the interval bounds.
-func (s SampleStats) Low() float64  { return s.UIPC - s.HalfWidth }
-func (s SampleStats) High() float64 { return s.UIPC + s.HalfWidth }
-
-// Intervals is the measured window count.
-func (s SampleStats) Intervals() int { return len(s.Windows) }
-
-// summedRatios rebuilds the windowed estimator from the stored per-core
-// samples (for matched-pair speedup CIs).
-func (s SampleStats) summedRatios() *stats.SummedRatios {
-	if len(s.Windows) == 0 || len(s.Windows[0].PerCore) == 0 {
-		return stats.NewSummedRatios(0)
-	}
-	u := stats.NewSummedRatios(len(s.Windows[0].PerCore))
-	for _, w := range s.Windows {
-		u.AddWindow(sample.RatioSamples(w.PerCore))
-	}
-	return u
-}
 
 // executeSampled runs the sampled schedule on a prepared machine and
 // assembles the Result (the sampled counterpart of machine.Run in

@@ -461,8 +461,7 @@ func TestSegmentedCorruptSnapshotFallsBack(t *testing.T) {
 // TestSampledIgnoresSegments: a sampled run always replays its own warmup,
 // so Segments changes nothing about it — not even after a segmented run of
 // the same configuration has filled the snapshot store. Acceptance: its CI
-// must contain the full-run UIPC, the same bound TestSweepSampledAcceptance
-// enforces on sampled sweeps.
+// must contain the full-run UIPC.
 func TestSampledIgnoresSegments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full, sampled and segmented executions; skipped in -short")
@@ -510,10 +509,10 @@ func TestSampledIgnoresSegments(t *testing.T) {
 			t.Errorf("%s: Segments changed a sampled run\nSegments 0: %s\nSegments 4: %s", d, pj, sj)
 		}
 
-		fullUIPC := segRes.UIPC
-		if fullUIPC < segSampled.CI.Low() || fullUIPC > segSampled.CI.High() {
-			t.Errorf("%s: full-run UIPC %.5f outside sampled CI [%.5f, %.5f]",
-				d, fullUIPC, segSampled.CI.Low(), segSampled.CI.High())
+		ci := segSampled.CI
+		if full := segRes.UIPC; full < ci.UIPC-ci.HalfWidth || full > ci.UIPC+ci.HalfWidth {
+			t.Errorf("%s: full-run UIPC %.5f outside sampled CI %.5f ± %.5f",
+				d, full, ci.UIPC, ci.HalfWidth)
 		}
 	}
 }

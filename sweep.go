@@ -3,10 +3,8 @@ package unisoncache
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"unisoncache/internal/runner"
-	"unisoncache/internal/stats"
 )
 
 // Plan is a declarative sweep: an ordered list of simulation points plus
@@ -35,7 +33,7 @@ type Plan struct {
 	// value is not — or sweep results lose their bit-identical guarantee.
 	// Executors must be safe for concurrent calls; in-plan memoization
 	// still applies, so an Executor sees each distinct defaulted
-	// configuration at most once per worker-pool pass.
+	// configuration at most once per plan.
 	Executor func(Run) (Result, error) `json:"-"`
 }
 
@@ -123,69 +121,6 @@ type SpeedupResult struct {
 	// shared (memoized) across points.
 	Design   Result
 	Baseline Result
-	// CI is the matched-pair confidence interval on the speedup, present
-	// only when both runs sampled: measurement window i covers the same
-	// per-core events in both runs (the schedule is defined in events and
-	// the streams are identical), so per-window design/baseline ratios
-	// cancel the workload-phase variance the two runs share.
-	CI *SpeedupCI `json:",omitempty"`
-}
-
-// SpeedupCI is a matched-pair speedup confidence interval.
-type SpeedupCI struct {
-	// Confidence is the two-sided level (the design spec's).
-	Confidence float64
-	// Speedup is the matched-pair estimate — the mean of the per-window
-	// ratios. It differs from SpeedupResult.Speedup (ratio of the two
-	// windowed means) by at most the window-to-window spread; HalfWidth
-	// is stated around this center.
-	Speedup   float64
-	HalfWidth float64
-	// Pairs is the number of matched windows (the shorter run's count
-	// when early stopping ended the two runs at different points).
-	Pairs int
-}
-
-// Low and High are the interval bounds.
-func (c SpeedupCI) Low() float64  { return c.Speedup - c.HalfWidth }
-func (c SpeedupCI) High() float64 { return c.Speedup + c.HalfWidth }
-
-// RelHalfWidth is HalfWidth relative to the estimate (the ±x% form),
-// mirroring SampleStats.RelHalfWidth: a zero interval is relatively zero
-// regardless of the center, a nonzero interval around a zero (or sign-
-// degenerate) center is +Inf — never a value a CI target could mistake
-// for converged — and a negative center measures against its magnitude.
-func (c SpeedupCI) RelHalfWidth() float64 {
-	if c.HalfWidth == 0 {
-		return 0
-	}
-	if c.Speedup == 0 {
-		return math.Inf(1)
-	}
-	return c.HalfWidth / math.Abs(c.Speedup)
-}
-
-// speedupCI pairs the two runs' measurement windows; nil unless both
-// sampled. Early stopping may have ended the runs at different window
-// counts; the common prefix still covers identical event ranges, so the
-// pairing stands.
-func speedupCI(design, baseline Result) *SpeedupCI {
-	if design.CI == nil || baseline.CI == nil {
-		return nil
-	}
-	d, b := design.CI.summedRatios(), baseline.CI.summedRatios()
-	k := d.N()
-	if b.N() < k {
-		k = b.N()
-	}
-	conf := design.CI.Confidence
-	speedup, hw := stats.PairedSpeedupCI(d, b, conf)
-	return &SpeedupCI{
-		Confidence: conf,
-		Speedup:    speedup,
-		HalfWidth:  hw,
-		Pairs:      k,
-	}
 }
 
 // SpeedupMany is Speedup over a whole plan: every design point and every
@@ -193,19 +128,8 @@ func speedupCI(design, baseline Result) *SpeedupCI {
 // DesignNone baseline executes once per unique (workload, seed, capacity,
 // accesses, cores, scale) tuple — not once per design point — because
 // design-only knobs (associativity, ablation flags) cannot affect a
-// system with no DRAM cache. Points whose Sampling is enabled come back
-// with matched-pair speedup CIs; use SweepSampled for plans that should
-// also escalate unconverged points.
+// system with no DRAM cache.
 func SpeedupMany(p Plan) ([]SpeedupResult, error) {
-	return speedupMany(p, func(runs []Run) ([]Result, error) {
-		return runner.MapKeyed(runs, runKey, p.exec(), runner.Options{Jobs: p.Jobs, Progress: p.Progress})
-	})
-}
-
-// speedupMany builds the design+baseline run list, hands it to execute
-// (one worker-pool pass, however adaptive) and assembles the per-point
-// speedups.
-func speedupMany(p Plan, execute func([]Run) ([]Result, error)) ([]SpeedupResult, error) {
 	n := len(p.Points)
 	runs := make([]Run, 0, 2*n)
 	for _, r := range p.Points {
@@ -214,7 +138,7 @@ func speedupMany(p Plan, execute func([]Run) ([]Result, error)) ([]SpeedupResult
 	for i := 0; i < n; i++ {
 		runs = append(runs, baselineRun(runs[i]))
 	}
-	results, err := execute(runs)
+	results, err := runner.MapKeyed(runs, runKey, p.exec(), runner.Options{Jobs: p.Jobs, Progress: p.Progress})
 	if err != nil {
 		return nil, err
 	}
@@ -228,77 +152,9 @@ func speedupMany(p Plan, execute func([]Run) ([]Result, error)) ([]SpeedupResult
 			Speedup:  design.UIPC / baseline.UIPC,
 			Design:   design,
 			Baseline: baseline,
-			CI:       speedupCI(design, baseline),
 		}
 	}
 	return out, nil
-}
-
-// sampledRounds caps a CI-target plan's refinement: an unsatisfied
-// point's window density doubles at most this many times (the default
-// 25% detailed duty cycle reaches full tiling in two halvings).
-const sampledRounds = 2
-
-// SweepSampled executes a CI-target plan: spec (the defaults when zero)
-// is applied to every point, SpeedupMany runs the sampled sweep, and any
-// point whose matched-pair speedup CI is still wider than the spec's
-// TargetRelCI re-runs with its windows twice as dense — the inter-window
-// gap halved (down to none), the event budget and warmup untouched —
-// while points already inside the target keep their first-round results.
-// The target applies to the *speedup* CI here, not the per-run UIPC CI
-// the early-stop rule inside each run watches: pairing cancels the
-// workload-phase variance the two runs share, so the speedup converges
-// at densities where a single run's throughput CI is still wide.
-//
-// Refining density rather than budget keeps every attempt measuring the
-// same region a full run would — a longer run would measure a warmer
-// cache and bound a *different* value than the full-run result the CI is
-// meant to contain. A point still unsatisfied at full tiling has used
-// every event its budget holds; its (honest, wider) CI stands. Results
-// remain in plan order and, like every sweep, bit-identical no matter
-// the worker count.
-func SweepSampled(p Plan, spec SampleSpec) ([]SpeedupResult, error) {
-	if !spec.Enabled() {
-		spec = DefaultSampleSpec()
-	}
-	spec = spec.WithDefaults()
-	pts := make([]Run, len(p.Points))
-	for i, r := range p.Points {
-		r.Sampling = spec
-		pts[i] = r
-	}
-	target := spec.TargetRelCI
-	if target < 0 {
-		target = 0
-	}
-	run := func(points []Run) ([]SpeedupResult, error) {
-		return SpeedupMany(Plan{Points: points, Jobs: p.Jobs, Progress: p.Progress, Executor: p.Executor})
-	}
-	grow := func(r Run, res SpeedupResult) (Run, bool) {
-		if target <= 0 || res.CI == nil {
-			return r, false
-		}
-		rel := res.CI.RelHalfWidth()
-		if rel <= target {
-			return r, false
-		}
-		d := r.Sampling.WithDefaults()
-		if d.GapEvents <= 0 {
-			return r, false // already tiled: no denser schedule exists
-		}
-		// The CI shrinks like 1/sqrt(windows), so jump straight to the
-		// predicted density instead of probing halvings: stride divided
-		// by (rel/target)^2, clamped to full tiling.
-		stride := d.IntervalEvents + d.GapEvents
-		factor := (rel / target) * (rel / target)
-		if next := int(float64(stride) / factor); next > d.IntervalEvents {
-			r.Sampling.GapEvents = next - d.IntervalEvents
-		} else {
-			r.Sampling.GapEvents = -1
-		}
-		return r, true
-	}
-	return runner.Refine(pts, run, grow, sampledRounds)
 }
 
 // runKey memoizes by the full defaulted configuration: Run is a

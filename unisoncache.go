@@ -128,9 +128,8 @@ type Run struct {
 	// checkpointed start states and merged with a deterministic fix-up
 	// pass (DESIGN.md §11). Results are bit-identical to the serial run —
 	// the first execution of a configuration simulates serially while
-	// writing the segment checkpoints, and repeat executions (the sweep
-	// refinement pattern, result-cache misses on design variants) run all
-	// segments concurrently. 0 and 1 both mean serial. Sampled and
+	// writing the segment checkpoints, and repeat executions (result-cache
+	// misses on design variants) run all segments concurrently. 0 and 1 both mean serial. Sampled and
 	// telemetry runs (Sampling or Telemetry set) ignore Segments: they
 	// replay serially and return the same Result they would with
 	// Segments 0.
@@ -233,12 +232,22 @@ func Execute(r Run) (Result, error) {
 	return execute(r, nil)
 }
 
+// maxSimulatedCapacity bounds the simulated capacity, Capacity /
+// ScaleDivisor: 8 GB, the paper's largest design point
+// (config.TPCHSizes), which ScaleDivisor 1 still reaches. The designs
+// size their tag and page arrays by it, so an unbounded request could
+// ask for an allocation the OS refuses, which ends the process.
+const maxSimulatedCapacity = 8 << 30
+
 // execute is Execute's dispatch with an optional live epoch observer
 // (ExecuteObserved).
 func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 	r = r.withDefaults()
 	if r.ScaleDivisor < 1 {
 		return Result{}, fmt.Errorf("unisoncache: ScaleDivisor must be >= 1, got %d", r.ScaleDivisor)
+	}
+	if r.Capacity/uint64(r.ScaleDivisor) > maxSimulatedCapacity {
+		return Result{}, fmt.Errorf("unisoncache: Capacity/ScaleDivisor must be <= 8 GB, got %d/%d", r.Capacity, r.ScaleDivisor)
 	}
 	if r.AccessesPerCore < 0 {
 		return Result{}, fmt.Errorf("unisoncache: AccessesPerCore must be >= 0, got %d", r.AccessesPerCore)

@@ -210,9 +210,10 @@ func TestReplayRejectsHeaderMismatch(t *testing.T) {
 	}
 }
 
-// TestExecuteRejectsRunSizes: a negative AccessesPerCore, or more cores
-// than a capture header may hold, fails at Execute with an error naming
-// the field — live and replayed, plain, with telemetry and segmented.
+// TestExecuteRejectsRunSizes: a negative AccessesPerCore, more cores than
+// a capture header may hold, or a simulated capacity (Capacity /
+// ScaleDivisor) beyond 8 GB fails at Execute with an error naming the
+// fields — live and replayed, plain, with telemetry and segmented.
 func TestExecuteRejectsRunSizes(t *testing.T) {
 	live := uc.Run{Workload: "web-search", Design: uc.DesignUnison, Capacity: 128 << 20,
 		Cores: 2, Seed: 9, AccessesPerCore: 2_000}
@@ -232,8 +233,9 @@ func TestExecuteRejectsRunSizes(t *testing.T) {
 		"segmented": func(r *uc.Run) { r.Segments = 2 },
 	}
 	sizes := map[string]func(*uc.Run){
-		"AccessesPerCore": func(r *uc.Run) { r.AccessesPerCore = -5 },
-		"Cores":           func(r *uc.Run) { r.Cores = 5000 },
+		"AccessesPerCore":       func(r *uc.Run) { r.AccessesPerCore = -5 },
+		"Cores":                 func(r *uc.Run) { r.Cores = 5000 },
+		"Capacity/ScaleDivisor": func(r *uc.Run) { r.Design, r.Capacity, r.ScaleDivisor = uc.DesignAlloy, 1<<40, 1 },
 	}
 	for source, base := range map[string]uc.Run{"live": live, "replay": replay} {
 		for mode, setMode := range modes {
@@ -246,6 +248,14 @@ func TestExecuteRejectsRunSizes(t *testing.T) {
 				}
 			}
 		}
+	}
+	// The bound admits the paper's largest design point at full scale:
+	// this run passes it and fails only at its unknown design, before any
+	// cache is built.
+	edge := live
+	edge.Design, edge.Capacity, edge.ScaleDivisor = "bogus", 8<<30, 1
+	if _, err := uc.Execute(edge); err == nil || !strings.Contains(err.Error(), `unknown design "bogus"`) {
+		t.Errorf("8 GB at ScaleDivisor 1: err = %v, want only the unknown design rejected", err)
 	}
 }
 
