@@ -203,6 +203,17 @@ func (s Spec) Windows(accessesPerCore int) (fit, warm int) {
 	return fit, warm
 }
 
+// Boundaries returns how many recorder boundaries the schedule sets over
+// accessesPerCore events: every window's end, and its start too when a
+// gap precedes it.
+func (s Spec) Boundaries(accessesPerCore int) int {
+	fit, _ := s.Windows(accessesPerCore)
+	if fit == 0 || s.WithDefaults().gap() == 0 {
+		return fit
+	}
+	return 2*fit - 1
+}
+
 // Report is one sampled run's outcome.
 type Report struct {
 	// Windows holds one entry per detailed measurement window, in
@@ -270,7 +281,7 @@ func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 	// end: nothing beyond it can be measured, so nothing beyond it is
 	// simulated.
 	stride := spec.IntervalEvents + spec.gap()
-	offsets := make([]int, 0, 2*fit)
+	offsets := make([]int, 0, spec.Boundaries(accessesPerCore))
 	for w := 0; w < fit; w++ {
 		if start := w * stride; w > 0 && start > offsets[len(offsets)-1] {
 			offsets = append(offsets, start)

@@ -73,6 +73,22 @@ func TestWindows(t *testing.T) {
 	if fit, _ := s.Windows(1_000); fit != 0 {
 		t.Errorf("tiny budget fit = %d, want 0", fit)
 	}
+	// Each window's end, and each later window's start after its gap.
+	tiled := Spec{WarmupFrac: 0.5, IntervalEvents: 1000, GapEvents: -1}
+	for _, tc := range []struct {
+		spec     Spec
+		accesses int
+		want     int
+	}{
+		{s, 80_000, 39},
+		{capped, 80_000, 15},
+		{tiled, 80_000, 40},
+		{s, 1_000, 0},
+	} {
+		if got := tc.spec.Boundaries(tc.accesses); got != tc.want {
+			t.Errorf("%+v over %d accesses: %d boundaries, want %d", tc.spec, tc.accesses, got, tc.want)
+		}
+	}
 }
 
 // testMachine builds a small no-DRAM-cache machine over live synthetic

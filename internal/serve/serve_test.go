@@ -556,8 +556,9 @@ func TestServeDecodeErrors(t *testing.T) {
 
 // TestServeRejectsRunSizes: a submitted run whose size Execute rejects —
 // a negative AccessesPerCore, more cores than a capture may hold, a
-// simulated capacity (Capacity/ScaleDivisor) beyond 8 GB — ends failed
-// with an error naming the field, and the result cache stays empty.
+// simulated capacity (Capacity/ScaleDivisor) beyond 8 GB, one-event
+// epochs or sampling windows over billions of events — ends failed with
+// an error naming the field, and the result cache stays empty.
 func TestServeRejectsRunSizes(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -568,6 +569,12 @@ func TestServeRejectsRunSizes(t *testing.T) {
 		"AccessesPerCore":       func(r *uc.Run) { r.AccessesPerCore = -5 },
 		"Cores":                 func(r *uc.Run) { r.Cores = 5000 },
 		"Capacity/ScaleDivisor": func(r *uc.Run) { r.Design, r.Capacity, r.ScaleDivisor = uc.DesignAlloy, 1<<40, 1 },
+		"Telemetry.EpochEvents": func(r *uc.Run) {
+			r.AccessesPerCore, r.Telemetry = 3_000_000_000, uc.TelemetrySpec{EpochEvents: 1}
+		},
+		"Sampling.IntervalEvents": func(r *uc.Run) {
+			r.AccessesPerCore, r.Sampling = 3_000_000_000, uc.SampleSpec{WarmupFrac: -1, IntervalEvents: 1, GapEvents: -1}
+		},
 	} {
 		r := smallRun(uc.DesignUnison)
 		mut(&r)

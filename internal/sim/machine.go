@@ -7,7 +7,10 @@
 // from the shared DRAM bank/bus reservations; cores are advanced
 // minimum-clock-first so their clocks stay interleaved. A replay of a
 // recorded capture may take each core's L1 outcomes from streams built
-// once per capture (UseL1Outcomes) instead of looking them up.
+// once per capture (UseL1Outcomes) instead of looking them up; such a
+// core then folds its L1 hits out of the schedule, consuming the hits
+// that follow each of its steps in one pass, since a hit touches nothing
+// another core sees (DESIGN.md §8).
 //
 // The core model: one instruction per cycle while not stalled; a load that
 // misses the L1 stalls the core for the portion of its latency an
@@ -267,9 +270,8 @@ func (m *Machine) Run(accessesPerCore int) Results {
 
 // BeginRun starts a full run of accessesPerCore events per core, the first
 // WarmupFrac of them warmup, without executing anything. Advance it with
-// RunTo; finish with FinishRun. The schedule executed is bit-identical to
-// Run's no matter how the global step range is chunked (see
-// continuePhase).
+// RunTo; finish with FinishRun. The Results are bit-identical to Run's no
+// matter how the global step range is chunked (see RunTo).
 func (m *Machine) BeginRun(accessesPerCore int) {
 	warm := int(float64(accessesPerCore) * m.cfg.WarmupFrac)
 	m.BeginPhases(warm, accessesPerCore-warm)
@@ -328,11 +330,20 @@ func (m *Machine) WarmSteps() uint64 {
 	return uint64(m.run.warm) * uint64(len(m.cores))
 }
 
-// RunTo advances the run to global step target (clamped to TotalSteps).
-// The warmup/measurement transition is taken eagerly the moment the warm
-// boundary is reached, so the machine state at any given step count is a
-// pure function of the step count — never of how the RunTo calls were
-// chunked — which is the property checkpoint bit-identity rests on.
+// RunTo advances the run to global step target (clamped to TotalSteps),
+// stopping exactly on it unless an emit stopped the run first. The
+// warmup/measurement transition is taken eagerly the moment the warm
+// boundary is reached. On a machine that simulates its L1s, the state at
+// any given step count is a pure function of the step count, never of how
+// the RunTo calls were chunked. An outcome-driven machine folds each
+// core's L1 hits into the step before them, and a fold stops at the
+// target, so its state at an intermediate target also depends on where
+// earlier calls stopped: the same step count may hold more of one core's
+// hits and fewer of another core's events. Every state the schedule
+// reaches at a step that touches shared state is still independent of
+// chunking: the warmup boundary, every recorder boundary, an emit's stop
+// and the run's end. So are the Results, and a plain run restored from a
+// checkpoint written at any target finishes with the same Results.
 func (m *Machine) RunTo(target uint64) {
 	if total := m.TotalSteps(); target > total {
 		target = total
@@ -393,8 +404,9 @@ func (m *Machine) beginMeasurementPhase() {
 // a core exhausting its budget, so the loop re-enters until the budget or
 // the live cores run out. Re-entry — like resuming after an earlier call or
 // a restored checkpoint — is exact because the tournament tree is rebuilt
-// from the persisted remaining/clock state: chunked execution is
-// bit-identical to one uninterrupted loop.
+// from the persisted remaining/clock state: chunked execution runs every
+// step that touches shared state in the order one uninterrupted loop runs
+// it.
 func (m *Machine) continuePhase(budget uint64) uint64 {
 	var steps uint64
 	for steps < budget {
@@ -411,7 +423,10 @@ func (m *Machine) continuePhase(budget uint64) uint64 {
 // phase: clamp-and-park over the recorder's boundaries. The first entry
 // builds the recorder at the measurement boundary; later chunks resume it
 // where the last one parked, since its cursors advance only as cores
-// cross. An emit that asks to stop ends the run (phase 3).
+// cross. An emit that asks to stop ends the run (phase 3) and hands back
+// the L1 hits folded past the stopping step (unfold), so the run stands
+// where the unfolded schedule stops. The stopping step parked its core,
+// which leaves that step's pick key at the root of the tree.
 func (m *Machine) continueObserved(budget uint64) uint64 {
 	meas := m.run.accesses - m.run.warm
 	if m.rec == nil {
@@ -420,6 +435,7 @@ func (m *Machine) continueObserved(budget uint64) uint64 {
 	steps, goOn := m.clampAndPark(budget, meas)
 	if !goOn {
 		m.run.phase = 3
+		steps -= m.unfold(m.tree[1])
 	}
 	return steps
 }
@@ -430,8 +446,10 @@ func (m *Machine) continueObserved(budget uint64) uint64 {
 // excess in m.clamp, and runs the park loop. A core whose clamped
 // countdown reaches zero stands exactly on its boundary, and the loop
 // stops right after that step, so no other core runs ahead of the parked
-// core's post-boundary events and the concatenated schedule is the
-// uninterrupted one — the same chunking property RunTo rests on. The
+// core's post-boundary events. Parks are exact: a fold never takes a
+// core's last countdown event, so the parked core stands on its boundary
+// after a real step, with every step that touches shared state run in
+// the uninterrupted schedule's order (see RunTo). The
 // driver restores the withheld budgets, records the crossing, and
 // re-enters. When a crossing completes a boundary — every core has
 // crossed it — the machine-wide statistics row is recorded: the state is
@@ -487,6 +505,10 @@ func (m *Machine) clampAndPark(budget uint64, total int) (uint64, bool) {
 // ("parks"). It returns the steps executed and the parked core's index, or
 // -1 when the budget or the live cores ran out first. The park exit is the
 // existing exhausted-core branch, so the hot path carries no extra checks.
+// After a step that leaves an outcome-driven core live, the core folds
+// the L1 hits that follow it, each counted as a step; the fold stops short
+// of the core's last countdown event, which may be clamped at a recorder
+// boundary, and of the budget, so parks and RunTo targets stay exact.
 func (m *Machine) runUntilPark(budget uint64) (uint64, int) {
 	if m.buildTree() == 0 {
 		return 0, -1
@@ -501,13 +523,73 @@ func (m *Machine) runUntilPark(budget uint64) (uint64, int) {
 		if remaining[best]--; remaining[best] == 0 {
 			return steps, best // the next entry rebuilds the tree
 		}
-		tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
+		c := &m.cores[best]
+		if c.out != nil {
+			n := c.fold(int(min(uint64(remaining[best]-1), budget-steps)))
+			remaining[best] -= n
+			steps += uint64(n)
+		}
+		tree[leaves+best] = c.clock<<shift | uint64(best)
 		// Replay best's matches up the tree.
 		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
 			tree[n] = minKey(tree[2*n], tree[2*n+1])
 		}
 	}
 	return steps, -1
+}
+
+// fold consumes an outcome-driven core's L1 hits that follow its last
+// step, at most limit of them and never past its prefetch slab, and
+// returns how many it consumed. A hit touches nothing shared, so running
+// it now rather than at its turn in the schedule changes no other core's
+// view; it only advances the core's clock by its gap and its
+// instructions by the gap plus one. The core's clock is then the key the
+// schedule gives its next unfolded event. Folded hits stay in buf[:pos]
+// until the core's next step, which is what lets unfold hand them back.
+func (c *coreState) fold(limit int) int {
+	hit, k := c.out.hit, c.ev
+	n := 0
+	for n < limit && c.pos < c.n && hit[k>>6]&(1<<(k&63)) != 0 {
+		gap := uint64(c.buf[c.pos].Gap)
+		c.clock += gap
+		c.instr += gap + 1
+		c.pos++
+		k++
+		n++
+	}
+	c.ev = k
+	return n
+}
+
+// unfold hands back the folded hits the schedule would not yet have run
+// when the run stopped right after the step picked at key stop: walking
+// each outcome-driven core back over its trailing hits whose own key,
+// (clock−Gap)<<shift|core, lies above stop. Every step picked before the
+// stopping one had a key at or below it, so the walk only ever undoes
+// folded hits, and it ends at the first miss. It returns the events
+// handed back.
+func (m *Machine) unfold(stop uint64) uint64 {
+	var back uint64
+	for i := range m.cores {
+		c := &m.cores[i]
+		if c.out == nil {
+			continue
+		}
+		for c.pos > 0 {
+			k := c.ev - 1
+			gap := uint64(c.buf[c.pos-1].Gap)
+			if c.out.hit[k>>6]&(1<<(k&63)) == 0 || (c.clock-gap)<<m.shift|uint64(i) <= stop {
+				break
+			}
+			c.clock -= gap
+			c.instr -= gap + 1
+			c.pos--
+			c.ev--
+			m.remaining[i]++
+			back++
+		}
+	}
+	return back
 }
 
 // buildTree (re)builds the tournament tree from the live cores' clocks and

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -16,11 +17,15 @@ import (
 // divisor) with nothing but the replay loop timed. WarmupFrac is 0, so a
 // run's measurement phase — and any recording — starts at step 0.
 func steadyUnisonMachine(tb testing.TB, cores int) *Machine {
+	return steadyUnisonCell(tb, steadyStreams(tb, cores))
+}
+
+// steadyStreams returns the steady cell's live event streams: data-serving
+// at seed 1, its working set divided by the cell's scale divisor.
+func steadyStreams(tb testing.TB, cores int) []trace.Source {
 	tb.Helper()
-	const labelCap = uint64(1 << 30)
-	div := uint64(32) // AutoScaleDivisor(1<<30)
 	prof := *trace.Profiles()["data-serving"]
-	prof.WorkingSetBytes /= div
+	prof.WorkingSetBytes /= steadyDivisor
 	sources := make([]trace.Source, cores)
 	for i := range sources {
 		s, err := trace.NewStream(&prof, 1, i)
@@ -29,6 +34,16 @@ func steadyUnisonMachine(tb testing.TB, cores int) *Machine {
 		}
 		sources[i] = s
 	}
+	return sources
+}
+
+// steadyDivisor is AutoScaleDivisor(1 GB), the steady cell's scale.
+const steadyDivisor = 32
+
+// steadyUnisonCell builds the steady cell's machine over sources.
+func steadyUnisonCell(tb testing.TB, sources []trace.Source) *Machine {
+	tb.Helper()
+	const labelCap = uint64(1 << 30)
 	stacked, err := dram.NewController(dram.StackedConfig())
 	if err != nil {
 		tb.Fatal(err)
@@ -38,7 +53,7 @@ func steadyUnisonMachine(tb testing.TB, cores int) *Machine {
 		tb.Fatal(err)
 	}
 	design, err := core.New(core.Config{
-		CapacityBytes: labelCap / div,
+		CapacityBytes: labelCap / steadyDivisor,
 		LabelBytes:    labelCap,
 		PageBlocks:    15,
 		Ways:          4,
@@ -46,15 +61,21 @@ func steadyUnisonMachine(tb testing.TB, cores int) *Machine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := Default()
-	cfg.Cores = cores
-	cfg.WarmupFrac = 0
-	cfg.L2.SizeBytes = 128 << 10
-	m, err := New(cfg, sources, design, stacked, offchip)
+	m, err := New(steadyConfig(len(sources)), sources, design, stacked, offchip)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return m
+}
+
+// steadyConfig is the steady cell's CMP: Table III at the cell's scale,
+// with no warmup.
+func steadyConfig(cores int) Config {
+	cfg := Default()
+	cfg.Cores = cores
+	cfg.WarmupFrac = 0
+	cfg.L2.SizeBytes = 128 << 10
+	return cfg
 }
 
 func BenchmarkSteadyReplay(b *testing.B) {
@@ -68,6 +89,64 @@ func BenchmarkSteadyReplay(b *testing.B) {
 		target += batch * cores
 		m.RunTo(target)
 	}
+}
+
+// outcomeCapture is BenchmarkOutcomeReplay's capture and its L1 outcome
+// streams, built on the benchmark's first call and shared by the rest.
+var outcomeCapture struct {
+	c *trace.Capture
+	o *L1Outcomes
+}
+
+// BenchmarkOutcomeReplay is BenchmarkSteadyReplay's cell replayed from a
+// capture of the same streams, taking its L1 outcomes from the capture's
+// streams: the loop every Execute of a recorded capture runs, L1 hits
+// folded out of the schedule. It reports ns/event over the timed chunks.
+// The capture holds 40 chunks past the prewarm; a fresh machine replaces
+// an exhausted one off the clock, so memory stays fixed however large b.N
+// grows.
+func BenchmarkOutcomeReplay(b *testing.B) {
+	const cores, prewarm, batch, chunks = 16, 20_000, 5_000, 40
+	const events = prewarm + chunks*batch
+	if outcomeCapture.c == nil {
+		var buf bytes.Buffer
+		h := trace.FileHeader{Profile: "data-serving", Seed: 1, ScaleDivisor: steadyDivisor, Cores: cores, EventsPerCore: events}
+		if err := trace.WriteTrace(&buf, h, steadyStreams(b, cores)); err != nil {
+			b.Fatal(err)
+		}
+		ob, err := NewL1OutcomeBuilder(steadyConfig(cores).L1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := trace.ReadCapture(&buf, ob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		outcomeCapture.c, outcomeCapture.o = c, ob.Outcomes()
+	}
+	var m *Machine
+	var target uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%chunks == 0 {
+			b.StopTimer()
+			var sources []trace.Source
+			for _, rs := range outcomeCapture.c.Sources() {
+				sources = append(sources, rs)
+			}
+			m = steadyUnisonCell(b, sources)
+			if err := m.UseL1Outcomes(outcomeCapture.o, events); err != nil {
+				b.Fatal(err)
+			}
+			m.BeginRun(events)
+			target = prewarm * cores
+			m.RunTo(target)
+			b.StartTimer()
+		}
+		target += batch * cores
+		m.RunTo(target)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*cores), "ns/event")
 }
 
 // BenchmarkReplayTelemetry is the telemetry-overhead guard: the steady

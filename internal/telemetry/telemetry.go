@@ -65,11 +65,24 @@ func (s Spec) Bounds(meas int) []int {
 	if meas <= 0 {
 		return nil
 	}
-	var bounds []int
+	bounds := make([]int, 0, s.Epochs(meas))
 	for end := s.EpochEvents; end < meas; end += s.EpochEvents {
 		bounds = append(bounds, end)
 	}
 	return append(bounds, meas)
+}
+
+// Epochs returns how many epochs Bounds cuts meas events per core into —
+// its length, computed without allocating.
+func (s Spec) Epochs(meas int) int {
+	if meas <= 0 {
+		return 0
+	}
+	n := meas / s.EpochEvents
+	if meas%s.EpochEvents != 0 {
+		n++
+	}
+	return n
 }
 
 // CoreRow is one core's retired instructions and elapsed cycles. The

@@ -29,6 +29,19 @@ func crossAll(r *Recorder, consumed int) {
 	}
 }
 
+// TestEpochsCountsBounds: Epochs is the length of the schedule Bounds
+// lays out, for every measured length, short final epochs included.
+func TestEpochsCountsBounds(t *testing.T) {
+	for _, e := range []int{1, 3, 10} {
+		s := Spec{EpochEvents: e}
+		for meas := -1; meas <= 35; meas++ {
+			if got, want := s.Epochs(meas), len(s.Bounds(meas)); got != want {
+				t.Errorf("EpochEvents %d over %d events: Epochs = %d, Bounds holds %d", e, meas, got, want)
+			}
+		}
+	}
+}
+
 func TestNewRecorderRejectsUnorderedOffsets(t *testing.T) {
 	for _, bad := range [][]int{{0, 10}, {10, 10}, {20, 10}} {
 		func() {

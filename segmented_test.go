@@ -273,8 +273,9 @@ func TestSegmentedReplayMatchesPlain(t *testing.T) {
 }
 
 // TestSegmentedReplayRepeatNeedsNoFixup: a replay's machines never touch
-// their L1s, so the boundary a Segments: 2 first run stores byte-equals
-// the end state segment 0 computes on a fresh machine, and the repeat
+// their L1s, and the first run and segment 0 stop their L1-hit folds at
+// the same RunTo target, so the boundary a Segments: 2 first run stores
+// byte-equals the end state segment 0 computes on a fresh machine, and the repeat
 // finds nothing to fix up: the store keeps the very snapshot the first run
 // wrote.
 func TestSegmentedReplayRepeatNeedsNoFixup(t *testing.T) {

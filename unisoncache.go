@@ -270,18 +270,18 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 		}
 	}
 	if r.Sampling.Enabled() {
-		machine, r, err := newMachine(r)
-		if err != nil {
+		if err := r.Sampling.Validate(); err != nil {
 			return Result{}, err
 		}
-		return executeSampled(machine, r)
-	}
-	if r.Segments > 1 && !r.Telemetry.Enabled() {
+	} else if r.Segments > 1 && !r.Telemetry.Enabled() {
 		return executeSegmented(r)
 	}
 	machine, r, err := newMachine(r)
 	if err != nil {
 		return Result{}, err
+	}
+	if r.Sampling.Enabled() {
+		return executeSampled(machine, r)
 	}
 	if !r.Telemetry.Enabled() {
 		return Result{Results: machine.Run(r.AccessesPerCore), Run: r}, nil
@@ -308,6 +308,43 @@ func emitFunc(onEpoch func(TimelineEpoch)) func(TimelineEpoch) bool {
 	}
 }
 
+// maxRecorderBoundaries and maxRecorderRows bound what the boundary
+// recorder of a telemetry or sampled run allocates up front: a global row
+// per boundary and a row per boundary and core, before the run simulates
+// anything. Measured through Execute, with the timeline or windows the
+// run returns, a boundary costs ~0.5 KB in a telemetry run and ~1.5 KB in
+// a sampled one, and a core row ~32 B and ~150 B. So the bounds admit at
+// most ~70 MB of recorder for a telemetry run and ~250 MB for a sampled
+// one. The repo's own schedules set a few hundred boundaries at most,
+// while one-event epochs over a run of billions of events would ask for
+// tens of GB at once, an allocation the OS refuses with a fatal error.
+const (
+	maxRecorderBoundaries = 1 << 16
+	maxRecorderRows       = 1 << 20
+)
+
+// checkRecorder rejects a telemetry or sampled run whose recorder would
+// exceed maxRecorderBoundaries or maxRecorderRows, naming the spec field
+// that sets its boundaries.
+func checkRecorder(r Run) error {
+	var n int
+	var field string
+	switch {
+	case r.Telemetry.Enabled():
+		// Epochs tile the measured region, which starts where
+		// Machine.BeginRun ends the warmup.
+		warm := int(float64(r.AccessesPerCore) * sim.Default().WarmupFrac)
+		n, field = r.Telemetry.Epochs(r.AccessesPerCore-warm), fmt.Sprintf("Telemetry.EpochEvents %d", r.Telemetry.EpochEvents)
+	case r.Sampling.Enabled():
+		n, field = r.Sampling.Boundaries(r.AccessesPerCore), fmt.Sprintf("Sampling.IntervalEvents %d (GapEvents %d)", r.Sampling.IntervalEvents, r.Sampling.GapEvents)
+	}
+	if n > maxRecorderBoundaries || n > maxRecorderRows/r.Cores {
+		return fmt.Errorf("unisoncache: %s sets %d recorder boundaries over %d accesses per core on %d cores; a run may record at most %d boundaries and %d boundary x core rows",
+			field, n, r.AccessesPerCore, r.Cores, maxRecorderBoundaries, maxRecorderRows)
+	}
+	return nil
+}
+
 // newMachine builds the complete simulated system a defaulted Run
 // describes — event sources, DRAM controllers, the design under test and
 // the core/cache machine — and returns the Run with trace-header
@@ -315,10 +352,15 @@ func emitFunc(onEpoch func(TimelineEpoch)) func(TimelineEpoch) bool {
 // the capture's streams; a live run's simulates its L1s. Machines for the
 // same Run are interchangeable: construction is deterministic, which is
 // what lets segment workers build private machines and restore
-// checkpoints into them.
+// checkpoints into them. A run whose recorder would be too large
+// (checkRecorder) fails once its length is known, before the DRAM parts
+// and the design are built.
 func newMachine(r Run) (*sim.Machine, Run, error) {
 	r, sources, l1, err := r.sources()
 	if err != nil {
+		return nil, Run{}, err
+	}
+	if err := checkRecorder(r); err != nil {
 		return nil, Run{}, err
 	}
 	stacked, err := dram.NewController(dram.StackedConfig())

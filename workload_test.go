@@ -213,7 +213,9 @@ func TestReplayRejectsHeaderMismatch(t *testing.T) {
 // TestExecuteRejectsRunSizes: a negative AccessesPerCore, more cores than
 // a capture header may hold, or a simulated capacity (Capacity /
 // ScaleDivisor) beyond 8 GB fails at Execute with an error naming the
-// fields — live and replayed, plain, with telemetry and segmented.
+// fields — live and replayed, plain, with telemetry and segmented. So does
+// a telemetry or sampled run whose recorder would hold too many
+// boundaries or boundary x core rows, once the run's length is known.
 func TestExecuteRejectsRunSizes(t *testing.T) {
 	live := uc.Run{Workload: "web-search", Design: uc.DesignUnison, Capacity: 128 << 20,
 		Cores: 2, Seed: 9, AccessesPerCore: 2_000}
@@ -256,6 +258,46 @@ func TestExecuteRejectsRunSizes(t *testing.T) {
 	edge.Design, edge.Capacity, edge.ScaleDivisor = "bogus", 8<<30, 1
 	if _, err := uc.Execute(edge); err == nil || !strings.Contains(err.Error(), `unknown design "bogus"`) {
 		t.Errorf("8 GB at ScaleDivisor 1: err = %v, want only the unknown design rejected", err)
+	}
+
+	// The recorder bound: one-event epochs or windows over a long live
+	// run, over a 64-core run (too many rows, not boundaries), and over a
+	// replay whose length comes from its capture's header.
+	long := uc.Run{Workload: "web-search", Design: uc.DesignNone, Capacity: 128 << 20,
+		Cores: 1, Seed: 9, AccessesPerCore: 200_000}
+	buf.Reset()
+	if err := uc.RecordTrace(long, &buf); err != nil {
+		t.Fatal(err)
+	}
+	longPath := filepath.Join(t.TempDir(), "long.utrace")
+	if err := os.WriteFile(longPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recorders := map[string]func(*uc.Run){
+		"Telemetry.EpochEvents":   func(r *uc.Run) { r.Telemetry = uc.TelemetrySpec{EpochEvents: 1} },
+		"Sampling.IntervalEvents": func(r *uc.Run) { r.Sampling = uc.SampleSpec{WarmupFrac: -1, IntervalEvents: 1, GapEvents: -1} },
+	}
+	for source, base := range map[string]uc.Run{
+		"live":         {Workload: "web-search", Capacity: 128 << 20, AccessesPerCore: 3_000_000_000},
+		"live 64-core": {Workload: "web-search", Capacity: 128 << 20, Cores: 64, AccessesPerCore: 60_000},
+		"replay":       {Design: uc.DesignNone, Capacity: 128 << 20, TracePath: longPath},
+	} {
+		for field, set := range recorders {
+			r := base
+			set(&r)
+			if _, err := uc.Execute(r); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s run with %s too small for its length: err = %v, want an error naming it", source, field, err)
+			}
+		}
+	}
+	// The bound admits 65,536 epochs: one-event epochs over a replayed
+	// prefix whose measured third holds 65,334 events run.
+	within := uc.Run{Design: uc.DesignNone, Capacity: 128 << 20, TracePath: longPath,
+		AccessesPerCore: 196_000, Telemetry: uc.TelemetrySpec{EpochEvents: 1}}
+	if res, err := uc.Execute(within); err != nil {
+		t.Errorf("65,334 one-event epochs: %v", err)
+	} else if n := len(res.Timeline.Epochs); n != 65_334 {
+		t.Errorf("65,334 one-event epochs recorded %d", n)
 	}
 }
 
