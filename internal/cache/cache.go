@@ -92,6 +92,15 @@ type Cache struct {
 	// invalid way — victim selection scans nothing until the set is full.
 	fill  []uint8
 	stats Stats
+	// last and lastAt remember a packed cache's previous access: its block
+	// and that block's index in tags. The access left the block in its
+	// set's MRU way, and a block keeps its way until a fill evicts it, so
+	// when the next access repeats last it hits at lastAt with no
+	// promotion to make and no tag or rank word to load. Every packed
+	// access that hits or fills sets them; last is tagInvalid, which no
+	// block equals, before the first one and after a restore.
+	last   uint64
+	lastAt uint64
 	// packed caches (ways <= 8) keep each set's rank-ordered way list in
 	// one uint64 of orderW — byte r is the way holding rank r — so LRU
 	// promotion is a handful of ALU ops instead of two array rewrites.
@@ -130,6 +139,7 @@ func New(cfg Config) (*Cache, error) {
 		lru:     make([]uint8, sets*uint64(cfg.Ways)),
 		order:   make([]uint8, sets*uint64(cfg.Ways)),
 		fill:    make([]uint8, sets),
+		last:    tagInvalid,
 	}
 	for i := range c.tags {
 		c.tags[i] = tagInvalid
@@ -244,29 +254,13 @@ func (c *Cache) Access(block uint64, write bool) Result {
 // accessPacked is Access for packed caches: identical outcomes, with the
 // set's LRU state read and rewritten as a single rank word.
 func (c *Cache) accessPacked(block uint64, write bool) Result {
+	if c.AccessHit(block, write) {
+		return Result{Hit: true}
+	}
 	c.stats.Accesses++
 	set := block & c.setMask
 	base := set * uint64(c.ways)
 	ow := c.orderW[set]
-	// Fast path: re-touching the set's MRU way (rank word byte 0).
-	if m := base + ow&0xff; c.tags[m] == block {
-		c.stats.Hits++
-		if write {
-			c.state[m] = stateDirty
-		}
-		return Result{Hit: true}
-	}
-	for w, tag := range c.tags[base : base+uint64(c.ways)] {
-		if tag == block {
-			i := base + uint64(w)
-			c.stats.Hits++
-			if write {
-				c.state[i] = stateDirty
-			}
-			c.orderW[set] = promoteWord(ow, uint64(w))
-			return Result{Hit: true}
-		}
-	}
 	var victim uint64
 	if f := c.fill[set]; int(f) < c.ways {
 		victim = uint64(f)
@@ -288,7 +282,69 @@ func (c *Cache) accessPacked(block uint64, write bool) Result {
 		c.state[i] = stateClean
 	}
 	c.orderW[set] = promoteWord(ow, victim)
+	c.last, c.lastAt = block, i
 	return res
+}
+
+// AccessHit applies the access only if it hits. On a hit it does what
+// Access does — counts the access and the hit, promotes the block to MRU
+// and marks it dirty on a store — and returns true. On a miss it changes
+// nothing, no count, no LRU move and no fill, and returns false, so a
+// caller can probe ahead of its schedule without running the cache ahead
+// of the accesses it has consumed. Packed caches, the L1's shape, take the
+// fast path below, which answers a repeat of the previous access first;
+// every other geometry checks for the block first.
+func (c *Cache) AccessHit(block uint64, write bool) bool {
+	if !c.packed {
+		if !c.Contains(block) {
+			return false
+		}
+		c.Access(block, write)
+		return true
+	}
+	if block == c.last {
+		c.stats.Accesses++
+		c.stats.Hits++
+		if write {
+			c.state[c.lastAt] = stateDirty
+		}
+		return true
+	}
+	set := block & c.setMask
+	base := set * uint64(c.ways)
+	ow := c.orderW[set]
+	// Fast path: re-touching the set's MRU way (rank word byte 0).
+	if m := base + ow&0xff; c.tags[m] == block {
+		c.stats.Accesses++
+		c.stats.Hits++
+		if write {
+			c.state[m] = stateDirty
+		}
+		c.last, c.lastAt = block, m
+		return true
+	}
+	for w, tag := range c.tags[base : base+uint64(c.ways)] {
+		if tag == block {
+			i := base + uint64(w)
+			c.stats.Accesses++
+			c.stats.Hits++
+			if write {
+				c.state[i] = stateDirty
+			}
+			c.orderW[set] = promoteWord(ow, uint64(w))
+			c.last, c.lastAt = block, i
+			return true
+		}
+	}
+	return false
+}
+
+// UncountHits takes n hits back out of the counters: n accesses, every one
+// a hit, that the caller hands back after AccessHit applied them. The
+// content, LRU order and dirty bits they left stay as they are.
+func (c *Cache) UncountHits(n uint64) {
+	c.stats.Accesses -= n
+	c.stats.Hits -= n
 }
 
 // accessPacked16 is Access for two-word packed caches: identical outcomes,

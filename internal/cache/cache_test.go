@@ -1,10 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"unisoncache/internal/checkpoint"
 )
 
 func mustCache(t *testing.T, cfg Config) *Cache {
@@ -332,5 +335,71 @@ func TestPackedMatchesGeneric(t *testing.T) {
 		if err := generic.checkLRUInvariant(); err != nil {
 			t.Fatalf("ways=%d generic: %v", ways, err)
 		}
+	}
+}
+
+// savedState is c's checkpoint payload: its complete content, LRU order,
+// fill counts and counters.
+func savedState(t *testing.T, c *Cache) []byte {
+	t.Helper()
+	w := checkpoint.NewWriter()
+	c.SaveState(w)
+	if w.Err() != nil {
+		t.Fatal(w.Err())
+	}
+	return w.Bytes()
+}
+
+// TestAccessHitMatchesAccess drives one cache with AccessHit, falling back
+// to Access when the probe misses, beside one driven by Access alone, for
+// every layout (packed, two-word packed, byte arrays). Every outcome and
+// the final state must agree, and a probe that misses must leave the state
+// byte-identical: no count, no LRU move, no fill. Half the accesses repeat
+// the one before, which the packed layout answers from memory.
+func TestAccessHitMatchesAccess(t *testing.T) {
+	for _, ways := range []int{1, 2, 8, 12, 16, 32} {
+		cfg := Config{Name: "t", SizeBytes: 64 * 8 * ways, Ways: ways, Latency: 2}
+		probed, plain := mustCache(t, cfg), mustCache(t, cfg)
+		rng := rand.New(rand.NewSource(int64(ways)))
+		block := uint64(0)
+		for i := 0; i < 20_000; i++ {
+			if rng.Intn(2) == 0 {
+				block = uint64(rng.Intn(16 * ways))
+			}
+			write := rng.Intn(4) == 0
+			want := plain.Access(block, write)
+			before := savedState(t, probed)
+			got := Result{Hit: probed.AccessHit(block, write)}
+			if !got.Hit {
+				if !bytes.Equal(savedState(t, probed), before) {
+					t.Fatalf("ways=%d access %d (block %d): a probe that missed changed the cache", ways, i, block)
+				}
+				got = probed.Access(block, write)
+			}
+			if got != want {
+				t.Fatalf("ways=%d access %d (block %d write %v): probed %+v, Access alone %+v", ways, i, block, write, got, want)
+			}
+		}
+		if !bytes.Equal(savedState(t, probed), savedState(t, plain)) {
+			t.Fatalf("ways=%d: the probed cache's state diverged from Access alone", ways)
+		}
+		if err := probed.checkLRUInvariant(); err != nil {
+			t.Fatalf("ways=%d: %v", ways, err)
+		}
+	}
+}
+
+// TestAccessHitAfterLoadState: a restore replaces the content, so a probe
+// of the block the cache touched last answers from the restored state.
+func TestAccessHitAfterLoadState(t *testing.T) {
+	cfg := Config{Name: "L1D", SizeBytes: 64 << 10, Ways: 8, Latency: 2}
+	empty := savedState(t, mustCache(t, cfg))
+	c := mustCache(t, cfg)
+	c.Access(42, false)
+	if err := c.LoadState(checkpoint.NewReader(empty)); err != nil {
+		t.Fatal(err)
+	}
+	if c.AccessHit(42, false) {
+		t.Fatal("a probe hit a block the restored state does not hold")
 	}
 }

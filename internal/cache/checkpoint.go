@@ -33,5 +33,6 @@ func (c *Cache) LoadState(r *checkpoint.Reader) error {
 	c.stats.Hits = r.U64()
 	c.stats.Writebacks = r.U64()
 	c.rebuildPacked()
+	c.last = tagInvalid
 	return r.Err()
 }

@@ -127,7 +127,7 @@ func (m *Machine) LoadState(r *checkpoint.Reader) error {
 			c.buf[j].PC = r.U64()
 			c.buf[j].Write = r.Bool()
 		}
-		c.pos, c.n = 0, int(n)
+		c.pos, c.n, c.folded = 0, int(n), 0
 		st, ok := c.src.(trace.Stateful)
 		if !ok {
 			return fmt.Errorf("sim: core %d source %T does not support checkpointing", i, c.src)

@@ -6,90 +6,139 @@ import (
 	"unisoncache/internal/telemetry"
 )
 
-// TestFoldHappens: a machine replaying outcome streams folds its L1 hits
-// out of the schedule, and one simulating its L1s does not. Both stop
+// stepTo drives m to global step target one step per RunTo call, or until
+// an emit stops the run. A budget of one step leaves the fold no room, so
+// the machine runs the unfolded schedule: the reference every folding
+// machine is held to, for either kind of core.
+func stepTo(m *Machine, target uint64) {
+	target = min(target, m.TotalSteps())
+	for m.run.phase != 3 && m.run.step < target {
+		m.RunTo(m.run.step + 1)
+	}
+}
+
+// coreKind is one of the two kinds of core that fold: one that simulates
+// its L1 (out nil) and one that reads a capture's outcome streams.
+type coreKind struct {
+	name string
+	out  *L1Outcomes
+}
+
+func coreKinds(o *L1Outcomes) []coreKind {
+	return []coreKind{{"live L1", nil}, {"outcome streams", o}}
+}
+
+// TestFoldHappens: a machine folds its L1 hits out of the schedule,
+// whether it simulates its L1s or replays outcome streams. It stops
 // exactly on every RunTo target, warmup and measurement alike, yet some
-// core has consumed a different share of the steps on the two machines —
-// the folding core ran its hits ahead of the other cores' turns. The
-// finished runs are still the same.
+// core has consumed a different share of the steps than on the same
+// machine stepped one event at a time — the folding core ran its hits
+// ahead of the other cores' turns. The finished runs are still the same.
 func TestFoldHappens(t *testing.T) {
 	cfg := smallConfig(4)
 	const events = 6000
 	c, o := testCapture(t, cfg, "web-serving", events)
-	live := replayMachine(t, cfg, c, nil, 0)
-	folded := replayMachine(t, cfg, c, o, events)
-	live.BeginRun(events)
-	folded.BeginRun(events)
-	total := live.TotalSteps()
-	apart := 0
-	for sevenths := uint64(1); sevenths < 7; sevenths++ {
-		target := total * sevenths / 7
-		live.RunTo(target)
-		folded.RunTo(target)
-		if live.run.step != target || folded.run.step != target {
-			t.Fatalf("RunTo(%d) left the live machine at step %d and the folding one at %d", target, live.run.step, folded.run.step)
-		}
-		for i := range live.remaining {
-			if live.remaining[i] != folded.remaining[i] {
-				apart++
-				break
+	for _, k := range coreKinds(o) {
+		out := k.out
+		t.Run(k.name, func(t *testing.T) {
+			stepped := replayMachine(t, cfg, c, out, events)
+			folded := replayMachine(t, cfg, c, out, events)
+			stepped.BeginRun(events)
+			folded.BeginRun(events)
+			total := stepped.TotalSteps()
+			apart := 0
+			for sevenths := uint64(1); sevenths < 7; sevenths++ {
+				target := total * sevenths / 7
+				stepTo(stepped, target)
+				folded.RunTo(target)
+				if stepped.run.step != target || folded.run.step != target {
+					t.Fatalf("RunTo(%d) left the stepped machine at step %d and the folding one at %d", target, stepped.run.step, folded.run.step)
+				}
+				for i := range stepped.remaining {
+					if stepped.remaining[i] != folded.remaining[i] {
+						apart++
+						break
+					}
+				}
 			}
-		}
-	}
-	if apart == 0 {
-		t.Error("every core's countdown matched the live machine's at every target: no L1 hit was folded")
-	}
-	if got, want := folded.FinishRun(), live.FinishRun(); !resultsEqual(got, want) {
-		t.Errorf("folding replay diverged from the live L1s:\nlive   %+v\nfolded %+v", want, got)
+			if apart == 0 {
+				t.Error("every core's countdown matched the stepped machine's at every target: no L1 hit was folded")
+			}
+			stepTo(stepped, total)
+			if got, want := folded.FinishRun(), stepped.FinishRun(); !resultsEqual(got, want) {
+				t.Errorf("folding run diverged from the stepped one:\nstepped %+v\nfolded  %+v", want, got)
+			}
+		})
 	}
 }
 
 // TestFoldEarlyStopIsExact: when an emit stops an observed run, the hits
-// folded past the stopping step are handed back. The outcome-driven
-// machine then stands exactly where the live-L1 machine, which never
-// folds, stops the same run: the same Results, measured events and step
-// count, and on every core the same clock, instructions, countdown and
-// slab position. The run stops after each of its first four windows in
-// turn, so the stopping step is an L1 hit in some runs and a miss in
+// folded past the stopping step are handed back. The folding machine then
+// stands exactly where the same machine stepped one event at a time, which
+// never folds, stops the same run: the same Results, measured events and
+// step count, and on every core the same clock, instructions, countdown
+// and slab position. The run stops after each of its first four windows
+// in turn, so the stopping step is an L1 hit in some runs and a miss in
 // others.
 func TestFoldEarlyStopIsExact(t *testing.T) {
-	cfg := smallConfig(4)
-	const warm, stride, length = 2_000, 1_500, 500
+	checkEarlyStops(t, smallConfig(4), 2_000, 1_500, 500)
+}
+
+// TestFoldEarlyStopIsExactFullSize is TestFoldEarlyStopIsExact on the
+// Table III machine's 16 cores over a 16 × 21,200-event capture, so the
+// hand-back runs on every core at the scale of a real run's windows.
+func TestFoldEarlyStopIsExactFullSize(t *testing.T) {
+	checkEarlyStops(t, Default(), 6_000, 3_500, 1_200)
+}
+
+// checkEarlyStops records a web-serving capture on cfg's cores long enough
+// for warm warmup events and five windows of length events every stride,
+// and stops an observed run of it after each of the first four windows in
+// turn, on both kinds of core. Each folding machine must stand where the
+// stepped one does.
+func checkEarlyStops(t *testing.T, cfg Config, warm, stride, length int) {
+	t.Helper()
 	offsets := windowOffsets(5, stride, length)
 	events := warm + offsets[len(offsets)-1]
 	c, o := testCapture(t, cfg, "web-serving", events)
-	for stopAfter := 1; stopAfter <= 4; stopAfter++ {
-		stopped := func(m *Machine) (Results, int) {
-			windows := 0
-			observeWindows(m, offsets, stride, func(telemetry.Epoch) bool {
-				windows++
-				return windows < stopAfter
-			})
-			m.BeginPhases(warm, offsets[len(offsets)-1])
-			res := m.FinishRun()
-			if windows != stopAfter {
-				t.Fatalf("measured %d windows, want the stop after window %d", windows, stopAfter)
+	for _, k := range coreKinds(o) {
+		kind, out := k.name, k.out
+		for stopAfter := 1; stopAfter <= 4; stopAfter++ {
+			stopped := func(m *Machine, stepped bool) (Results, int) {
+				windows := 0
+				observeWindows(m, offsets, stride, func(telemetry.Epoch) bool {
+					windows++
+					return windows < stopAfter
+				})
+				m.BeginPhases(warm, offsets[len(offsets)-1])
+				if stepped {
+					stepTo(m, m.TotalSteps())
+				}
+				res := m.FinishRun()
+				if windows != stopAfter {
+					t.Fatalf("%s: measured %d windows, want the stop after window %d", kind, windows, stopAfter)
+				}
+				return res, m.MeasuredEvents()
 			}
-			return res, m.MeasuredEvents()
-		}
-		live := replayMachine(t, cfg, c, nil, 0)
-		folded := replayMachine(t, cfg, c, o, events)
-		wantRes, wantMeas := stopped(live)
-		gotRes, gotMeas := stopped(folded)
-		if !resultsEqual(gotRes, wantRes) {
-			t.Errorf("stop after window %d: Results diverge:\nlive   %+v\nfolded %+v", stopAfter, wantRes, gotRes)
-		}
-		if gotMeas != wantMeas {
-			t.Errorf("stop after window %d: MeasuredEvents %d, live machine %d", stopAfter, gotMeas, wantMeas)
-		}
-		if folded.run.step != live.run.step {
-			t.Errorf("stop after window %d: stopped at step %d, live machine at %d", stopAfter, folded.run.step, live.run.step)
-		}
-		for i := range live.cores {
-			l, f := &live.cores[i], &folded.cores[i]
-			if f.clock != l.clock || f.instr != l.instr || folded.remaining[i] != live.remaining[i] || f.pos != l.pos {
-				t.Errorf("stop after window %d: core %d stopped at clock %d, instr %d, remaining %d, pos %d; live machine at %d, %d, %d, %d",
-					stopAfter, i, f.clock, f.instr, folded.remaining[i], f.pos, l.clock, l.instr, live.remaining[i], l.pos)
+			stepped := replayMachine(t, cfg, c, out, events)
+			folded := replayMachine(t, cfg, c, out, events)
+			wantRes, wantMeas := stopped(stepped, true)
+			gotRes, gotMeas := stopped(folded, false)
+			if !resultsEqual(gotRes, wantRes) {
+				t.Errorf("%s, stop after window %d: Results diverge:\nstepped %+v\nfolded  %+v", kind, stopAfter, wantRes, gotRes)
+			}
+			if gotMeas != wantMeas {
+				t.Errorf("%s, stop after window %d: MeasuredEvents %d, stepped machine %d", kind, stopAfter, gotMeas, wantMeas)
+			}
+			if folded.run.step != stepped.run.step {
+				t.Errorf("%s, stop after window %d: stopped at step %d, stepped machine at %d", kind, stopAfter, folded.run.step, stepped.run.step)
+			}
+			for i := range stepped.cores {
+				s, f := &stepped.cores[i], &folded.cores[i]
+				if f.clock != s.clock || f.instr != s.instr || folded.remaining[i] != stepped.remaining[i] || f.pos != s.pos {
+					t.Errorf("%s, stop after window %d: core %d stopped at clock %d, instr %d, remaining %d, pos %d; stepped machine at %d, %d, %d, %d",
+						kind, stopAfter, i, f.clock, f.instr, folded.remaining[i], f.pos, s.clock, s.instr, stepped.remaining[i], s.pos)
+				}
 			}
 		}
 	}

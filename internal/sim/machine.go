@@ -7,10 +7,11 @@
 // from the shared DRAM bank/bus reservations; cores are advanced
 // minimum-clock-first so their clocks stay interleaved. A replay of a
 // recorded capture may take each core's L1 outcomes from streams built
-// once per capture (UseL1Outcomes) instead of looking them up; such a
-// core then folds its L1 hits out of the schedule, consuming the hits
-// that follow each of its steps in one pass, since a hit touches nothing
-// another core sees (DESIGN.md §8).
+// once per capture (UseL1Outcomes) instead of looking them up. Every
+// core, whether it simulates its L1 or reads outcome streams, folds its
+// L1 hits out of the schedule, consuming the hits that follow each of its
+// steps in one pass, since a hit touches nothing another core sees
+// (DESIGN.md §8).
 //
 // The core model: one instruction per cycle while not stalled; a load that
 // misses the L1 stalls the core for the portion of its latency an
@@ -154,6 +155,9 @@ type coreState struct {
 	buf []trace.Event
 	pos int
 	n   int
+	// folded counts the L1 hits folded after the core's last real step:
+	// they are buf[pos-folded:pos]. Every step resets it.
+	folded int
 
 	// Measurement checkpoint (set when warmup ends); ev0 is an
 	// outcome-driven core's first measured event.
@@ -333,17 +337,15 @@ func (m *Machine) WarmSteps() uint64 {
 // RunTo advances the run to global step target (clamped to TotalSteps),
 // stopping exactly on it unless an emit stopped the run first. The
 // warmup/measurement transition is taken eagerly the moment the warm
-// boundary is reached. On a machine that simulates its L1s, the state at
-// any given step count is a pure function of the step count, never of how
-// the RunTo calls were chunked. An outcome-driven machine folds each
-// core's L1 hits into the step before them, and a fold stops at the
-// target, so its state at an intermediate target also depends on where
-// earlier calls stopped: the same step count may hold more of one core's
-// hits and fewer of another core's events. Every state the schedule
-// reaches at a step that touches shared state is still independent of
-// chunking: the warmup boundary, every recorder boundary, an emit's stop
-// and the run's end. So are the Results, and a plain run restored from a
-// checkpoint written at any target finishes with the same Results.
+// boundary is reached. Every core folds its L1 hits into the step before
+// them, and a fold stops at the target, so the state at an intermediate
+// target depends on where earlier calls stopped as well as on the step
+// count: the same step count may hold more of one core's hits and fewer
+// of another core's events. Every state the schedule reaches at a step
+// that touches shared state is still independent of chunking: the warmup
+// boundary, every recorder boundary, an emit's stop and the run's end. So
+// are the Results, and a plain run restored from a checkpoint written at
+// any target finishes with the same Results.
 func (m *Machine) RunTo(target uint64) {
 	if total := m.TotalSteps(); target > total {
 		target = total
@@ -505,10 +507,11 @@ func (m *Machine) clampAndPark(budget uint64, total int) (uint64, bool) {
 // ("parks"). It returns the steps executed and the parked core's index, or
 // -1 when the budget or the live cores ran out first. The park exit is the
 // existing exhausted-core branch, so the hot path carries no extra checks.
-// After a step that leaves an outcome-driven core live, the core folds
-// the L1 hits that follow it, each counted as a step; the fold stops short
-// of the core's last countdown event, which may be clamped at a recorder
-// boundary, and of the budget, so parks and RunTo targets stay exact.
+// After a step that leaves its core live, the core folds the L1 hits that
+// follow it, each counted as a step; the fold stops short of the core's
+// last countdown event, which may be clamped at a recorder boundary, and
+// of the budget, so parks and RunTo targets stay exact. A step that parks
+// its core returns before any fold.
 func (m *Machine) runUntilPark(budget uint64) (uint64, int) {
 	if m.buildTree() == 0 {
 		return 0, -1
@@ -524,11 +527,14 @@ func (m *Machine) runUntilPark(budget uint64) (uint64, int) {
 			return steps, best // the next entry rebuilds the tree
 		}
 		c := &m.cores[best]
+		limit := int(min(uint64(remaining[best]-1), budget-steps))
 		if c.out != nil {
-			n := c.fold(int(min(uint64(remaining[best]-1), budget-steps)))
-			remaining[best] -= n
-			steps += uint64(n)
+			c.folded = c.foldOutcomes(limit)
+		} else {
+			c.folded = c.foldL1(limit)
 		}
+		remaining[best] -= c.folded
+		steps += uint64(c.folded)
 		tree[leaves+best] = c.clock<<shift | uint64(best)
 		// Replay best's matches up the tree.
 		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
@@ -538,15 +544,17 @@ func (m *Machine) runUntilPark(budget uint64) (uint64, int) {
 	return steps, -1
 }
 
-// fold consumes an outcome-driven core's L1 hits that follow its last
-// step, at most limit of them and never past its prefetch slab, and
+// foldOutcomes folds an outcome-driven core's L1 hits that follow its
+// last step, reading each event's hit bit from the core's stream: it
+// consumes at most limit of them, never past the prefetch slab, and
 // returns how many it consumed. A hit touches nothing shared, so running
 // it now rather than at its turn in the schedule changes no other core's
 // view; it only advances the core's clock by its gap and its
 // instructions by the gap plus one. The core's clock is then the key the
-// schedule gives its next unfolded event. Folded hits stay in buf[:pos]
-// until the core's next step, which is what lets unfold hand them back.
-func (c *coreState) fold(limit int) int {
+// schedule gives its next unfolded event. The folded hits stay in
+// buf[:pos], counted by folded, until the core's next step, which is what
+// lets unfold hand them back.
+func (c *coreState) foldOutcomes(limit int) int {
 	hit, k := c.out.hit, c.ev
 	n := 0
 	for n < limit && c.pos < c.n && hit[k>>6]&(1<<(k&63)) != 0 {
@@ -561,33 +569,60 @@ func (c *coreState) fold(limit int) int {
 	return n
 }
 
+// foldL1 is foldOutcomes for a core that simulates its L1: it probes the
+// L1 with cache.AccessHit, which applies the access only if it hits, so
+// the L1 never runs ahead of the events the core has consumed and the
+// event that stops the fold is left untouched for its own step.
+func (c *coreState) foldL1(limit int) int {
+	n := 0
+	for n < limit && c.pos < c.n {
+		ev := &c.buf[c.pos]
+		if !c.l1.AccessHit(ev.Addr.Block(), ev.Write) {
+			break
+		}
+		gap := uint64(ev.Gap)
+		c.clock += gap
+		c.instr += gap + 1
+		c.pos++
+		n++
+	}
+	return n
+}
+
 // unfold hands back the folded hits the schedule would not yet have run
-// when the run stopped right after the step picked at key stop: walking
-// each outcome-driven core back over its trailing hits whose own key,
-// (clock−Gap)<<shift|core, lies above stop. Every step picked before the
-// stopping one had a key at or below it, so the walk only ever undoes
-// folded hits, and it ends at the first miss. It returns the events
-// handed back.
+// when the run stopped right after the step picked at key stop. It walks
+// each core back over at most its folded hits, those after its last real
+// step, while the hit's own key, (clock−Gap)<<shift|core, lies above
+// stop. Every step picked before the stopping one had a key at or below
+// it, and so had every hit folded before a core's last real step, so the
+// walk undoes exactly the hits run ahead of the stop. An outcome-driven
+// core moves its stream cursor back; a core that simulates its L1 takes
+// the hits out of its L1's counters. That L1 keeps the LRU order and
+// dirty bits the hits left: nothing reads them after a stop, since no
+// step follows and a stopped run is never checkpointed (sampled and
+// telemetry runs ignore Segments). It returns the events handed back.
 func (m *Machine) unfold(stop uint64) uint64 {
 	var back uint64
 	for i := range m.cores {
 		c := &m.cores[i]
-		if c.out == nil {
-			continue
-		}
-		for c.pos > 0 {
-			k := c.ev - 1
+		n := 0
+		for ; n < c.folded; n++ {
 			gap := uint64(c.buf[c.pos-1].Gap)
-			if c.out.hit[k>>6]&(1<<(k&63)) == 0 || (c.clock-gap)<<m.shift|uint64(i) <= stop {
+			if (c.clock-gap)<<m.shift|uint64(i) <= stop {
 				break
 			}
 			c.clock -= gap
 			c.instr -= gap + 1
 			c.pos--
-			c.ev--
-			m.remaining[i]++
-			back++
 		}
+		c.folded -= n
+		m.remaining[i] += n
+		if c.out != nil {
+			c.ev -= n
+		} else {
+			c.l1.UncountHits(uint64(n))
+		}
+		back += uint64(n)
 	}
 	return back
 }
@@ -625,9 +660,12 @@ func minKey(a, b uint64) uint64 {
 
 // step executes one trace event on core i; budget is the core's remaining
 // event demand in this replay phase (bounding how far ahead the prefetch
-// may pull).
+// may pull). Every step resets the core's folded count, a step that parks
+// the core included: the hits folded before it no longer trail the core's
+// last real step.
 func (m *Machine) step(i, budget int) {
 	c := &m.cores[i]
+	c.folded = 0
 	ev := c.nextEvent(budget)
 	c.clock += uint64(ev.Gap)
 	c.instr += uint64(ev.Gap) + 1

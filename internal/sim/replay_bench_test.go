@@ -78,6 +78,9 @@ func steadyConfig(cores int) Config {
 	return cfg
 }
 
+// BenchmarkSteadyReplay times the steady cell's replay loop on live
+// streams, every core simulating its L1 and folding its hits: the loop
+// every live Execute runs. It reports ns/event over the timed chunks.
 func BenchmarkSteadyReplay(b *testing.B) {
 	const cores, prewarm, batch = 16, 20_000, 5_000
 	m := steadyUnisonMachine(b, cores)
@@ -89,6 +92,7 @@ func BenchmarkSteadyReplay(b *testing.B) {
 		target += batch * cores
 		m.RunTo(target)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*cores), "ns/event")
 }
 
 // outcomeCapture is BenchmarkOutcomeReplay's capture and its L1 outcome

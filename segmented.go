@@ -22,16 +22,15 @@ var ckStore = checkpoint.NewStore(512 << 20)
 
 // checkpointPrefix returns the snapshot-store key prefix of a run: the
 // RunKey of the configuration with Segments stripped, so every segment
-// count of the same configuration shares snapshots. A live run's state at
-// an offset is a function of the offset alone. A replay's is also a
-// function of the segment count that wrote it: the replay folds L1 hits,
-// a fold stops at every RunTo target, and the count sets the targets
-// before the offset. The serial-with-save pass and every repeat of one
-// count stop at the same targets, so their snapshots agree. A snapshot
-// that another count wrote at a shared offset fails the merge's byte
-// comparison and triggers a fix-up: it costs time, never correctness.
-// Sampled and telemetry runs never reach the store (they ignore
-// Segments).
+// count of the same configuration shares snapshots. A run's state at an
+// offset is a function of the offset and of the segment count that wrote
+// it: every core folds L1 hits, a fold stops at every RunTo target, and
+// the count sets the targets before the offset. The serial-with-save pass
+// and every repeat of one count stop at the same targets, so their
+// snapshots agree. A snapshot that another count wrote at a shared offset
+// fails the merge's byte comparison and triggers a fix-up: it costs time,
+// never correctness. Sampled and telemetry runs never reach the store
+// (they ignore Segments).
 func checkpointPrefix(r Run) (string, error) {
 	r.Segments = 0
 	return RunKey(r)
