@@ -269,8 +269,8 @@ func TestCaptureMemoShortOutcomesRejected(t *testing.T) {
 }
 
 // TestReplayMatchesLiveEveryMode extends TestRecordReplayBitIdentical to
-// every design and mode: a replay of a capture — plain, sampled with an
-// early stop, with telemetry, both Segments: 2 passes, and a prefix of the
+// every design and mode: a replay of a capture — plain, sampled, with
+// telemetry, both Segments: 2 passes, and a prefix of the
 // capture — returns the Result, timeline included, byte for byte, of the
 // live run of the same Run, whose machine simulates its L1s. Every live
 // and replayed Result obeys the conservation laws.
@@ -325,8 +325,10 @@ func TestReplayMatchesLiveEveryMode(t *testing.T) {
 				if got := resultJSON(t, res); got != want {
 					t.Errorf("%s replay diverged from the live run\nwant: %s\n got: %s", name, want, got)
 				}
-				if m.name == "sampled" && !res.CI.Converged {
-					t.Errorf("%s sampled replay did not stop early", d)
+				if m.name == "sampled" {
+					if fit, _ := replay.Sampling.Windows(replay.AccessesPerCore); len(res.CI.Windows) != fit || !res.CI.Converged {
+						t.Errorf("%s sampled replay measured %d of %d windows, Converged %v; want every window, converged", d, len(res.CI.Windows), fit, res.CI.Converged)
+					}
 				}
 			}
 		}

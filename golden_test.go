@@ -110,11 +110,11 @@ func TestGolden(t *testing.T) {
 
 // The sampled golden wall: testdata/golden_sampled.json freezes complete
 // sampled Results — the windowed UIPC estimate, the CI block with every
-// per-window per-core sample, the early-stop outcome and the event
+// per-window per-core sample, the Converged outcome and the event
 // accounting — for a fixed SampleSpec across three designs and two
 // workloads. Bit-exact JSON equality pins the whole sampled pipeline:
 // schedule arithmetic, the no-barrier boundary snapshots, the ratio
-// estimator, the t-quantiles and the stopping rule.
+// estimator, the t-quantiles and the convergence test.
 const goldenSampledPath = "testdata/golden_sampled.json"
 
 // goldenSampledRuns: unison + alloy + the no-cache baseline, so the wall

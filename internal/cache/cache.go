@@ -339,14 +339,6 @@ func (c *Cache) AccessHit(block uint64, write bool) bool {
 	return false
 }
 
-// UncountHits takes n hits back out of the counters: n accesses, every one
-// a hit, that the caller hands back after AccessHit applied them. The
-// content, LRU order and dirty bits they left stay as they are.
-func (c *Cache) UncountHits(n uint64) {
-	c.stats.Accesses -= n
-	c.stats.Hits -= n
-}
-
 // accessPacked16 is Access for two-word packed caches: identical outcomes,
 // with the set's LRU state split across a low (ranks 0-7) and a high
 // (ranks 8-15) rank word.

@@ -2,8 +2,9 @@
 // measuring one long contiguous interval, a run is scheduled as functional
 // warmup followed by short detailed measurement windows separated by
 // functional gaps, with a confidence interval computed over the per-window
-// metrics and the run terminated early once a requested relative CI
-// half-width is reached (e.g. ±2% at 95%).
+// metrics. As in SMARTS, the sample is fixed before the run: every run
+// measures every window its budget fits, and its final interval is then
+// tested against a requested relative CI half-width (e.g. ±2% at 95%).
 //
 // Phase vocabulary, mapped onto this reproduction's engine (DESIGN.md §9):
 //
@@ -12,9 +13,8 @@
 //     core clocks — but contribute nothing to the windowed throughput
 //     estimate. The engine has no cheaper functional mode (its detailed
 //     model *is* its state model), so functional events cost the same
-//     wall-clock as detailed ones; the speedup of a sampled run comes from
-//     adaptive early termination, which skips the rest of the trace
-//     entirely once the estimate is tight.
+//     wall-clock as detailed ones; a sampled run saves only the events
+//     past its last window's end, which it never simulates.
 //   - detailed windows are the measurement intervals: per-core
 //     instruction/cycle snapshots at each window's boundaries feed the
 //     summed per-core ratio estimator (stats.SummedRatios) whose
@@ -24,11 +24,11 @@
 // (sim.Machine.BeginPhases/FinishRun): its warmup is the warmup phase, its
 // window starts and ends are the boundary offsets of the one recorder
 // telemetry also uses (internal/telemetry), taken inside one continuous
-// replay and never by pausing it, and its early-stop rule is the
-// recorder's emit callback.
+// replay and never by pausing it, and its windows are the recorder's
+// epochs that start on a multiple of the schedule's stride.
 //
 // Everything is deterministic: a fixed Spec, Run configuration and seed
-// yields a bit-identical Report, including the early-stop decision.
+// yields a bit-identical Report, Converged included.
 package sample
 
 import (
@@ -40,9 +40,10 @@ import (
 	"unisoncache/internal/telemetry"
 )
 
-// Spec configures the sampling schedule and stopping rule. The zero value
-// of a field selects its default; the -1 sentinels mirror Run.ScaleDivisor
-// ("the default choice spelled explicitly" becomes "explicitly none").
+// Spec configures the sampling schedule and its confidence target. The
+// zero value of a field selects its default; the -1 sentinels mirror
+// Run.ScaleDivisor ("the default choice spelled explicitly" becomes
+// "explicitly none").
 type Spec struct {
 	// WarmupFrac is the fraction of the run's event budget spent on
 	// functional warmup before the first window (default 2/3, matching
@@ -60,9 +61,8 @@ type Spec struct {
 	// events per core (default 3x IntervalEvents — a 25% detailed duty
 	// cycle; -1 means no gap, tiling the windows back to back).
 	GapEvents int
-	// MinIntervals is the smallest number of windows measured before the
-	// stopping rule may trigger (default 4, floor 2 — one window carries
-	// no variance information).
+	// MinIntervals is the fewest windows a run must fit (default 4,
+	// floor 2 — one window carries no variance information).
 	MinIntervals int
 	// MaxIntervals caps the window count (default 0: as many as the
 	// event budget fits).
@@ -70,9 +70,10 @@ type Spec struct {
 	// Confidence is the two-sided confidence level of the interval
 	// (default 0.95).
 	Confidence float64
-	// TargetRelCI is the early-stop target: measurement ends once the
-	// CI half-width divided by the mean is at or below it (default 0.03;
-	// -1 means no early stop — measure every window that fits).
+	// TargetRelCI is the target Converged tests the final interval
+	// against: the CI half-width over all windows divided by the mean
+	// must be at or below it (default 0.03; -1 means no target, and
+	// Converged stays false).
 	TargetRelCI float64
 }
 
@@ -189,7 +190,7 @@ func (s Spec) Validate() error {
 }
 
 // Windows returns how many detailed windows the schedule fits into
-// accessesPerCore events (before any early stop), and the warmup length.
+// accessesPerCore events, and the warmup length.
 func (s Spec) Windows(accessesPerCore int) (fit, warm int) {
 	d := s.WithDefaults()
 	warm = d.warmupIn(accessesPerCore)
@@ -231,15 +232,15 @@ type Report struct {
 	UIPC float64
 	// HalfWidth is the CI half-width on UIPC at Spec.Confidence.
 	HalfWidth float64
-	// Converged reports whether the early-stop target was reached (always
-	// false when the target is disabled).
+	// Converged reports whether the relative CI half-width over all
+	// windows is at or below TargetRelCI (always false when the target
+	// is disabled).
 	Converged bool
 	// DetailedPerCore counts events per core inside detailed windows.
-	// ConsumedPerCore counts the furthest core's events in total (warmup +
-	// gaps + windows): every core's count when the schedule runs to its
-	// last window, an upper bound after an early stop, when slower cores
-	// have consumed fewer. The spread between ConsumedPerCore and the
-	// run's event budget is what early termination saved, at least.
+	// ConsumedPerCore counts every core's events in total (warmup + gaps
+	// + windows): the warmup plus the last window's end. The rest of the
+	// run's event budget lies past the last window and is never
+	// simulated.
 	DetailedPerCore int
 	ConsumedPerCore int
 	// Results covers the whole measured region — every event from the
@@ -252,10 +253,9 @@ type Report struct {
 }
 
 // Run executes the sampled schedule on a prepared machine: functional
-// warmup, then one continuous replay measuring detailed windows separated
-// by functional gaps, stopping early once the CI target holds (after
-// MinIntervals windows), or at the last window the budget fits. The
-// window boundaries are recorder offsets on the machine's run cursor, so
+// warmup, then one continuous replay measuring every detailed window the
+// budget fits, separated by functional gaps, up to the last window's end.
+// The window boundaries are recorder offsets on the machine's run cursor, so
 // no synchronization barrier ever splits the schedule and the event
 // interleaving (and therefore the contention physics) is the same one the
 // full run replays. accessesPerCore bounds the total events pulled per
@@ -289,30 +289,27 @@ func Run(m *sim.Machine, accessesPerCore int, spec Spec) (Report, error) {
 		offsets = append(offsets, w*stride+spec.IntervalEvents)
 	}
 
-	var rep Report
-	var est *stats.SummedRatios
-	m.Observe(func(int) []int { return offsets }, func(e telemetry.Epoch) bool {
-		if e.StartEvents%stride != 0 {
-			return true // a functional gap
-		}
-		rep.Windows = append(rep.Windows, e)
-		if est == nil {
-			est = stats.NewSummedRatios(len(e.PerCore))
-		}
-		est.AddWindow(ratioSamples(e.PerCore))
-		if len(rep.Windows) >= spec.MinIntervals && spec.target() > 0 &&
-			est.RelCI(spec.Confidence) <= spec.target() {
-			rep.Converged = true
-			return false
-		}
-		return true
-	})
+	m.Observe(func(int) []int { return offsets }, nil)
 	m.BeginPhases(warm, offsets[len(offsets)-1])
-	rep.Results = m.FinishRun()
+	rep := Report{Results: m.FinishRun(), Windows: make([]telemetry.Epoch, 0, fit)}
+	epochs, err := m.Recorder().Epochs()
+	if err != nil {
+		return Report{}, err
+	}
+	for _, e := range epochs {
+		if e.StartEvents%stride == 0 { // a window, not a functional gap
+			rep.Windows = append(rep.Windows, e)
+		}
+	}
+	est := stats.NewSummedRatios(len(rep.Windows[0].PerCore))
+	for _, w := range rep.Windows {
+		est.AddWindow(ratioSamples(w.PerCore))
+	}
 	rep.UIPC = est.Value()
 	rep.HalfWidth = est.CI(spec.Confidence)
+	rep.Converged = spec.target() > 0 && est.RelCI(spec.Confidence) <= spec.target()
 	rep.DetailedPerCore = len(rep.Windows) * spec.IntervalEvents
-	rep.ConsumedPerCore = warm + m.MeasuredEvents()
+	rep.ConsumedPerCore = warm + offsets[len(offsets)-1]
 	return rep, nil
 }
 

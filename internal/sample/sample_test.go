@@ -136,13 +136,13 @@ func TestRunMeasuresAndBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No early stop: every window that fits is measured.
+	// Every window that fits is measured.
 	fit, _ := spec.Windows(accesses)
 	if len(rep.Windows) != fit {
 		t.Errorf("measured %d windows, want all %d", len(rep.Windows), fit)
 	}
 	if rep.Converged {
-		t.Error("Converged must be false with early stop disabled")
+		t.Error("Converged must be false with no target")
 	}
 	if rep.UIPC <= 0 || rep.Results.Instructions == 0 {
 		t.Errorf("empty report: UIPC %v, instr %d", rep.UIPC, rep.Results.Instructions)
@@ -155,23 +155,50 @@ func TestRunMeasuresAndBounds(t *testing.T) {
 	}
 }
 
+// TestRunEarlyStop: no run stops early. Whatever its target, a run
+// measures every window its budget fits, simulates every core through the
+// last window's end, and reports Converged from the final interval: false
+// with no target or a target that interval misses, true with a lax one.
+// The target changes nothing else in the report.
 func TestRunEarlyStop(t *testing.T) {
 	const accesses = 60_000
-	// A loose target a steady workload meets quickly.
-	spec := Spec{WarmupFrac: 0.5, IntervalEvents: 1000, GapEvents: 500, MinIntervals: 4, TargetRelCI: 0.3}
-	rep, err := Run(testMachine(t, 4, 1), accesses, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Converged {
-		t.Fatalf("run did not converge at a ±30%% target (windows: %d, halfwidth %v)", len(rep.Windows), rep.HalfWidth)
-	}
-	fit, _ := spec.Windows(accesses)
-	if len(rep.Windows) >= fit {
-		t.Errorf("early stop measured all %d windows", fit)
-	}
-	if rep.ConsumedPerCore >= accesses {
-		t.Errorf("early stop saved nothing: consumed %d of %d", rep.ConsumedPerCore, accesses)
+	spec := Spec{WarmupFrac: 0.5, IntervalEvents: 1000, GapEvents: 500, MinIntervals: 4}
+	fit, warm := spec.Windows(accesses)
+	end := (fit-1)*(spec.IntervalEvents+spec.GapEvents) + spec.IntervalEvents
+	var first Report
+	for i, tc := range []struct {
+		target    float64
+		converged bool
+	}{
+		{-1, false},
+		{0.01, false},
+		{0.3, true},
+	} {
+		spec.TargetRelCI = tc.target
+		rep, err := Run(testMachine(t, 4, 1), accesses, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Converged != tc.converged {
+			t.Errorf("target %v: Converged = %v, want %v (relative half-width %v)", tc.target, rep.Converged, tc.converged, rep.HalfWidth/rep.UIPC)
+		}
+		if len(rep.Windows) != fit {
+			t.Errorf("target %v: measured %d windows, want all %d", tc.target, len(rep.Windows), fit)
+		}
+		if last := rep.Windows[len(rep.Windows)-1].EndEvents; last != end {
+			t.Errorf("target %v: the last window ends at %d, want %d", tc.target, last, end)
+		}
+		if rep.ConsumedPerCore != warm+end {
+			t.Errorf("target %v: consumed %d events per core, want warmup %d + last window's end %d", tc.target, rep.ConsumedPerCore, warm, end)
+		}
+		if i == 0 {
+			first = rep
+			continue
+		}
+		rep.Converged = first.Converged
+		if !reflect.DeepEqual(rep, first) {
+			t.Errorf("target %v: the report differs beyond Converged from the run with no target", tc.target)
+		}
 	}
 }
 

@@ -340,8 +340,8 @@ func TestServeMetricsExposition(t *testing.T) {
 }
 
 // TestServeEngineMeterCountsSampledEvents: a sampled run never replays
-// past its last window and may stop early, so the engine meter counts the
-// events it simulated (Result.CI.SimulatedEvents), not the full trace
+// past its last window, so the engine meter counts the events it
+// simulated (Result.CI.SimulatedEvents), not the full trace
 // length of the run.
 func TestServeEngineMeterCountsSampledEvents(t *testing.T) {
 	s := New(Config{Execute: func(r uc.Run) (uc.Result, error) {

@@ -411,9 +411,9 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 		if err == nil {
 			// Feed the engine meter, once per simulation — never per
 			// event: a full run replays the defaulted run's whole trace
-			// (echoed on the result); a sampled run stops at or before its
-			// last window and reports the furthest core's events times the
-			// core count, an upper bound after an early stop.
+			// (echoed on the result); a sampled run simulates every core
+			// through its last window's end and reports exactly those
+			// events.
 			events := uint64(res.Run.AccessesPerCore) * uint64(max(res.Run.Cores, 0))
 			if res.CI != nil {
 				events = res.CI.SimulatedEvents

@@ -90,7 +90,7 @@ func (m *Machine) LoadState(r *checkpoint.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if accesses > math.MaxInt || warm > accesses || phase > 3 ||
+	if accesses > math.MaxInt || warm > accesses || phase > 2 ||
 		step > accesses*uint64(len(m.cores)) {
 		return fmt.Errorf("sim: snapshot run cursor (accesses %d, warm %d, phase %d, step %d) is inconsistent", accesses, warm, phase, step)
 	}
@@ -127,7 +127,7 @@ func (m *Machine) LoadState(r *checkpoint.Reader) error {
 			c.buf[j].PC = r.U64()
 			c.buf[j].Write = r.Bool()
 		}
-		c.pos, c.n, c.folded = 0, int(n), 0
+		c.pos, c.n = 0, int(n)
 		st, ok := c.src.(trace.Stateful)
 		if !ok {
 			return fmt.Errorf("sim: core %d source %T does not support checkpointing", i, c.src)

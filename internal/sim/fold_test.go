@@ -1,18 +1,19 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"unisoncache/internal/telemetry"
 )
 
-// stepTo drives m to global step target one step per RunTo call, or until
-// an emit stops the run. A budget of one step leaves the fold no room, so
-// the machine runs the unfolded schedule: the reference every folding
-// machine is held to, for either kind of core.
+// stepTo drives m to global step target one step per RunTo call. A budget
+// of one step leaves the fold no room, so the machine runs the unfolded
+// schedule: the reference every folding machine is held to, for either
+// kind of core.
 func stepTo(m *Machine, target uint64) {
 	target = min(target, m.TotalSteps())
-	for m.run.phase != 3 && m.run.step < target {
+	for m.run.step < target {
 		m.RunTo(m.run.step + 1)
 	}
 }
@@ -72,73 +73,69 @@ func TestFoldHappens(t *testing.T) {
 	}
 }
 
-// TestFoldEarlyStopIsExact: when an emit stops an observed run, the hits
-// folded past the stopping step are handed back. The folding machine then
-// stands exactly where the same machine stepped one event at a time, which
-// never folds, stops the same run: the same Results, measured events and
-// step count, and on every core the same clock, instructions, countdown
-// and slab position. The run stops after each of its first four windows
-// in turn, so the stopping step is an L1 hit in some runs and a miss in
-// others.
-func TestFoldEarlyStopIsExact(t *testing.T) {
-	checkEarlyStops(t, smallConfig(4), 2_000, 1_500, 500)
+// TestFoldObservedIsExact: a recorder-armed run folds its L1 hits under
+// the recorder's clamped countdowns, yet every boundary stays a real step.
+// Run to its end, each kind of folding machine emits the same epochs as
+// the same machine stepped one event at a time, which never folds, and
+// finishes with the same Results, step count, and on every core the same
+// clock, instructions, countdown and slab position.
+func TestFoldObservedIsExact(t *testing.T) {
+	checkObserved(t, smallConfig(4), 2_000, 1_500, 500)
 }
 
-// TestFoldEarlyStopIsExactFullSize is TestFoldEarlyStopIsExact on the
-// Table III machine's 16 cores over a 16 × 21,200-event capture, so the
-// hand-back runs on every core at the scale of a real run's windows.
-func TestFoldEarlyStopIsExactFullSize(t *testing.T) {
-	checkEarlyStops(t, Default(), 6_000, 3_500, 1_200)
+// TestFoldObservedIsExactFullSize is TestFoldObservedIsExact on the Table
+// III machine's 16 cores over a 16 × 21,200-event capture, so every core
+// folds under the recorder at the scale of a real run's windows.
+func TestFoldObservedIsExactFullSize(t *testing.T) {
+	checkObserved(t, Default(), 6_000, 3_500, 1_200)
 }
 
-// checkEarlyStops records a web-serving capture on cfg's cores long enough
+// checkObserved records a web-serving capture on cfg's cores long enough
 // for warm warmup events and five windows of length events every stride,
-// and stops an observed run of it after each of the first four windows in
-// turn, on both kinds of core. Each folding machine must stand where the
-// stepped one does.
-func checkEarlyStops(t *testing.T, cfg Config, warm, stride, length int) {
+// and runs it observed to the end on both kinds of core. Each folding
+// machine must finish where the stepped one does.
+func checkObserved(t *testing.T, cfg Config, warm, stride, length int) {
 	t.Helper()
 	offsets := windowOffsets(5, stride, length)
 	events := warm + offsets[len(offsets)-1]
 	c, o := testCapture(t, cfg, "web-serving", events)
 	for _, k := range coreKinds(o) {
 		kind, out := k.name, k.out
-		for stopAfter := 1; stopAfter <= 4; stopAfter++ {
-			stopped := func(m *Machine, stepped bool) (Results, int) {
-				windows := 0
-				observeWindows(m, offsets, stride, func(telemetry.Epoch) bool {
-					windows++
-					return windows < stopAfter
-				})
-				m.BeginPhases(warm, offsets[len(offsets)-1])
-				if stepped {
-					stepTo(m, m.TotalSteps())
-				}
-				res := m.FinishRun()
-				if windows != stopAfter {
-					t.Fatalf("%s: measured %d windows, want the stop after window %d", kind, windows, stopAfter)
-				}
-				return res, m.MeasuredEvents()
+		observed := func(m *Machine, stepped bool) ([]telemetry.Epoch, Results) {
+			var epochs []telemetry.Epoch
+			m.Observe(func(int) []int { return offsets }, func(e telemetry.Epoch) {
+				epochs = append(epochs, e)
+			})
+			m.BeginPhases(warm, offsets[len(offsets)-1])
+			if stepped {
+				stepTo(m, m.TotalSteps())
 			}
-			stepped := replayMachine(t, cfg, c, out, events)
-			folded := replayMachine(t, cfg, c, out, events)
-			wantRes, wantMeas := stopped(stepped, true)
-			gotRes, gotMeas := stopped(folded, false)
-			if !resultsEqual(gotRes, wantRes) {
-				t.Errorf("%s, stop after window %d: Results diverge:\nstepped %+v\nfolded  %+v", kind, stopAfter, wantRes, gotRes)
+			res := m.FinishRun()
+			if len(epochs) != len(offsets) {
+				t.Fatalf("%s: emitted %d epochs, want one per boundary, %d", kind, len(epochs), len(offsets))
 			}
-			if gotMeas != wantMeas {
-				t.Errorf("%s, stop after window %d: MeasuredEvents %d, stepped machine %d", kind, stopAfter, gotMeas, wantMeas)
+			return epochs, res
+		}
+		stepped := replayMachine(t, cfg, c, out, events)
+		folded := replayMachine(t, cfg, c, out, events)
+		wantEpochs, wantRes := observed(stepped, true)
+		gotEpochs, gotRes := observed(folded, false)
+		for i := range wantEpochs {
+			if !reflect.DeepEqual(gotEpochs[i], wantEpochs[i]) {
+				t.Errorf("%s: epoch %d diverges:\nstepped %+v\nfolded  %+v", kind, i, wantEpochs[i], gotEpochs[i])
 			}
-			if folded.run.step != stepped.run.step {
-				t.Errorf("%s, stop after window %d: stopped at step %d, stepped machine at %d", kind, stopAfter, folded.run.step, stepped.run.step)
-			}
-			for i := range stepped.cores {
-				s, f := &stepped.cores[i], &folded.cores[i]
-				if f.clock != s.clock || f.instr != s.instr || folded.remaining[i] != stepped.remaining[i] || f.pos != s.pos {
-					t.Errorf("%s, stop after window %d: core %d stopped at clock %d, instr %d, remaining %d, pos %d; stepped machine at %d, %d, %d, %d",
-						kind, stopAfter, i, f.clock, f.instr, folded.remaining[i], f.pos, s.clock, s.instr, stepped.remaining[i], s.pos)
-				}
+		}
+		if !resultsEqual(gotRes, wantRes) {
+			t.Errorf("%s: Results diverge:\nstepped %+v\nfolded  %+v", kind, wantRes, gotRes)
+		}
+		if folded.run.step != stepped.run.step {
+			t.Errorf("%s: finished at step %d, stepped machine at %d", kind, folded.run.step, stepped.run.step)
+		}
+		for i := range stepped.cores {
+			s, f := &stepped.cores[i], &folded.cores[i]
+			if f.clock != s.clock || f.instr != s.instr || folded.remaining[i] != stepped.remaining[i] || f.pos != s.pos {
+				t.Errorf("%s: core %d finished at clock %d, instr %d, remaining %d, pos %d; stepped machine at %d, %d, %d, %d",
+					kind, i, f.clock, f.instr, folded.remaining[i], f.pos, s.clock, s.instr, stepped.remaining[i], s.pos)
 			}
 		}
 	}

@@ -24,12 +24,11 @@ func windowOffsets(windows, stride, length int) []int {
 
 // observeWindows arms m with offsets and hands every window epoch — one
 // starting on a stride multiple — to visit; gap epochs go on silently.
-func observeWindows(m *Machine, offsets []int, stride int, visit func(e telemetry.Epoch) bool) {
-	m.Observe(func(int) []int { return offsets }, func(e telemetry.Epoch) bool {
-		if e.StartEvents%stride != 0 {
-			return true
+func observeWindows(m *Machine, offsets []int, stride int, visit func(e telemetry.Epoch)) {
+	m.Observe(func(int) []int { return offsets }, func(e telemetry.Epoch) {
+		if e.StartEvents%stride == 0 {
+			visit(e)
 		}
-		return visit(e)
 	})
 }
 
@@ -48,15 +47,16 @@ func TestObservedWindowsNoBarrier(t *testing.T) {
 
 	sampled := testMachine(t, cfg, "data-serving", noneDesign)
 	windows := 0
-	observeWindows(sampled, windowOffsets(3, stride, length), stride, func(telemetry.Epoch) bool {
+	observeWindows(sampled, windowOffsets(3, stride, length), stride, func(telemetry.Epoch) {
 		windows++
-		return true
 	})
 	sampled.BeginPhases(warm, span)
 	got := sampled.FinishRun()
 
-	if consumed := sampled.MeasuredEvents(); consumed != span {
-		t.Fatalf("consumed %d events per core, want the full span %d", consumed, span)
+	for c, rem := range sampled.remaining {
+		if rem != 0 {
+			t.Fatalf("core %d has %d of its %d measured events left", c, rem, span)
+		}
 	}
 	if windows != 3 {
 		t.Fatalf("measured %d windows, want 3", windows)
@@ -78,7 +78,7 @@ func TestObservedWindowsTiling(t *testing.T) {
 	perCore := make([]telemetry.CoreRow, cfg.Cores)
 	var instr uint64
 	n := 0
-	observeWindows(m, windowOffsets(windows, length, length), length, func(e telemetry.Epoch) bool {
+	observeWindows(m, windowOffsets(windows, length, length), length, func(e telemetry.Epoch) {
 		if e.Index != n {
 			t.Fatalf("windows out of order: got %d, want %d", e.Index, n)
 		}
@@ -91,7 +91,6 @@ func TestObservedWindowsTiling(t *testing.T) {
 			perCore[c].Cycles += d.Cycles
 		}
 		instr += e.Instructions
-		return true
 	})
 	m.BeginPhases(2_000, windows*length)
 	res := m.FinishRun()
@@ -109,40 +108,5 @@ func TestObservedWindowsTiling(t *testing.T) {
 	}
 	if diff := uipc - res.UIPC; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("per-core window sums give UIPC %v, region %v", uipc, res.UIPC)
-	}
-}
-
-// TestObservedEarlyStop: an emit returning false ends the run without
-// simulating the remaining schedule — FinishRun advances it no further —
-// and gap events between windows still land in the region statistics.
-func TestObservedEarlyStop(t *testing.T) {
-	cfg := Default()
-	cfg.Cores = 2
-	m := testMachine(t, cfg, "web-search", noneDesign)
-	// Five 500-event windows every 2000 events: horizon 8500.
-	const stride, length = 2_000, 500
-	offsets := windowOffsets(5, stride, length)
-	horizon := offsets[len(offsets)-1]
-	var first telemetry.Epoch
-	windows := 0
-	observeWindows(m, offsets, stride, func(e telemetry.Epoch) bool {
-		windows++
-		first = e
-		return false // stop after the first window
-	})
-	m.BeginPhases(2_000, horizon)
-	res := m.FinishRun()
-	if windows != 1 {
-		t.Fatalf("measured %d windows after the stop, want 1", windows)
-	}
-	consumed := m.MeasuredEvents()
-	if consumed >= horizon {
-		t.Fatalf("early stop consumed the whole horizon (%d)", consumed)
-	}
-	if consumed < length {
-		t.Fatalf("consumed %d events, yet the first window needs %d", consumed, length)
-	}
-	if res.Instructions < first.Instructions {
-		t.Errorf("region instructions %d below the measured window's %d", res.Instructions, first.Instructions)
 	}
 }

@@ -103,7 +103,7 @@ type Machine struct {
 	// (bounds nil), RunTo selects plain continuePhase, which never enters
 	// the clamp-and-park driver: recording disabled costs nothing.
 	bounds func(meas int) []int
-	emit   func(telemetry.Epoch) bool
+	emit   func(telemetry.Epoch)
 	rec    *telemetry.Recorder
 	// clamp is clampAndPark's scratch: per core, the events withheld from
 	// remaining while the countdown is clamped at the core's next
@@ -121,7 +121,7 @@ type Machine struct {
 type runState struct {
 	accesses int    // per-core event budget of the whole run
 	warm     int    // per-core warmup events (accesses × WarmupFrac)
-	phase    uint8  // 0 = not started, 1 = warmup, 2 = measurement, 3 = stopped by the recorder's emit
+	phase    uint8  // 0 = not started, 1 = warmup, 2 = measurement
 	step     uint64 // global steps executed so far
 }
 
@@ -155,9 +155,6 @@ type coreState struct {
 	buf []trace.Event
 	pos int
 	n   int
-	// folded counts the L1 hits folded after the core's last real step:
-	// they are buf[pos-folded:pos]. Every step resets it.
-	folded int
 
 	// Measurement checkpoint (set when warmup ends); ev0 is an
 	// outcome-driven core's first measured event.
@@ -293,10 +290,9 @@ func (m *Machine) BeginPhases(warm, meas int) {
 // Observe arms the boundary recorder for subsequent runs: when the
 // measurement phase starts, bounds(meas) gives the per-core boundary
 // offsets (see telemetry.NewRecorder) and emit, when non-nil, receives each
-// epoch the moment its closing boundary completes. An emit that returns
-// false stops the run right after the step that completed the boundary:
-// RunTo and FinishRun advance it no further. Observe(nil, nil) disarms.
-func (m *Machine) Observe(bounds func(meas int) []int, emit func(telemetry.Epoch) bool) {
+// epoch the moment its closing boundary completes. Observe(nil, nil)
+// disarms.
+func (m *Machine) Observe(bounds func(meas int) []int, emit func(telemetry.Epoch)) {
 	m.bounds, m.emit = bounds, emit
 	m.rec = nil
 }
@@ -304,21 +300,6 @@ func (m *Machine) Observe(bounds func(meas int) []int, emit func(telemetry.Epoch
 // Recorder returns the current run's recorder — nil until the measurement
 // phase has advanced with the recorder armed.
 func (m *Machine) Recorder() *telemetry.Recorder { return m.rec }
-
-// MeasuredEvents returns the furthest core's progress into the
-// measurement phase, in events per core: the measured length once the run
-// has finished, less when an emit stopped it early (0 before measurement
-// begins).
-func (m *Machine) MeasuredEvents() int {
-	if m.run.phase < 2 {
-		return 0
-	}
-	meas, n := m.run.accesses-m.run.warm, 0
-	for _, rem := range m.remaining {
-		n = max(n, meas-rem)
-	}
-	return n
-}
 
 // TotalSteps returns the run's total global step count: every core's full
 // event budget. RunTo targets are global step offsets in [0, TotalSteps].
@@ -335,17 +316,16 @@ func (m *Machine) WarmSteps() uint64 {
 }
 
 // RunTo advances the run to global step target (clamped to TotalSteps),
-// stopping exactly on it unless an emit stopped the run first. The
-// warmup/measurement transition is taken eagerly the moment the warm
-// boundary is reached. Every core folds its L1 hits into the step before
-// them, and a fold stops at the target, so the state at an intermediate
-// target depends on where earlier calls stopped as well as on the step
-// count: the same step count may hold more of one core's hits and fewer
-// of another core's events. Every state the schedule reaches at a step
-// that touches shared state is still independent of chunking: the warmup
-// boundary, every recorder boundary, an emit's stop and the run's end. So
-// are the Results, and a plain run restored from a checkpoint written at
-// any target finishes with the same Results.
+// stopping exactly on it. The warmup/measurement transition is taken
+// eagerly the moment the warm boundary is reached. Every core folds its
+// L1 hits into the step before them, and a fold stops at the target, so
+// the state at an intermediate target depends on where earlier calls
+// stopped as well as on the step count: the same step count may hold
+// more of one core's hits and fewer of another core's events. Every state
+// the schedule reaches at a step that touches shared state is still
+// independent of chunking: the warmup boundary, every recorder boundary
+// and the run's end. So are the Results, and a plain run restored from a
+// checkpoint written at any target finishes with the same Results.
 func (m *Machine) RunTo(target uint64) {
 	if total := m.TotalSteps(); target > total {
 		target = total
@@ -382,8 +362,8 @@ func (m *Machine) RunTo(target uint64) {
 	}
 }
 
-// FinishRun drives the run to completion — or to where an emit stopped it
-// — and returns the measured-interval results.
+// FinishRun drives the run to completion and returns the measured-interval
+// results.
 func (m *Machine) FinishRun() Results {
 	m.RunTo(m.TotalSteps())
 	return m.collect()
@@ -425,21 +405,13 @@ func (m *Machine) continuePhase(budget uint64) uint64 {
 // phase: clamp-and-park over the recorder's boundaries. The first entry
 // builds the recorder at the measurement boundary; later chunks resume it
 // where the last one parked, since its cursors advance only as cores
-// cross. An emit that asks to stop ends the run (phase 3) and hands back
-// the L1 hits folded past the stopping step (unfold), so the run stands
-// where the unfolded schedule stops. The stopping step parked its core,
-// which leaves that step's pick key at the root of the tree.
+// cross.
 func (m *Machine) continueObserved(budget uint64) uint64 {
 	meas := m.run.accesses - m.run.warm
 	if m.rec == nil {
 		m.rec = telemetry.NewRecorder(m.bounds(meas), len(m.cores), m.emit)
 	}
-	steps, goOn := m.clampAndPark(budget, meas)
-	if !goOn {
-		m.run.phase = 3
-		steps -= m.unfold(m.tree[1])
-	}
-	return steps
+	return m.clampAndPark(budget, meas)
 }
 
 // clampAndPark runs up to budget steps of the measurement phase while
@@ -457,10 +429,8 @@ func (m *Machine) continueObserved(budget uint64) uint64 {
 // crossed it — the machine-wide statistics row is recorded: the state is
 // then exactly the state after the completing step, independent of
 // chunking. total is the phase's per-core budget, so core c has consumed
-// total-remaining[c] events. Returns the steps executed and false when
-// the recorder's emit asked to stop, which ends the phase right after the
-// step that completed the boundary.
-func (m *Machine) clampAndPark(budget uint64, total int) (uint64, bool) {
+// total-remaining[c] events. Returns the steps executed.
+func (m *Machine) clampAndPark(budget uint64, total int) uint64 {
 	remaining, clamp, rec := m.remaining, m.clamp, m.rec
 	var steps uint64
 	for steps < budget {
@@ -487,18 +457,15 @@ func (m *Machine) clampAndPark(budget uint64, total int) (uint64, bool) {
 		}
 		pc := &m.cores[parked]
 		if b, complete := rec.Cross(parked, total-remaining[parked], pc.instr-pc.instr0, pc.clock-pc.clock0); complete {
-			row := telemetry.GlobalRow{
+			rec.Global(b, telemetry.GlobalRow{
 				Design:  m.design.Snapshot(),
 				Stacked: m.stacked.Stats(),
 				Offchip: m.offchip.Stats(),
 				L2:      m.l2.Stats(),
-			}
-			if !rec.Global(b, row) {
-				return steps, false
-			}
+			})
 		}
 	}
-	return steps, true
+	return steps
 }
 
 // runUntilPark is the replay loop, the one place events execute: it steps
@@ -528,13 +495,14 @@ func (m *Machine) runUntilPark(budget uint64) (uint64, int) {
 		}
 		c := &m.cores[best]
 		limit := int(min(uint64(remaining[best]-1), budget-steps))
+		var folded int
 		if c.out != nil {
-			c.folded = c.foldOutcomes(limit)
+			folded = c.foldOutcomes(limit)
 		} else {
-			c.folded = c.foldL1(limit)
+			folded = c.foldL1(limit)
 		}
-		remaining[best] -= c.folded
-		steps += uint64(c.folded)
+		remaining[best] -= folded
+		steps += uint64(folded)
 		tree[leaves+best] = c.clock<<shift | uint64(best)
 		// Replay best's matches up the tree.
 		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
@@ -547,13 +515,12 @@ func (m *Machine) runUntilPark(budget uint64) (uint64, int) {
 // foldOutcomes folds an outcome-driven core's L1 hits that follow its
 // last step, reading each event's hit bit from the core's stream: it
 // consumes at most limit of them, never past the prefetch slab, and
-// returns how many it consumed. A hit touches nothing shared, so running
-// it now rather than at its turn in the schedule changes no other core's
-// view; it only advances the core's clock by its gap and its
-// instructions by the gap plus one. The core's clock is then the key the
-// schedule gives its next unfolded event. The folded hits stay in
-// buf[:pos], counted by folded, until the core's next step, which is what
-// lets unfold hand them back.
+// returns how many it consumed. It never refills the slab, so every
+// refill stays in nextEvent, bounded by the core's budget. A hit touches
+// nothing shared, so running it now rather than at its turn in the
+// schedule changes no other core's view; it only advances the core's
+// clock by its gap and its instructions by the gap plus one. The core's
+// clock is then the key the schedule gives its next unfolded event.
 func (c *coreState) foldOutcomes(limit int) int {
 	hit, k := c.out.hit, c.ev
 	n := 0
@@ -589,44 +556,6 @@ func (c *coreState) foldL1(limit int) int {
 	return n
 }
 
-// unfold hands back the folded hits the schedule would not yet have run
-// when the run stopped right after the step picked at key stop. It walks
-// each core back over at most its folded hits, those after its last real
-// step, while the hit's own key, (clock−Gap)<<shift|core, lies above
-// stop. Every step picked before the stopping one had a key at or below
-// it, and so had every hit folded before a core's last real step, so the
-// walk undoes exactly the hits run ahead of the stop. An outcome-driven
-// core moves its stream cursor back; a core that simulates its L1 takes
-// the hits out of its L1's counters. That L1 keeps the LRU order and
-// dirty bits the hits left: nothing reads them after a stop, since no
-// step follows and a stopped run is never checkpointed (sampled and
-// telemetry runs ignore Segments). It returns the events handed back.
-func (m *Machine) unfold(stop uint64) uint64 {
-	var back uint64
-	for i := range m.cores {
-		c := &m.cores[i]
-		n := 0
-		for ; n < c.folded; n++ {
-			gap := uint64(c.buf[c.pos-1].Gap)
-			if (c.clock-gap)<<m.shift|uint64(i) <= stop {
-				break
-			}
-			c.clock -= gap
-			c.instr -= gap + 1
-			c.pos--
-		}
-		c.folded -= n
-		m.remaining[i] += n
-		if c.out != nil {
-			c.ev -= n
-		} else {
-			c.l1.UncountHits(uint64(n))
-		}
-		back += uint64(n)
-	}
-	return back
-}
-
 // buildTree (re)builds the tournament tree from the live cores' clocks and
 // per-core remaining budgets, returning the live-core count. The tree is a
 // pure function of that state, so a rebuild resumes the schedule exactly
@@ -660,12 +589,9 @@ func minKey(a, b uint64) uint64 {
 
 // step executes one trace event on core i; budget is the core's remaining
 // event demand in this replay phase (bounding how far ahead the prefetch
-// may pull). Every step resets the core's folded count, a step that parks
-// the core included: the hits folded before it no longer trail the core's
-// last real step.
+// may pull).
 func (m *Machine) step(i, budget int) {
 	c := &m.cores[i]
-	c.folded = 0
 	ev := c.nextEvent(budget)
 	c.clock += uint64(ev.Gap)
 	c.instr += uint64(ev.Gap) + 1

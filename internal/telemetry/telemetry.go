@@ -7,8 +7,8 @@
 // with recording on or off, and the epochs are bit-identical no matter how
 // the run was chunked. Two schedules arm it: epoch-sliced telemetry
 // (Spec.Bounds, a fixed stride) and sampled simulation (internal/sample,
-// alternating window and gap offsets, whose emit callback ends the run
-// early once its confidence target holds).
+// alternating window and gap offsets). Recording only observes: every
+// armed run ends at its end.
 //
 // A recorder records one serial run from its measurement boundary. It
 // stores measurement-relative values (per-core deltas since the warmup
@@ -150,7 +150,7 @@ type Recorder struct {
 	next   []int // per core: bounds[cursor[c]], or maxInt when done
 	left   []int // per boundary: cores yet to cross it
 
-	emit func(Epoch) bool
+	emit func(Epoch)
 }
 
 const maxInt = int(^uint(0) >> 1)
@@ -160,9 +160,8 @@ const maxInt = int(^uint(0) >> 1)
 // positive (the measurement boundary itself is the implicit all-zero row
 // 0). Epoch b spans [bounds[b-1], bounds[b]), so the last offset ends the
 // recorded region. emit, when non-nil, is invoked with each epoch the
-// moment its closing boundary completes; returning false asks the run to
-// stop right after the step that completed the boundary.
-func NewRecorder(bounds []int, cores int, emit func(Epoch) bool) *Recorder {
+// moment its closing boundary completes.
+func NewRecorder(bounds []int, cores int, emit func(Epoch)) *Recorder {
 	for i, b := range bounds {
 		if b <= 0 || (i > 0 && b <= bounds[i-1]) {
 			panic(fmt.Sprintf("telemetry: boundary offsets %v are not strictly ascending and positive", bounds))
@@ -218,16 +217,16 @@ func (r *Recorder) Cross(c, consumed int, instr, cycles uint64) (boundary int, c
 
 // Global records the machine-wide statistics row for completed boundary b
 // and emits epoch b. Boundaries complete in ascending order — every core
-// crosses b before b+1 — so epoch b is always assemblable here. It
-// reports false when emit returns false: the observer wants the run to
-// end here.
-func (r *Recorder) Global(b int, row GlobalRow) bool {
+// crosses b before b+1 — so epoch b is always assemblable here.
+func (r *Recorder) Global(b int, row GlobalRow) {
 	r.globals[b] = row
-	return r.emit == nil || r.emit(r.epoch(b))
+	if r.emit != nil {
+		r.emit(r.epoch(b))
+	}
 }
 
 // Epochs assembles the complete timeline. It fails if some core never
-// crossed a boundary (a run that stopped early). A recorder with no
+// crossed a boundary (a run that did not finish). A recorder with no
 // boundaries yields an empty, non-nil slice, so a Result's empty timeline
 // encodes as [] rather than null.
 func (r *Recorder) Epochs() ([]Epoch, error) {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"reflect"
 	"testing"
 
 	"unisoncache/internal/cache"
@@ -60,9 +59,8 @@ func TestNewRecorderRejectsUnorderedOffsets(t *testing.T) {
 // it, and then in ascending order.
 func TestCoreRunsAhead(t *testing.T) {
 	var emitted []Epoch
-	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, func(e Epoch) bool {
+	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, func(e Epoch) {
 		emitted = append(emitted, e)
-		return true
 	})
 	for _, at := range []int{10, 20} {
 		if _, complete := r.Cross(0, at, uint64(2*at), uint64(3*at)); complete {
@@ -95,9 +93,8 @@ func TestCoreRunsAhead(t *testing.T) {
 // the Global call of the crossing that completed it, in index order.
 func TestGlobalEmitsInOrderOnceComplete(t *testing.T) {
 	var emitted []int
-	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, func(e Epoch) bool {
+	r := NewRecorder(Spec{EpochEvents: 10}.Bounds(30), 2, func(e Epoch) {
 		emitted = append(emitted, e.Index)
-		return true
 	})
 	for b, at := range []int{10, 20, 30} {
 		if _, complete := r.Cross(0, at, uint64(at), uint64(at)); complete {
@@ -110,34 +107,10 @@ func TestGlobalEmitsInOrderOnceComplete(t *testing.T) {
 		if len(emitted) != b {
 			t.Fatalf("emitted %v before boundary %d's global row", emitted, b)
 		}
-		if !r.Global(b, row(b)) {
-			t.Fatalf("Global(%d) reported a stop", b)
-		}
+		r.Global(b, row(b))
 		if len(emitted) != b+1 || emitted[b] != b {
 			t.Fatalf("emitted %v after Global(%d), want [0..%d]", emitted, b, b)
 		}
-	}
-}
-
-func TestGlobalStopsWhenEmitDeclines(t *testing.T) {
-	var emitted []int
-	r := NewRecorder([]int{10, 20, 30}, 2, func(e Epoch) bool {
-		emitted = append(emitted, e.Index)
-		return e.Index != 1 // decline the second epoch
-	})
-	for b, at := range []int{10, 20} {
-		r.Cross(0, at, uint64(at), uint64(at))
-		r.Cross(1, at, uint64(at), uint64(at))
-		if goOn := r.Global(b, row(b)); goOn != (b == 0) {
-			t.Fatalf("Global(%d) = %v, want %v", b, goOn, b == 0)
-		}
-	}
-	if !reflect.DeepEqual(emitted, []int{0, 1}) {
-		t.Fatalf("emitted %v, want [0 1]", emitted)
-	}
-	// The run stopped at boundary 1: boundary 2 was never crossed.
-	if _, err := r.Epochs(); err == nil {
-		t.Error("Epochs assembled a timeline the run stopped short of")
 	}
 }
 
@@ -163,7 +136,7 @@ func TestEpochsFailsOnMissingCell(t *testing.T) {
 		t.Errorf("epoch sums: %d instructions, %d reads; want %d, %d", instr, reads, 25*2+25*3, row(2).Design.Reads)
 	}
 
-	// Core 1 never crossed boundary 1 (its run ended early).
+	// Core 1 never crossed boundary 1 (its run did not finish).
 	noCore := NewRecorder(Spec{EpochEvents: 10}.Bounds(25), 2, nil)
 	crossAll(noCore, 10)
 	noCore.Cross(0, 20, 1, 1)

@@ -10,9 +10,10 @@ import (
 // Run.Sampling. It is internal/sample.Spec, whose field docs give each
 // default. The zero value disables sampling; a non-zero spec schedules the
 // run as functional warmup followed by short detailed measurement windows
-// separated by functional gaps, estimates UIPC from the per-window samples
-// with a confidence interval (Result.CI), and terminates early once the
-// requested relative CI half-width is reached.
+// separated by functional gaps, measures every window the run's budget
+// fits, and estimates UIPC from the per-window samples with a confidence
+// interval (Result.CI), whose relative half-width it tests against the
+// requested target (SampleStats.Converged).
 //
 // Zero fields select defaults (warmup 2/3 — the same boundary the full
 // pipeline uses, so windows subsample the region a full run measures —
@@ -43,20 +44,20 @@ type SampleStats struct {
 	// its confidence-interval half-width.
 	UIPC      float64
 	HalfWidth float64
-	// Converged reports whether the early-stop target was reached.
+	// Converged reports whether the relative half-width over all windows
+	// is at or below the spec's TargetRelCI.
 	Converged bool
 	// Windows holds one entry per measurement window, in schedule order;
 	// the (Instructions, Cycles) pairs are the estimator's samples.
 	Windows []WindowStat
 	// DetailedEvents counts events simulated inside measurement windows,
 	// across all cores. SimulatedEvents adds the functional warmup and
-	// gaps, counted as the furthest core's events times the core count:
-	// exact when the schedule runs to its last window, an upper bound
-	// after an early stop, when slower cores simulated fewer.
-	// FullRunEvents is what the run would have simulated with sampling
-	// off (AccessesPerCore x Cores). FullRunEvents over DetailedEvents is
-	// the sampling reduction; FullRunEvents over SimulatedEvents bounds
-	// the early-termination wall-clock factor from below.
+	// gaps: every core simulates through the last window's end, so it is
+	// that offset plus the warmup, times the core count. FullRunEvents is
+	// what the run would have simulated with sampling off
+	// (AccessesPerCore x Cores). FullRunEvents over DetailedEvents is the
+	// sampling reduction; the events between SimulatedEvents and
+	// FullRunEvents lie past the last window and are never simulated.
 	DetailedEvents  uint64
 	SimulatedEvents uint64
 	FullRunEvents   uint64

@@ -69,7 +69,7 @@ func TestExecuteSampled(t *testing.T) {
 }
 
 // TestExecuteSampledDeterministic pins bit-identical sampled Results for
-// a fixed spec and seed — including the window list and the early-stop
+// a fixed spec and seed — including the window list and the Converged
 // outcome.
 func TestExecuteSampledDeterministic(t *testing.T) {
 	a, err := uc.Execute(sampleRun("data-serving", uc.DesignUnison))
@@ -109,29 +109,55 @@ func TestFullRunJSONUntouched(t *testing.T) {
 	}
 }
 
-// TestSampledEarlyStop: a loose target stops the run before the window
-// budget and skips the unsimulated tail.
+// TestSampledEarlyStop: no sampled run stops early. Whatever its target,
+// a run measures every window its budget fits and simulates every core
+// through the last window's end, and Converged reports the final interval
+// against the target: false with no target or a target that interval
+// misses, true with a lax one. The target changes nothing else.
 func TestSampledEarlyStop(t *testing.T) {
-	r := sampleRun("web-search", uc.DesignNone)
-	r.Sampling.TargetRelCI = 0.5
-	res, err := uc.Execute(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CI.Converged {
-		t.Fatalf("±50%% target did not converge (%v ± %v after %d windows)", res.CI.UIPC, res.CI.HalfWidth, len(res.CI.Windows))
-	}
-	if len(res.CI.Windows) != 4 {
-		t.Errorf("converged at %d windows, want MinIntervals=4", len(res.CI.Windows))
-	}
-	if res.CI.SimulatedEvents >= res.CI.FullRunEvents {
-		t.Errorf("early stop saved nothing: simulated %d of %d", res.CI.SimulatedEvents, res.CI.FullRunEvents)
+	base := sampleRun("web-search", uc.DesignNone)
+	fit, warm := base.Sampling.Windows(base.AccessesPerCore)
+	spec := base.Sampling
+	end := (fit-1)*(spec.IntervalEvents+spec.GapEvents) + spec.IntervalEvents
+	var first []byte
+	for i, tc := range []struct {
+		target    float64
+		converged bool
+	}{
+		{-1, false},
+		{0.01, false},
+		{0.5, true},
+	} {
+		r := base
+		r.Sampling.TargetRelCI = tc.target
+		res, err := uc.Execute(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci := res.CI
+		if ci.Converged != tc.converged {
+			t.Errorf("target %v: Converged = %v, want %v (%v ± %v)", tc.target, ci.Converged, tc.converged, ci.UIPC, ci.HalfWidth)
+		}
+		if len(ci.Windows) != fit {
+			t.Errorf("target %v: measured %d windows, want all %d", tc.target, len(ci.Windows), fit)
+		}
+		if want := uint64(warm+end) * uint64(r.Cores); ci.SimulatedEvents != want {
+			t.Errorf("target %v: simulated %d events, want (warmup %d + last window's end %d) × %d cores = %d",
+				tc.target, ci.SimulatedEvents, warm, end, r.Cores, want)
+		}
+		res.Run.Sampling.TargetRelCI, res.CI.Converged = 0, false
+		b, _ := json.Marshal(res)
+		if i == 0 {
+			first = b
+		} else if string(b) != string(first) {
+			t.Errorf("target %v: the Result differs beyond the target and Converged:\n%s\n%s", tc.target, first, b)
+		}
 	}
 }
 
 // TestSampledWindowsMatchTelemetryEpochs: sampled windows and telemetry
 // epochs are the same recorder epochs. Tiled windows of E events with no
-// early stop, over a measured region that is a multiple of E, must equal a
+// target, over a measured region that is a multiple of E, must equal a
 // telemetry run's E-event epochs bit for bit, and the two Results may
 // differ only in UIPC (the sampled estimate, which tiling makes the region
 // value).

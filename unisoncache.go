@@ -115,9 +115,9 @@ type Run struct {
 	TracePath string `json:"TracePath"`
 
 	// Sampling, when non-zero, switches the run to SMARTS-style sampled
-	// simulation: functional warmup, short detailed measurement windows
-	// with a confidence interval over their UIPC samples (Result.CI),
-	// and adaptive early termination once the spec's CI target holds.
+	// simulation: functional warmup, then every short detailed
+	// measurement window the budget fits, with a confidence interval over
+	// their UIPC samples (Result.CI) tested against the spec's CI target.
 	// The zero value simulates every event, exactly as before. Replay
 	// runs sample fine — the schedule only ever replays a prefix of the
 	// capture.
@@ -286,7 +286,7 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 	if !r.Telemetry.Enabled() {
 		return Result{Results: machine.Run(r.AccessesPerCore), Run: r}, nil
 	}
-	machine.Observe(r.Telemetry.Bounds, emitFunc(onEpoch))
+	machine.Observe(r.Telemetry.Bounds, onEpoch)
 	res := Result{Results: machine.Run(r.AccessesPerCore), Run: r}
 	tl, err := timelineFrom(machine.Recorder(), r.Telemetry)
 	if err != nil {
@@ -294,18 +294,6 @@ func execute(r Run, onEpoch func(TimelineEpoch)) (Result, error) {
 	}
 	res.Timeline = tl
 	return res, nil
-}
-
-// emitFunc adapts a public epoch observer to the recorder's callback (nil
-// stays nil, keeping live emission off). A timeline never stops its run.
-func emitFunc(onEpoch func(TimelineEpoch)) func(TimelineEpoch) bool {
-	if onEpoch == nil {
-		return nil
-	}
-	return func(e TimelineEpoch) bool {
-		onEpoch(e)
-		return true
-	}
 }
 
 // maxRecorderBoundaries and maxRecorderRows bound what the boundary
