@@ -245,7 +245,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return &apiError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
 	}
 	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
+		if j, ok := out.(*Job); ok {
+			err = decodeJob(data, j)
+		} else {
+			err = json.Unmarshal(data, out)
+		}
+		if err != nil {
 			return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 		}
 	}

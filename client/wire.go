@@ -1,9 +1,11 @@
 package client
 
 import (
+	"encoding/json"
 	"time"
 
 	uc "unisoncache"
+	"unisoncache/internal/canonjson"
 )
 
 // This file is the service wire format, shared verbatim by the daemon
@@ -88,6 +90,100 @@ type Job struct {
 // canceled).
 func (j Job) Terminal() bool {
 	return j.State == StateDone || j.State == StateFailed || j.State == StateCanceled
+}
+
+// decodeJob decodes a job snapshot into j exactly as json.Unmarshal does.
+// Canonical input, as the daemon writes a run's snapshot, is read in one
+// pass (readJob), its Result through Result.UnmarshalJSON; anything else
+// goes, untouched, to json.Unmarshal.
+func decodeJob(data []byte, j *Job) error {
+	cr := canonjson.NewReader(data)
+	v := *j
+	if readJob(&cr, &v); cr.End() {
+		*j = v
+		return nil
+	}
+	return json.Unmarshal(data, j)
+}
+
+// readJob reads a Job object on the canonical path, in place as
+// encoding/json decodes one. A sweep's results or speedups, an unknown or
+// case-folded key and a Result that fails to decode fail the reader.
+func readJob(cr *canonjson.Reader, j *Job) {
+	cr.Begin('{')
+	for cr.Next('}') {
+		switch string(cr.Key()) {
+		case "id":
+			j.ID = cr.Str()
+		case "kind":
+			j.Kind = cr.Str()
+		case "state":
+			j.State = cr.Str()
+		case "done":
+			j.Done = cr.Int()
+		case "total":
+			j.Total = cr.Int()
+		case "cache_hits":
+			j.CacheHits = cr.Int()
+		case "error":
+			j.Error = cr.Str()
+		case "request_id":
+			j.RequestID = cr.Str()
+		case "spans":
+			j.Spans = readSpans(cr, j.Spans)
+		case "spans_dropped":
+			j.SpansDropped = cr.Int()
+		case "result":
+			if cr.Null() {
+				j.Result = nil
+				continue
+			}
+			if j.Result == nil {
+				j.Result = new(uc.Result)
+			}
+			if j.Result.UnmarshalJSON(cr.Object()) != nil {
+				cr.Fail()
+			}
+		default:
+			cr.Fail()
+		}
+	}
+}
+
+// readSpans reads a span array into s as encoding/json decodes a slice:
+// null is nil, [] is empty, and each element decodes into the one already
+// at its index, up to s's capacity.
+func readSpans(cr *canonjson.Reader, s []Span) []Span {
+	if cr.Null() {
+		return nil
+	}
+	cr.Begin('[')
+	n := 0
+	for ; cr.Next(']'); n++ {
+		if n == cap(s) {
+			// Room for a cached run's whole timeline in one allocation.
+			s = append(s[:n], make([]Span, 4)...)
+		}
+		s = s[:n+1]
+		sp := &s[n]
+		cr.Begin('{')
+		for cr.Next('}') {
+			switch string(cr.Key()) {
+			case "stage":
+				sp.Stage = cr.Str()
+			case "start_ns":
+				sp.Start = time.Duration(cr.Int64())
+			case "dur_ns":
+				sp.Dur = time.Duration(cr.Int64())
+			default:
+				cr.Fail()
+			}
+		}
+	}
+	if n == 0 {
+		return []Span{}
+	}
+	return s[:n]
 }
 
 // Event is one NDJSON line of the GET /v1/jobs/{id}/events progress

@@ -72,3 +72,35 @@ func BenchmarkServeCachedRun(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
+
+// BenchmarkCachedRun is the service-mixed reader's loop on one daemon:
+// the stock client executes a run the daemon already holds. ns/op covers
+// the client's request encode and snapshot decode, the HTTP round trip,
+// and the daemon's request decode, RunKey, cache lookup and snapshot
+// encode; allocs/op counts both sides, which share the process.
+func BenchmarkCachedRun(b *testing.B) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+	run := smallRun(uc.DesignUnison)
+	if _, err := cl.Execute(ctx, run); err != nil {
+		b.Fatal(err)
+	}
+	hits := s.m.cacheHits.Load()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := cl.Execute(ctx, run); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := s.m.cacheHits.Load() - hits; got != uint64(b.N) {
+		b.Fatalf("%d of %d reads were cache hits", got, b.N)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}

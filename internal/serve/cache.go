@@ -63,7 +63,9 @@ func newResultCache(maxBytes int64) *resultCache {
 // resultBytes is the accounting size of a cached result: its marshaled
 // JSON length. Marshaling a Result cannot fail (it is plain exported
 // data), but a defensive floor keeps the accounting sane if it ever
-// did.
+// did. A caller that holds the encoding already (a store write or read)
+// passes its length instead, and nobody marshals under the cache's lock,
+// which every cached read takes.
 func resultBytes(res uc.Result) int64 {
 	b, err := json.Marshal(res)
 	if err != nil {
@@ -98,22 +100,21 @@ func (c *resultCache) get(key string) (uc.Result, bool) {
 	return uc.Result{}, false
 }
 
-// put inserts a result produced elsewhere (the persistent store, a
-// cluster peer) without running anything.
-func (c *resultCache) put(key string, res uc.Result) {
+// add inserts a result produced elsewhere (the persistent store)
+// without running anything; n is the length of its encoding.
+func (c *resultCache) add(key string, res uc.Result, n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(key, res)
+	c.insertLocked(key, res, n)
 }
 
-// insertLocked adds or refreshes an entry and evicts from the LRU tail
-// past the byte budget. Caller holds c.mu.
-func (c *resultCache) insertLocked(key string, res uc.Result) {
+// insertLocked adds or refreshes an entry of n accounted bytes and evicts
+// from the LRU tail past the byte budget. Caller holds c.mu.
+func (c *resultCache) insertLocked(key string, res uc.Result, n int64) {
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e)
 		return // content-addressed: same key, same bytes
 	}
-	n := resultBytes(res)
 	if n > c.maxBytes {
 		return // larger than the whole budget: serve, don't retain
 	}
@@ -131,13 +132,14 @@ func (c *resultCache) insertLocked(key string, res uc.Result) {
 // do returns the result for key, executing fn at most once per key across
 // concurrent callers. hit reports a cache hit (no execution, no waiting);
 // shared reports that the caller joined another caller's in-flight
-// execution. Errors are never cached — the next submission retries.
+// execution. Errors are never cached — the next submission retries. fn
+// returns the length of the result's encoding when it holds one, or 0.
 //
 // A panic inside fn is converted into an error: the flight still
 // completes, so parked callers and Drain see a failed execution instead
 // of hanging forever on a channel nobody will ever close (and the
 // worker goroutine survives to take the next job).
-func (c *resultCache) do(key string, fn func() (uc.Result, error)) (res uc.Result, hit, shared bool, err error) {
+func (c *resultCache) do(key string, fn func() (uc.Result, int64, error)) (res uc.Result, hit, shared bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e)
@@ -156,19 +158,23 @@ func (c *resultCache) do(key string, fn func() (uc.Result, error)) (res uc.Resul
 
 	// Whatever happens in fn — return, error, panic — the flight is
 	// removed and closed exactly once, so parked callers always wake.
+	var n int64
 	defer func() {
 		if p := recover(); p != nil {
 			f.err = fmt.Errorf("serve: execution panicked: %v", p)
 		}
+		if f.err == nil && n == 0 {
+			n = resultBytes(f.res)
+		}
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if f.err == nil {
-			c.insertLocked(key, f.res)
+			c.insertLocked(key, f.res, n)
 		}
 		c.mu.Unlock()
 		close(f.done)
 		res, err = f.res, f.err
 	}()
-	f.res, f.err = fn()
+	f.res, n, f.err = fn()
 	return f.res, false, false, f.err
 }

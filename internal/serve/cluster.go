@@ -21,41 +21,44 @@ const forwardedHeader = "X-Unison-Forwarded"
 // wedged peer — move on and simulate.
 const peerFillTimeout = 5 * time.Second
 
-// storeGet looks key up in the persistent store. Any store error —
+// storeGet looks key up in the persistent store and returns the result
+// with the length of its record, the result's encoding. Any store error —
 // including a result that no longer unmarshals — reads as a miss: the
 // store is a cache of re-computable data, so degrading to re-simulation
 // is always safe.
-func (s *Server) storeGet(key string) (uc.Result, bool) {
+func (s *Server) storeGet(key string) (uc.Result, int64, bool) {
 	if s.store == nil {
-		return uc.Result{}, false
+		return uc.Result{}, 0, false
 	}
 	start := time.Now()
 	blob, ok, err := s.store.Get(key)
 	s.lat.storeRead.ObserveSince(start)
 	if err != nil || !ok {
-		return uc.Result{}, false
+		return uc.Result{}, 0, false
 	}
 	var res uc.Result
-	if err := json.Unmarshal(blob, &res); err != nil {
-		return uc.Result{}, false
+	if err := res.UnmarshalJSON(blob); err != nil {
+		return uc.Result{}, 0, false
 	}
-	return res, true
+	return res, int64(len(blob)), true
 }
 
-// storePut persists a result. Write errors are swallowed: a full or
-// failing disk must not fail a simulation that already succeeded; the
-// daemon just loses durability for that entry.
-func (s *Server) storePut(key string, res uc.Result) {
+// storePut persists a result and returns the length of its encoding (0
+// without a store). Write errors are swallowed: a full or failing disk
+// must not fail a simulation that already succeeded; the daemon just
+// loses durability for that entry.
+func (s *Server) storePut(key string, res uc.Result) int64 {
 	if s.store == nil {
-		return
+		return 0
 	}
 	blob, err := json.Marshal(res)
 	if err != nil {
-		return
+		return 0
 	}
 	start := time.Now()
 	_ = s.store.Put(key, blob)
 	s.lat.storeWrite.ObserveSince(start)
+	return int64(len(blob))
 }
 
 // remoteExecute forwards a run to its owning daemon and returns the
@@ -115,9 +118,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, res)
 		return
 	}
-	if res, ok := s.storeGet(key); ok {
+	if res, n, ok := s.storeGet(key); ok {
 		s.m.storeHits.Add(1)
-		s.cache.put(key, res)
+		s.cache.add(key, res, n)
 		writeJSON(w, http.StatusOK, res)
 		return
 	}

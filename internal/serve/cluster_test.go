@@ -429,6 +429,10 @@ func TestCacheByteBounded(t *testing.T) {
 	}
 }
 
+// put inserts res sized by its marshaled length, as the daemon sizes a
+// result whose encoding it does not hold.
+func (c *resultCache) put(key string, res uc.Result) { c.add(key, res, resultBytes(res)) }
+
 func key(i int) string { return "key-" + itoa(i) }
 
 func itoa(i int) string { return string(rune('0' + i)) }

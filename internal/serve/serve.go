@@ -50,6 +50,7 @@ import (
 
 	uc "unisoncache"
 	"unisoncache/client"
+	"unisoncache/internal/canonjson"
 	"unisoncache/internal/cluster"
 	"unisoncache/internal/obs"
 	"unisoncache/internal/runner"
@@ -373,11 +374,11 @@ func (s *Server) executeRun(ctx context.Context, r uc.Run, forwarded bool) (res 
 // on the finished Result, which the caller backfills.
 func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forwarded bool, onEpoch func(uc.TimelineEpoch)) (res uc.Result, cached bool, source string, err error) {
 	source = srcSimulated
-	res, hit, shared, err := s.cache.do(key, func() (uc.Result, error) {
-		if res, ok := s.storeGet(key); ok {
+	res, hit, shared, err := s.cache.do(key, func() (uc.Result, int64, error) {
+		if res, n, ok := s.storeGet(key); ok {
 			s.m.storeHits.Add(1)
 			source = srcStoreHit
-			return res, nil
+			return res, n, nil
 		}
 		if s.ring != nil {
 			if owner := s.ring.Owner(key); owner != s.self {
@@ -385,7 +386,7 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 					if res, err := s.remoteExecute(ctx, owner, key, r); err == nil {
 						s.m.proxied.Add(1)
 						source = srcProxied
-						return res, nil
+						return res, 0, nil
 					}
 					// Owner unreachable: fall back to executing locally —
 					// availability over placement; the result is still
@@ -399,8 +400,7 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 				// fill is a pure lookup, so it cannot loop.
 				s.m.peerFills.Add(1)
 				source = srcPeerFill
-				s.storePut(key, res)
-				return res, nil
+				return res, s.storePut(key, res), nil
 			}
 		}
 		s.m.cacheMisses.Add(1)
@@ -419,9 +419,9 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 				events = res.CI.SimulatedEvents
 			}
 			s.meter.RecordRun(events, dur)
-			s.storePut(key, res)
+			return res, s.storePut(key, res), nil
 		}
-		return res, err
+		return res, 0, err
 	})
 	switch {
 	case hit:
@@ -501,10 +501,13 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		source := srcCacheHit
 		if ok {
 			s.m.cacheHits.Add(1)
-		} else if res, ok = s.storeGet(key); ok {
-			s.m.storeHits.Add(1)
-			source = srcStoreHit
-			s.cache.put(key, res)
+		} else {
+			var n int64
+			if res, n, ok = s.storeGet(key); ok {
+				s.m.storeHits.Add(1)
+				source = srcStoreHit
+				s.cache.add(key, res, n)
+			}
 		}
 		if ok {
 			j.tl.Observe(source, lookup)
@@ -836,16 +839,37 @@ func (s *Server) handleLivez(w http.ResponseWriter, _ *http.Request) {
 // fields anywhere in the payload fail (Run.UnmarshalJSON), as do unknown
 // designs and — because this is the request boundary, where the daemon's
 // workload registry is authoritative — unknown workloads, all with
-// actionable errors.
+// actionable errors. A canonical body, as the stock client sends it, is
+// read in one pass (readRunRequest); anything else goes, untouched, to the
+// strict encoding/json decoder.
 func DecodeRunRequest(data []byte) (client.RunRequest, error) {
-	var req client.RunRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return client.RunRequest{}, fmt.Errorf("run request: %w", err)
+	req, ok := readRunRequest(data)
+	if !ok {
+		var strict client.RunRequest
+		if err := decodeStrict(data, &strict); err != nil {
+			return client.RunRequest{}, fmt.Errorf("run request: %w", err)
+		}
+		req = strict
 	}
 	if err := req.Run.ValidateNames(); err != nil {
 		return client.RunRequest{}, fmt.Errorf("run request: %w", err)
 	}
 	return req, nil
+}
+
+// readRunRequest reads a run request on the canonical path and reports
+// whether the whole body was inside it: one object whose only key is
+// "run", holding a Run that Run.UnmarshalJSON accepts.
+func readRunRequest(data []byte) (client.RunRequest, bool) {
+	var req client.RunRequest
+	cr := canonjson.NewReader(data)
+	cr.Begin('{')
+	for cr.Next('}') {
+		if string(cr.Key()) != "run" || req.Run.UnmarshalJSON(cr.Object()) != nil {
+			cr.Fail()
+		}
+	}
+	return req, cr.End()
 }
 
 // DecodeSweepRequest strictly decodes a POST /v1/sweeps body and

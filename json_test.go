@@ -218,3 +218,16 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Errorf("Result JSON not bit-stable across a round trip:\n was %s\n now %s", blob, blob2)
 	}
 }
+
+// TestValidateNamesAllocs: the request boundary checks a built-in
+// workload and design against tables built once, without allocating.
+func TestValidateNamesAllocs(t *testing.T) {
+	r := uc.Run{Workload: "web-search", Design: uc.DesignUnison}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := r.ValidateNames(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ValidateNames allocates %v times per call, want 0", n)
+	}
+}

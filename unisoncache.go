@@ -25,6 +25,7 @@ package unisoncache
 
 import (
 	"fmt"
+	"slices"
 
 	"unisoncache/internal/config"
 	"unisoncache/internal/core"
@@ -61,16 +62,18 @@ const (
 	DesignNone DesignKind = "none"
 )
 
+// designs is the design list Designs copies and knownDesign searches.
+var designs = []DesignKind{DesignUnison, DesignUnison1984, DesignAlloy, DesignFootprint, DesignLohHill, DesignIdeal, DesignNone}
+
 // Designs lists all selectable designs.
-func Designs() []DesignKind {
-	return []DesignKind{DesignUnison, DesignUnison1984, DesignAlloy, DesignFootprint, DesignLohHill, DesignIdeal, DesignNone}
-}
+func Designs() []DesignKind { return slices.Clone(designs) }
 
 // Run configures one simulation.
 //
 // Run is part of the service wire format: the JSON field names below are
-// stable, decoding is strict (see UnmarshalJSON), and a fully-defaulted
-// Run canonically hashes to its content-addressed cache key via RunKey.
+// stable, decoding is strict (see UnmarshalJSON) and reads what Marshal
+// writes in one pass without reflection, and a fully-defaulted Run
+// canonically hashes to its content-addressed cache key via RunKey.
 type Run struct {
 	// Workload is one of Workloads() — a built-in name or one added with
 	// RegisterWorkload. When replaying a trace (TracePath set) it may be
@@ -205,6 +208,11 @@ func AutoScaleDivisor(capacity uint64) int {
 }
 
 // Result is one simulation's measured output.
+//
+// Result is part of the service wire format: encoding/json writes it
+// with its Go field names, and UnmarshalJSON reads that form in one pass
+// without reflection, handing anything else to encoding/json, so a
+// decoded Result is always the one encoding/json would decode.
 type Result struct {
 	sim.Results
 	// Run echoes the (defaulted) configuration.

@@ -21,6 +21,10 @@ import (
 type Profile = trace.Profile
 
 var (
+	// builtins is the built-in workload table, built once and never
+	// mutated: lookupProfile hands out its profiles, and every caller
+	// copies before scaling.
+	builtins   = trace.Profiles()
 	workloadMu sync.RWMutex
 	registered = map[string]*Profile{}
 )
@@ -36,7 +40,7 @@ func RegisterWorkload(name string, p Profile) error {
 	if name == "" {
 		return fmt.Errorf("unisoncache: empty workload name")
 	}
-	if _, builtin := trace.Profiles()[name]; builtin {
+	if _, builtin := builtins[name]; builtin {
 		return fmt.Errorf("unisoncache: workload %q would shadow a built-in", name)
 	}
 	p.Name = name
@@ -77,7 +81,7 @@ func WorkloadProfile(name string) (Profile, bool) {
 // registry. The returned profile is never mutated by callers (scaling
 // copies it).
 func lookupProfile(name string) (*trace.Profile, bool) {
-	if p, ok := trace.Profiles()[name]; ok {
+	if p, ok := builtins[name]; ok {
 		return p, true
 	}
 	workloadMu.RLock()
