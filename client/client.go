@@ -210,25 +210,47 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("unisonserved: %s (status %d)", e.Msg, e.Status)
 }
 
-// do performs one JSON round trip: in (when non-nil) is the request
-// body, out (when non-nil) receives the decoded 2xx response.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// open sends one request, with in (when non-nil) as its JSON body, and
+// returns the response still open when the daemon answers 2xx, else an
+// *apiError carrying the status and the daemon's message.
+func (c *Client) open(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		blob, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("client: encoding request: %w", err)
+			return nil, fmt.Errorf("client: encoding request: %w", err)
 		}
 		body = bytes.NewReader(blob)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.send(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	// The status is the daemon's answer; a body cut short only shortens
+	// the message.
+	data, _ := io.ReadAll(resp.Body)
+	var eb errorBody
+	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
+		return nil, &apiError{Status: resp.StatusCode, Msg: eb.Error}
+	}
+	return nil, &apiError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
+}
+
+// do performs one JSON round trip: in (when non-nil) is the request
+// body, out (when non-nil) receives the decoded 2xx response.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.open(ctx, method, path, in)
 	if err != nil {
 		return err
 	}
@@ -236,13 +258,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var eb errorBody
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			return &apiError{Status: resp.StatusCode, Msg: eb.Error}
-		}
-		return &apiError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
 	}
 	if out != nil {
 		if j, ok := out.(*Job); ok {
@@ -257,6 +272,24 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return nil
 }
 
+// readNDJSON decodes one T per NDJSON line of an open response and hands
+// each to fn, in order, until the daemon ends the stream; it closes the
+// body.
+func readNDJSON[T any](resp *http.Response, fn func(T)) error {
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var v T
+		if err := dec.Decode(&v); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+		fn(v)
+	}
+}
+
 // Health fetches /healthz.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
@@ -267,11 +300,7 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 // Metrics fetches /metrics and parses the flat exposition into a
 // name → value map (comment lines skipped).
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.send(req)
+	resp, err := c.open(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -279,9 +308,6 @@ func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, &apiError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
 	}
 	out := make(map[string]float64)
 	for _, line := range strings.Split(string(data), "\n") {
@@ -382,36 +408,16 @@ func (c *Client) Wait(ctx context.Context, id string) (Job, error) {
 	}
 }
 
-// followEvents consumes the event stream until a terminal event (true),
-// clean EOF without one (false), or transport error.
+// followEvents consumes the event stream until the daemon closes it and
+// reports whether its last event was terminal.
 func (c *Client) followEvents(ctx context.Context, id string) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
+	resp, err := c.open(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return false, err
 	}
-	resp, err := c.send(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return false, &apiError{Status: resp.StatusCode, Msg: "event stream unavailable"}
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return false, nil
-			}
-			return false, err
-		}
-		switch e.State {
-		case StateDone, StateFailed, StateCanceled:
-			return true, nil
-		}
-	}
+	terminal := false
+	err = readNDJSON(resp, func(e Event) { terminal = Job{State: e.State}.Terminal() })
+	return terminal, err
 }
 
 // Telemetry follows the job's epoch timeline stream
@@ -421,30 +427,11 @@ func (c *Client) followEvents(ctx context.Context, id string) (bool, error) {
 // terminal and every epoch was delivered) or on transport error; a job
 // without telemetry returns immediately with no calls.
 func (c *Client) Telemetry(ctx context.Context, id string, fn func(uc.TimelineEpoch)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/telemetry", nil)
+	resp, err := c.open(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.send(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return &apiError{Status: resp.StatusCode, Msg: "telemetry stream unavailable"}
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var e uc.TimelineEpoch
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		fn(e)
-	}
+	return readNDJSON(resp, fn)
 }
 
 // CollectTelemetry follows the job's telemetry stream to completion and

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	uc "unisoncache"
@@ -40,16 +39,11 @@ type Cluster struct {
 
 // NewCluster builds a fan-out client over the daemon base URLs. The list
 // must match the daemons' own -peers configuration (same URLs, any
-// order) for direct routing; a differing list still returns correct
-// results because daemons forward misrouted work to the true owner.
+// order, normalized alike by cluster.Member) for direct routing; a
+// differing list still returns correct results because daemons forward
+// misrouted work to the true owner.
 func NewCluster(addrs []string) (*Cluster, error) {
-	var clean []string
-	for _, a := range addrs {
-		if a = strings.TrimSpace(a); a != "" {
-			clean = append(clean, strings.TrimRight(a, "/"))
-		}
-	}
-	ring := cluster.New(clean, 0)
+	ring := cluster.New(addrs, 0)
 	if ring == nil {
 		return nil, errors.New("client: cluster needs at least one daemon address")
 	}
@@ -66,7 +60,7 @@ func (c *Cluster) Nodes() []string { return c.ring.Nodes() }
 // Node returns the per-daemon client for addr (nil if addr is not a
 // member). Exposed so callers can tune retry knobs or query one node's
 // /metrics directly.
-func (c *Cluster) Node(addr string) *Client { return c.nodes[strings.TrimRight(addr, "/")] }
+func (c *Cluster) Node(addr string) *Client { return c.nodes[cluster.Member(addr)] }
 
 // routeKey returns the ring key for a run: its canonical content
 // address when computable, else a digest of the run's JSON. The

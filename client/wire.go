@@ -6,6 +6,7 @@ import (
 
 	uc "unisoncache"
 	"unisoncache/internal/canonjson"
+	"unisoncache/internal/obs"
 )
 
 // This file is the service wire format, shared verbatim by the daemon
@@ -203,12 +204,8 @@ type Event struct {
 // Span is one stage of a job's timeline: its name, when it started
 // relative to the request being received, and how long it took (0 for
 // instantaneous markers like the terminal state). Durations marshal as
-// integer nanoseconds.
-type Span struct {
-	Stage string        `json:"stage"`
-	Start time.Duration `json:"start_ns"`
-	Dur   time.Duration `json:"dur_ns"`
-}
+// integer nanoseconds. The daemon records and serves the same type.
+type Span = obs.Span
 
 // Health is the payload of GET /healthz (readiness: 503 + Ready=false
 // while draining) and GET /livez (liveness: always 200).

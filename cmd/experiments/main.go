@@ -53,45 +53,24 @@ type options struct {
 	// all CSVs byte-identical to the local path — including through a
 	// multi-daemon cluster — and repeat invocations hit the daemons'
 	// result caches and stores.
-	srv service
+	srv *client.Cluster
 }
 
-// service is the slice of the client API the experiments route through:
-// both a single daemon (*client.Client) and a consistent-hash cluster
-// (*client.Cluster) satisfy it, so every experiment is oblivious to how
-// many daemons are behind -server.
-type service interface {
-	Health(context.Context) (client.Health, error)
-	ExecuteMany(context.Context, []uc.Run) ([]uc.Result, error)
-	SpeedupMany(context.Context, []uc.Run) ([]uc.SpeedupResult, error)
-}
-
-// newService builds the -server client: a fan-out Cluster for a
-// comma-separated list, a plain Client for a single URL. Retries are
-// surfaced on stderr through the client's structured logger — a long
-// figure run that silently stalls on a flapping daemon is much worse
-// than a few warning lines.
-func newService(servers string) (service, error) {
-	retryLog, _ := obs.NewLogger(os.Stderr, obs.LogText, slog.LevelWarn)
-	var addrs []string
-	for _, a := range strings.Split(servers, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	if len(addrs) == 1 {
-		cl := client.New(addrs[0])
-		cl.Logger = retryLog
-		return cl, nil
-	}
-	cluster, err := client.NewCluster(addrs)
+// newService builds the -server client over the comma-separated daemon
+// URLs. One address makes a one-member Cluster, which sends every call to
+// that daemon. Retries are surfaced on stderr through the client's
+// structured logger — a long figure run that silently stalls on a
+// flapping daemon is much worse than a few warning lines.
+func newService(servers string) (*client.Cluster, error) {
+	cl, err := client.NewCluster(strings.Split(servers, ","))
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range cluster.Nodes() {
-		cluster.Node(n).Logger = retryLog
+	retryLog, _ := obs.NewLogger(os.Stderr, obs.LogText, slog.LevelWarn)
+	for _, n := range cl.Nodes() {
+		cl.Node(n).Logger = retryLog
 	}
-	return cluster, nil
+	return cl, nil
 }
 
 // executeMany runs an ExecuteMany plan locally or through -server.

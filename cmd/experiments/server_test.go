@@ -41,7 +41,9 @@ func TestFig7CSVMatchesServer(t *testing.T) {
 	cl := client.New(ts.URL)
 	served := local
 	served.outDir = t.TempDir()
-	served.srv = cl
+	if served.srv, err = newService(ts.URL); err != nil {
+		t.Fatal(err)
+	}
 	if err := fig7(served); err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "how long SIGTERM waits for accepted jobs (0 = forever)")
 	fs.StringVar(&o.logFormat, "log-format", obs.LogText, "structured log format: text or json")
 	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
-	fs.DurationVar(&o.slowThreshold, "slow-threshold", time.Minute, "warn about HTTP requests slower than this (0 disables; the events stream is exempt)")
+	fs.DurationVar(&o.slowThreshold, "slow-threshold", time.Minute, "warn about HTTP requests slower than this (0 disables; the NDJSON events and telemetry streams are exempt)")
 	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "listen address for net/http/pprof (empty = disabled; use loopback)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
@@ -122,17 +122,6 @@ func logger(o options) *slog.Logger {
 	return lg
 }
 
-// peerList splits the -peers value.
-func peerList(peers string) []string {
-	var out []string
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // newServer builds the service from the options and the (possibly nil)
 // persistent store.
 func newServer(o options, st *store.Store, lg *slog.Logger) *serve.Server {
@@ -142,7 +131,7 @@ func newServer(o options, st *store.Store, lg *slog.Logger) *serve.Server {
 		CacheBytes:    o.cacheBytes,
 		Store:         st,
 		Self:          o.self,
-		Peers:         peerList(o.peers),
+		Peers:         strings.Split(o.peers, ","),
 		Logger:        lg,
 		SlowThreshold: o.slowThreshold,
 	})

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // DefaultReplicas is the virtual-node count per member: high enough that
@@ -37,10 +38,17 @@ type point struct {
 	node string
 }
 
+// Member normalizes a member name as the ring stores it: surrounding
+// space and trailing slashes go, so "http://a:1/ " and "http://a:1" name
+// one member. Daemons and clients look members up through it.
+func Member(name string) string {
+	return strings.TrimRight(strings.TrimSpace(name), "/")
+}
+
 // New builds a ring over nodes with the given virtual-node count per
-// member (replicas <= 0 uses DefaultReplicas). Duplicate members are
-// collapsed; the member strings are opaque (the daemon uses base URLs).
-// A nil return means no nodes were given.
+// member (replicas <= 0 uses DefaultReplicas). Members are normalized
+// (Member), empty ones dropped and duplicates collapsed; the daemon uses
+// base URLs. A nil return means no nodes were given.
 func New(nodes []string, replicas int) *Ring {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
@@ -48,6 +56,7 @@ func New(nodes []string, replicas int) *Ring {
 	seen := make(map[string]bool, len(nodes))
 	var uniq []string
 	for _, n := range nodes {
+		n = Member(n)
 		if n == "" || seen[n] {
 			continue
 		}

@@ -114,13 +114,7 @@ func (s *Server) peerFill(ctx context.Context, key string) (uc.Result, bool) {
 // use it to probe what a node holds.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if res, ok := s.cache.get(key); ok {
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	if res, n, ok := s.storeGet(key); ok {
-		s.m.storeHits.Add(1)
-		s.cache.add(key, res, n)
+	if res, _, ok := s.held(key); ok {
 		writeJSON(w, http.StatusOK, res)
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -278,6 +279,102 @@ func TestServeRestartServesFromStore(t *testing.T) {
 	}
 	if s2.m.storeHits.Load() != 1 {
 		t.Errorf("storeHits = %d, want 1", s2.m.storeHits.Load())
+	}
+}
+
+// TestServeHeldResult: a result held only in the persistent store answers
+// POST /v1/runs and GET /v1/results/{key} without executing. Either way
+// it counts one store hit and no cache hit, and moves the result into
+// the memory cache, whose next submission counts a cache hit.
+func TestServeHeldResult(t *testing.T) {
+	run := smallRun(uc.DesignUnison)
+	key, err := uc.RunKey(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := fakeExecute(run)
+	blob := mustJSON(t, want)
+	body := `{"run":` + mustJSON(t, run) + `}`
+	for _, first := range []string{"submit", "lookup"} {
+		t.Run(first, func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.Put(key, []byte(blob)); err != nil {
+				t.Fatal(err)
+			}
+			s := New(Config{Store: st, Execute: func(r uc.Run) (uc.Result, error) {
+				t.Errorf("executed %s, which the store holds", r.Design)
+				return fakeExecute(r)
+			}})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			defer s.Drain(context.Background())
+
+			if first == "submit" {
+				var j client.Job
+				if code := post(t, ts, "/v1/runs", body, &j); code != http.StatusOK || j.Result == nil || mustJSON(t, *j.Result) != blob {
+					t.Fatalf("store-held submit: status %d, job %+v", code, j)
+				}
+				if !hasSpan(j.Spans, srcStoreHit) || hasSpan(j.Spans, srcCacheHit) {
+					t.Errorf("store-held job spans %v, want store-hit only", j.Spans)
+				}
+			} else {
+				res, ok, err := client.New(ts.URL).LookupResult(context.Background(), key)
+				if err != nil || !ok || mustJSON(t, res) != blob {
+					t.Fatalf("lookup = %v, %v; want the stored result", ok, err)
+				}
+			}
+			if hits, store := s.m.cacheHits.Load(), s.m.storeHits.Load(); hits != 0 || store != 1 {
+				t.Errorf("after the %s: cache_hits %d, store_hits %d; want 0, 1", first, hits, store)
+			}
+
+			var j client.Job
+			if code := post(t, ts, "/v1/runs", body, &j); code != http.StatusOK || j.Result == nil || mustJSON(t, *j.Result) != blob {
+				t.Fatalf("cached submit: status %d, job %+v", code, j)
+			}
+			if !hasSpan(j.Spans, srcCacheHit) || hasSpan(j.Spans, srcStoreHit) {
+				t.Errorf("cached job spans %v, want cache-hit only", j.Spans)
+			}
+			if hits, store := s.m.cacheHits.Load(), s.m.storeHits.Load(); hits != 1 || store != 1 {
+				t.Errorf("after the cached submit: cache_hits %d, store_hits %d; want 1, 1", hits, store)
+			}
+		})
+	}
+}
+
+// TestServeMemberURLsNormalized: a member URL names one member however
+// it is spelled. A trailing slash on Self and in Peers adds no phantom
+// member, which the daemon would proxy and peer-fill to over HTTP, and a
+// list with trailing slashes and spaces builds the clean list's ring, as
+// the client does.
+func TestServeMemberURLsNormalized(t *testing.T) {
+	s := New(Config{Self: "http://a:1/", Peers: []string{"http://a:1/", "http://b:2"}})
+	defer s.Drain(context.Background())
+	if got := s.ring.Nodes(); !slices.Equal(got, []string{"http://a:1", "http://b:2"}) {
+		t.Errorf("ring members %q, want [http://a:1 http://b:2]", got)
+	}
+	if len(s.peers) != 1 || s.peers["http://b:2"] == nil {
+		t.Errorf("%d peer clients, want one, for http://b:2", len(s.peers))
+	}
+
+	members := []string{"http://a:1", "http://b:2", "http://c:3"}
+	clean := New(Config{Self: "http://b:2", Peers: members})
+	defer clean.Drain(context.Background())
+	messy := New(Config{Self: " http://b:2/ ", Peers: []string{"http://a:1//", " http://b:2", "", "http://c:3/ "}})
+	defer messy.Drain(context.Background())
+	if !slices.Equal(messy.ring.Nodes(), members) || !slices.Equal(clean.ring.Nodes(), members) || messy.self != clean.self {
+		t.Errorf("messy list: ring %q self %q; clean list: ring %q self %q",
+			messy.ring.Nodes(), messy.self, clean.ring.Nodes(), clean.self)
+	}
+	cl, err := client.NewCluster([]string{"http://c:3/", " http://a:1 ", "http://b:2//"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cl.Nodes(), members) || cl.Node(" http://a:1/") == nil {
+		t.Errorf("client ring %q, want %q with http://a:1 reachable however spelled", cl.Nodes(), members)
 	}
 }
 

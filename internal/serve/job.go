@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"sync"
+	"time"
 
 	uc "unisoncache"
 	"unisoncache/client"
@@ -53,19 +54,9 @@ func newJob(id, kind string, total int, requestID string, cancel context.CancelF
 	return j
 }
 
-// spans renders the timeline in wire form.
-func (j *job) spans() []client.Span {
-	src := j.tl.Spans()
-	out := make([]client.Span, len(src))
-	for i, s := range src {
-		out[i] = client.Span{Stage: s.Stage, Start: s.Start, Dur: s.Dur}
-	}
-	return out
-}
-
 // snapshot renders the job as its wire form.
 func (j *job) snapshot() client.Job {
-	spans := j.spans()
+	spans := j.tl.Spans()
 	dropped := j.tl.Dropped()
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -164,9 +155,11 @@ func (j *job) setRunning() {
 	j.notifyLocked()
 }
 
-// recordExecution counts one completed run execution (hit: served from
-// the result cache).
-func (j *job) recordExecution(hit bool) {
+// recordExecution records one completed run execution: its span, named
+// by the stage that satisfied it and covering [start, now], and its count
+// (hit: it cost nothing here).
+func (j *job) recordExecution(stage string, start time.Time, hit bool) {
+	j.tl.Observe(stage, start)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.done++

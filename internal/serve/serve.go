@@ -110,7 +110,8 @@ type Config struct {
 	// daemon's own entry in it. When both are set, the daemon builds the
 	// shared consistent-hash ring: runs it owns execute locally (after
 	// trying peer caches), runs it doesn't own are forwarded to their
-	// owner. Empty means single-node, no routing.
+	// owner. Empty means single-node, no routing. Member URLs are
+	// normalized by cluster.Member, as the client normalizes its list.
 	Self  string
 	Peers []string
 
@@ -193,7 +194,7 @@ func New(cfg Config) *Server {
 	s.queue.OnStart = func(waited time.Duration) {
 		s.lat.queueWait.Observe(waited.Seconds())
 	}
-	if self := strings.TrimRight(cfg.Self, "/"); self != "" && len(cfg.Peers) > 0 {
+	if self := cluster.Member(cfg.Self); self != "" && len(cfg.Peers) > 0 {
 		ring := cluster.New(append([]string{self}, cfg.Peers...), 0)
 		s.self, s.ring = self, ring
 		s.log = s.log.With("member", self)
@@ -232,29 +233,6 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// routeLabel normalizes a request path onto the fixed route-pattern
-// vocabulary the per-endpoint histogram is labeled with — bounded
-// cardinality without needing the mux's matched pattern.
-func routeLabel(path string) string {
-	switch {
-	case path == "/v1/runs", path == "/v1/sweeps",
-		path == "/healthz", path == "/livez", path == "/metrics":
-		return path
-	case strings.HasPrefix(path, "/v1/results/"):
-		return "/v1/results/{key}"
-	case strings.HasPrefix(path, "/v1/jobs/"):
-		if strings.HasSuffix(path, "/events") {
-			return "/v1/jobs/{id}/events"
-		}
-		if strings.HasSuffix(path, "/telemetry") {
-			return "/v1/jobs/{id}/telemetry"
-		}
-		return "/v1/jobs/{id}"
-	default:
-		return "other"
-	}
-}
-
 // statusWriter captures the response code for logging and forwards
 // Flush so the NDJSON events stream keeps streaming through the
 // middleware.
@@ -291,25 +269,30 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		ctx := obs.WithRequestID(r.Context(), id)
 		w.Header().Set(obs.RequestIDHeader, id)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		req := r.WithContext(ctx)
 		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		next.ServeHTTP(sw, req)
 		dur := time.Since(start)
 
-		route := routeLabel(r.URL.Path)
+		// The route is the path of the pattern the mux matched; a request
+		// it rejected matched none.
+		route := "other"
+		if i := strings.IndexByte(req.Pattern, '/'); i >= 0 {
+			route = req.Pattern[i:]
+		}
 		s.lat.http.With(route).Observe(dur.Seconds())
-		level := slog.LevelDebug
-		switch route {
-		case "/healthz", "/livez", "/metrics", "/v1/jobs/{id}", "/v1/jobs/{id}/events", "/v1/jobs/{id}/telemetry":
-		default:
-			// Submissions, cancels and cluster result lookups are the
-			// cross-node traffic whose IDs operators grep for.
-			level = slog.LevelInfo
+		// The NDJSON streams are held open for a job's lifetime: waiting,
+		// not work, so they never count as slow.
+		stream := route == "/v1/jobs/{id}/events" || route == "/v1/jobs/{id}/telemetry"
+		level := slog.LevelInfo
+		if stream || route == "/healthz" || route == "/livez" || route == "/metrics" || route == "/v1/jobs/{id}" {
+			level = slog.LevelDebug
 		}
 		lg := s.log.With("req_id", id)
 		lg.Log(ctx, level, "http request",
 			"method", r.Method, "route", route, "path", r.URL.Path,
 			"status", sw.code, "dur_ms", durMillis(dur))
-		if s.slow > 0 && dur >= s.slow && route != "/v1/jobs/{id}/events" && route != "/v1/jobs/{id}/telemetry" {
+		if s.slow > 0 && dur >= s.slow && !stream {
 			lg.Warn("slow request",
 				"method", r.Method, "route", route, "path", r.URL.Path,
 				"status", sw.code, "dur_ms", durMillis(dur), "threshold", s.slow.String())
@@ -348,32 +331,22 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.queue.Drain(ctx)
 }
 
-// executeRun is the service's single-run execution path: canonical key,
-// cache lookup, cluster routing, in-flight dedup, metrics. cached
-// reports the execution cost nothing here (memory cache hit or
-// coalesced onto an in-flight one); source is the execution-stage span
-// name recorded on the job timeline.
-func (s *Server) executeRun(ctx context.Context, r uc.Run, forwarded bool) (res uc.Result, cached bool, source string, err error) {
-	key, err := uc.RunKey(r)
-	if err != nil {
-		return uc.Result{}, false, "", err
-	}
-	return s.executeKeyed(ctx, key, r, forwarded, nil)
-}
-
-// executeKeyed is executeRun for a caller that already computed the key
-// (the run-submission path hashes once and reuses it — for replay runs
-// RunKey digests the whole capture file, so recomputing is a full extra
-// read). On a memory-cache miss the fill order is: persistent store,
-// then cluster routing (forward to the owner, or peer caches when this
-// daemon is the owner), then simulation — so re-simulating is strictly
-// the last resort. forwarded marks a request already routed by a peer
-// daemon, which must execute here (one hop maximum, no proxy loops).
-// onEpoch, when non-nil, receives telemetry epochs live — but only when
-// this call actually simulates; every other source delivers its timeline
-// on the finished Result, which the caller backfills.
-func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forwarded bool, onEpoch func(uc.TimelineEpoch)) (res uc.Result, cached bool, source string, err error) {
-	source = srcSimulated
+// executeKeyed is the service's single-run execution path for job j: the
+// caller computed the run's canonical key (for replay runs RunKey
+// digests the whole capture file, so recomputing is a full extra read).
+// A memory-cache hit or a join onto an in-flight execution costs nothing
+// here; on a miss the fill order is: persistent store, then cluster
+// routing (forward to the owner, or peer caches when this daemon is the
+// owner), then simulation — so re-simulating is strictly the last
+// resort. forwarded marks a request already routed by a peer daemon,
+// which must execute here (one hop maximum, no proxy loops). onEpoch,
+// when non-nil, receives telemetry epochs live — but only when this call
+// actually simulates; every other source delivers its timeline on the
+// finished Result, which the caller backfills. A successful execution is
+// recorded on j under the stage that satisfied it.
+func (s *Server) executeKeyed(ctx context.Context, j *job, key string, r uc.Run, forwarded bool, onEpoch func(uc.TimelineEpoch)) (uc.Result, error) {
+	start := time.Now()
+	source := srcSimulated
 	res, hit, shared, err := s.cache.do(key, func() (uc.Result, int64, error) {
 		if res, n, ok := s.storeGet(key); ok {
 			s.m.storeHits.Add(1)
@@ -431,17 +404,42 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 		s.m.coalesced.Add(1)
 		source = srcCoalesced
 	}
-	return res, hit || shared, source, err
+	if err == nil {
+		j.recordExecution(source, start, hit || shared)
+	}
+	return res, err
 }
 
-// newJobLocked allocates the next job ID; the caller holds s.mu. The
-// job adopts the request's ID and starts its span timeline at
-// "received".
-func (s *Server) newJobLocked(kind string, total int, requestID string, cancel context.CancelFunc) *job {
+// held returns a result the daemon already holds for key, and the stage
+// that found it: the memory cache, else the persistent store, whose hit
+// is counted and moved into the cache. It never executes anything.
+func (s *Server) held(key string) (uc.Result, string, bool) {
+	if res, ok := s.cache.get(key); ok {
+		return res, srcCacheHit, true
+	}
+	res, n, ok := s.storeGet(key)
+	if ok {
+		s.m.storeHits.Add(1)
+		s.cache.add(key, res, n)
+	}
+	return res, srcStoreHit, ok
+}
+
+// register records a new job for the submission r. The job outlives the
+// HTTP request, so its context derives from the background — but it
+// keeps carrying the request's ID, which is what threads the ID through
+// proxy hops and peer fills during execution. The job's cancel function
+// releases that context.
+func (s *Server) register(r *http.Request, kind string, total int) (*job, context.Context) {
+	requestID := obs.RequestIDFrom(r.Context())
+	ctx, cancel := context.WithCancel(obs.WithRequestID(context.Background(), requestID))
+	s.mu.Lock()
 	s.seq++
 	j := newJob("j"+strconv.Itoa(s.seq), kind, total, requestID, cancel)
 	s.jobs[j.id] = j
-	return j
+	s.mu.Unlock()
+	s.m.jobsSubmitted.Add(1)
+	return j, ctx
 }
 
 // admit rejects submissions while draining.
@@ -453,7 +451,7 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	return true
 }
 
-// handleSubmitRun accepts one Run. A result already in the cache
+// handleSubmitRun accepts one Run. A result the daemon already holds
 // completes the job synchronously, so a cached submission is a single
 // round trip; otherwise the job is queued.
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
@@ -470,16 +468,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	requestID := obs.RequestIDFrom(r.Context())
-	// The job outlives the HTTP request, so its context derives from the
-	// background — but it keeps carrying the request ID, which is what
-	// threads the ID through proxy hops and peer fills during execution.
-	ctx, cancel := context.WithCancel(obs.WithRequestID(context.Background(), requestID))
-
-	s.mu.Lock()
-	j := s.newJobLocked("run", 1, requestID, cancel)
-	s.mu.Unlock()
-	s.m.jobsSubmitted.Add(1)
+	j, ctx := s.register(r, "run", 1)
 
 	run := req.Run
 	forwarded := r.Header.Get(forwardedHeader) != ""
@@ -497,25 +486,14 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		// round trip, no queue. The store check is what lets a freshly
 		// restarted daemon keep answering its history in one hop.
 		lookup := time.Now()
-		res, ok := s.cache.get(key)
-		source := srcCacheHit
-		if ok {
-			s.m.cacheHits.Add(1)
-		} else {
-			var n int64
-			if res, n, ok = s.storeGet(key); ok {
-				s.m.storeHits.Add(1)
-				source = srcStoreHit
-				s.cache.add(key, res, n)
+		if res, source, ok := s.held(key); ok {
+			if source == srcCacheHit {
+				s.m.cacheHits.Add(1)
 			}
-		}
-		if ok {
-			j.tl.Observe(source, lookup)
-			j.recordExecution(true)
+			j.recordExecution(source, lookup, true)
 			s.backfillEpochs(j, &res)
 			j.finish(ctx, nil, &res, nil, nil)
-			s.countFinished(j)
-			writeJSON(w, http.StatusOK, j.snapshot())
+			writeJSON(w, http.StatusOK, s.countFinished(j))
 			return
 		}
 	}
@@ -525,38 +503,33 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		j.tl.Observe("queued", submitted)
 		j.setRunning()
 		var result *uc.Result
-		res, cached, err := uc.Result{}, false, ctx.Err()
+		err := ctx.Err()
 		if err == nil {
-			if err = keyErr; err == nil {
-				var source string
-				start := time.Now()
-				res, cached, source, err = s.executeKeyed(ctx, key, run, forwarded, onEpoch)
-				if err == nil {
-					j.tl.Observe(source, start)
-				}
-			}
+			err = keyErr
 		}
 		if err == nil {
-			j.recordExecution(cached)
-			result = &res
+			var res uc.Result
+			if res, err = s.executeKeyed(ctx, j, key, run, forwarded, onEpoch); err == nil {
+				result = &res
+			}
 		}
 		s.backfillEpochs(j, result)
 		j.finish(ctx, err, result, nil, nil)
 		s.countFinished(j)
 	}
-	s.submit(w, j, ctx, cancel, work)
+	s.submit(w, j, ctx, work)
 }
 
 // submit hands a job to the queue, converting a Submit failure (a race
 // with Drain closing the queue) into a terminal failed job rather than
 // leaving it queued forever with no worker ever to finish it.
-func (s *Server) submit(w http.ResponseWriter, j *job, ctx context.Context, cancel context.CancelFunc, work func(context.Context)) {
+func (s *Server) submit(w http.ResponseWriter, j *job, ctx context.Context, work func(context.Context)) {
 	if err := s.queue.Submit(ctx, work); err != nil {
 		// Finish against a fresh context so the job records the Submit
 		// failure, not a cancellation; then release the job's context.
 		j.finish(context.Background(), err, nil, nil, nil)
 		s.countFinished(j)
-		cancel()
+		j.cancel()
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
@@ -584,13 +557,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		total *= 2 // each point plus its (memoized) baseline — an upper bound
 	}
 	forwarded := r.Header.Get(forwardedHeader) != ""
-	requestID := obs.RequestIDFrom(r.Context())
-	ctx, cancel := context.WithCancel(obs.WithRequestID(context.Background(), requestID))
-
-	s.mu.Lock()
-	j := s.newJobLocked("sweep", total, requestID, cancel)
-	s.mu.Unlock()
-	s.m.jobsSubmitted.Add(1)
+	j, ctx := s.register(r, "sweep", total)
 	s.reqLog(r.Context()).Info("sweep submitted",
 		"job", j.id, "points", len(req.Points), "mode", req.Mode,
 		"forwarded", forwarded)
@@ -606,13 +573,11 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 				if err := ctx.Err(); err != nil {
 					return uc.Result{}, context.Cause(ctx)
 				}
-				start := time.Now()
-				res, cached, source, err := s.executeRun(ctx, run, forwarded)
-				if err == nil {
-					j.tl.Observe(source, start)
-					j.recordExecution(cached)
+				key, err := uc.RunKey(run)
+				if err != nil {
+					return uc.Result{}, err
 				}
-				return res, err
+				return s.executeKeyed(ctx, j, key, run, forwarded, nil)
 			},
 		}
 		var (
@@ -631,7 +596,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		j.finish(ctx, err, nil, results, speedups)
 		s.countFinished(j)
 	}
-	s.submit(w, j, ctx, cancel, work)
+	s.submit(w, j, ctx, work)
 }
 
 // countFinished bumps the terminal-state counters and retires the job
@@ -639,8 +604,9 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 // finished, the oldest-finished ones — with their result payloads — are
 // forgotten, so a long-running daemon's job registry cannot grow without
 // bound. (The result cache keeps serving the underlying runs either
-// way; only the job records age out.)
-func (s *Server) countFinished(j *job) {
+// way; only the job records age out.) It returns the terminal snapshot
+// it counted.
+func (s *Server) countFinished(j *job) client.Job {
 	snap := j.snapshot()
 	switch snap.State {
 	case client.StateDone:
@@ -661,6 +627,7 @@ func (s *Server) countFinished(j *job) {
 		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
+	return snap
 }
 
 // lookupJob resolves {id} or writes 404.
@@ -699,10 +666,24 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 // immediately, a line per change, the terminal line last, then EOF.
 // Every line carries the job's request ID and current span timeline.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
+	if j := s.lookupJob(w, r); j != nil {
+		streamNDJSON(w, r, j, func(int) ([]client.Event, bool) {
+			snap := j.snapshot()
+			return []client.Event{{
+				State: snap.State, Done: snap.Done, Total: snap.Total,
+				Error: snap.Error, RequestID: snap.RequestID, Spans: snap.Spans,
+			}}, snap.Terminal()
+		})
 	}
+}
+
+// streamNDJSON writes one of a job's NDJSON streams: next(sent) returns
+// the lines due after the sent already written and whether the job is
+// terminal. The headers and the first lines go out at once, so a client
+// following a running job sees the stream open; then each job change
+// writes what next adds, until the job is terminal (EOF) or the client
+// goes away.
+func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, j *job, next func(sent int) ([]T, bool)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)
@@ -710,19 +691,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	tick, unsubscribe := j.subscribe()
 	defer unsubscribe()
-	for {
-		snap := j.snapshot()
-		e := client.Event{
-			State: snap.State, Done: snap.Done, Total: snap.Total,
-			Error: snap.Error, RequestID: snap.RequestID, Spans: snap.Spans,
+	for sent := 0; ; {
+		lines, terminal := next(sent)
+		for _, l := range lines {
+			if err := enc.Encode(l); err != nil {
+				return
+			}
 		}
-		if err := enc.Encode(e); err != nil {
-			return
-		}
+		sent += len(lines)
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if snap.Terminal() {
+		if terminal {
 			return
 		}
 		select {
@@ -775,42 +755,8 @@ func (s *Server) backfillEpochs(j *job, res *uc.Result) {
 // replayed from the job record for finished jobs, EOF after the terminal
 // drain. Jobs without telemetry yield an empty body.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	tick, unsubscribe := j.subscribe()
-	defer unsubscribe()
-	// Push the headers out before the first epoch exists, so a client
-	// following a running job sees the stream open immediately.
-	if flusher != nil {
-		flusher.Flush()
-	}
-	sent := 0
-	for {
-		epochs, terminal := j.epochsFrom(sent)
-		for _, e := range epochs {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
-		sent += len(epochs)
-		if len(epochs) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			return
-		}
-		select {
-		case <-tick:
-		case <-r.Context().Done():
-			return
-		}
+	if j := s.lookupJob(w, r); j != nil {
+		streamNDJSON(w, r, j, j.epochsFrom)
 	}
 }
 

@@ -348,8 +348,24 @@ func TestServeEventsStream(t *testing.T) {
 	}
 }
 
+// probe fetches a health endpoint and returns its status and payload.
+func probe(t *testing.T, ts *httptest.Server, path string) (int, client.Health) {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h client.Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return resp.StatusCode, h
+}
+
 // TestServeDrain: draining rejects new submissions with 503, finishes
-// accepted jobs, and flips /healthz.
+// accepted jobs, and flips /healthz to 503 while /livez keeps answering
+// 200.
 func TestServeDrain(t *testing.T) {
 	release := make(chan struct{})
 	s := New(Config{
@@ -361,6 +377,12 @@ func TestServeDrain(t *testing.T) {
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+
+	for _, path := range []string{"/livez", "/healthz"} {
+		if code, h := probe(t, ts, path); code != http.StatusOK || !h.Ready || h.Draining || h.Status != "ok" {
+			t.Errorf("%s before drain = %d %+v, want 200 ready", path, code, h)
+		}
+	}
 
 	run := smallRun(uc.DesignUnison)
 	var j client.Job
@@ -385,17 +407,11 @@ func TestServeDrain(t *testing.T) {
 		t.Error("draining rejection has no error message")
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	if code, h := probe(t, ts, "/healthz"); code != http.StatusServiceUnavailable || h.Ready || !h.Draining || h.Status != "draining" {
+		t.Errorf("healthz during drain = %d %+v, want 503 draining", code, h)
 	}
-	var h client.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !h.Draining || h.Status != "draining" {
-		t.Errorf("healthz during drain = %+v", h)
+	if code, h := probe(t, ts, "/livez"); code != http.StatusOK || h.Ready || !h.Draining {
+		t.Errorf("livez during drain = %d %+v, want 200, ready false, draining", code, h)
 	}
 
 	close(release)

@@ -63,6 +63,12 @@ func Default() Config {
 	}
 }
 
+// Warmup returns how many of a core's accessesPerCore events a full run
+// discards as warmup: the first WarmupFrac of them.
+func (c Config) Warmup(accessesPerCore int) int {
+	return int(float64(accessesPerCore) * c.WarmupFrac)
+}
+
 // Machine wires cores, caches, a DRAM cache design and the DRAM parts into
 // a runnable system.
 type Machine struct {
@@ -274,7 +280,7 @@ func (m *Machine) Run(accessesPerCore int) Results {
 // RunTo; finish with FinishRun. The Results are bit-identical to Run's no
 // matter how the global step range is chunked (see RunTo).
 func (m *Machine) BeginRun(accessesPerCore int) {
-	warm := int(float64(accessesPerCore) * m.cfg.WarmupFrac)
+	warm := m.cfg.Warmup(accessesPerCore)
 	m.BeginPhases(warm, accessesPerCore-warm)
 }
 

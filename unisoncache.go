@@ -329,7 +329,7 @@ func checkRecorder(r Run) error {
 	case r.Telemetry.Enabled():
 		// Epochs tile the measured region, which starts where
 		// Machine.BeginRun ends the warmup.
-		warm := int(float64(r.AccessesPerCore) * sim.Default().WarmupFrac)
+		warm := sim.Default().Warmup(r.AccessesPerCore)
 		n, field = r.Telemetry.Epochs(r.AccessesPerCore-warm), fmt.Sprintf("Telemetry.EpochEvents %d", r.Telemetry.EpochEvents)
 	case r.Sampling.Enabled():
 		n, field = r.Sampling.Boundaries(r.AccessesPerCore), fmt.Sprintf("Sampling.IntervalEvents %d (GapEvents %d)", r.Sampling.IntervalEvents, r.Sampling.GapEvents)
