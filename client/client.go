@@ -1,9 +1,9 @@
 // Package client is the Go client for the unisonserved simulation
-// service (internal/serve behind cmd/unisonserved): submit Runs and
-// sweeps over HTTP/JSON, follow job progress, and collect results that
-// are bit-identical to calling Execute / ExecuteMany / SpeedupMany in
-// process — repeat submissions come back from the daemon's
-// content-addressed result cache without re-simulating.
+// service (internal/serve behind cmd/unisonserved): submit Runs over
+// HTTP/JSON, follow job progress, and collect results that are
+// bit-identical to calling Execute in process — repeat submissions come
+// back from the daemon's content-addressed result cache without
+// re-simulating.
 //
 //	cl := client.New("http://127.0.0.1:8080")
 //	res, err := cl.Execute(ctx, unisoncache.Run{
@@ -12,10 +12,18 @@
 //	    Capacity: 1 << 30,
 //	})
 //
-// The high-level calls (Execute, ExecuteMany, SpeedupMany) submit, wait
-// on the job's NDJSON event stream, and unwrap the results; the
-// low-level Submit/Job/Wait/Cancel surface is exported for callers that
-// manage jobs themselves.
+// The daemon executes single runs only. A sweep is the in-process sweep
+// engine over a Plan whose Executor calls Execute (or Cluster.Execute),
+// so baseline memoization and point-order results are the engine's own:
+//
+//	results, err := unisoncache.SpeedupMany(unisoncache.Plan{
+//	    Points:   points,
+//	    Executor: func(r unisoncache.Run) (unisoncache.Result, error) { return cl.Execute(ctx, r) },
+//	})
+//
+// Execute submits, waits on the job's NDJSON event stream, and unwraps
+// the result; the low-level SubmitRun/Job/Wait/Cancel surface is exported
+// for callers that manage jobs themselves.
 package client
 
 import (
@@ -353,13 +361,6 @@ func (c *Client) SubmitRun(ctx context.Context, run uc.Run) (Job, error) {
 	return j, err
 }
 
-// SubmitSweep submits a point list.
-func (c *Client) SubmitSweep(ctx context.Context, req SweepRequest) (Job, error) {
-	var j Job
-	err := c.do(ctx, http.MethodPost, "/v1/sweeps", req, &j)
-	return j, err
-}
-
 // Job fetches one job snapshot.
 func (c *Client) Job(ctx context.Context, id string) (Job, error) {
 	var j Job
@@ -367,8 +368,8 @@ func (c *Client) Job(ctx context.Context, id string) (Job, error) {
 	return j, err
 }
 
-// Cancel cancels a job (queued jobs never execute; a running sweep
-// aborts at its next point) and returns the current snapshot.
+// Cancel cancels a job (a queued job never executes; a running one ends
+// canceled once its execution returns) and returns the current snapshot.
 func (c *Client) Cancel(ctx context.Context, id string) (Job, error) {
 	var j Job
 	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &j)
@@ -376,7 +377,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (Job, error) {
 }
 
 // Wait blocks until the job reaches a terminal state and returns its
-// final snapshot (results included). It follows the NDJSON event stream
+// final snapshot (result included). It follows the NDJSON event stream
 // — no polling while the connection holds — and falls back to polling if
 // the stream drops. The final snapshot is fetched the moment the
 // terminal event arrives; the daemon retains finished jobs for its
@@ -442,60 +443,26 @@ func (c *Client) CollectTelemetry(ctx context.Context, id string) ([]uc.Timeline
 	return out, err
 }
 
-// await takes a fresh submission's (job, error) pair, waits for the
-// terminal state, and converts failed/canceled jobs into errors.
-func (c *Client) await(ctx context.Context, j Job, err error) (Job, error) {
-	if err != nil {
-		return Job{}, err
-	}
-	if !j.Terminal() {
-		if j, err = c.Wait(ctx, j.ID); err != nil {
-			return Job{}, err
-		}
-	}
-	switch j.State {
-	case StateDone:
-		return j, nil
-	case StateCanceled:
-		return Job{}, fmt.Errorf("unisonserved: job %s canceled", j.ID)
-	default:
-		return Job{}, fmt.Errorf("unisonserved: job %s failed: %s", j.ID, j.Error)
-	}
-}
-
-// Execute runs one simulation through the service. The whole operation
-// — submit, wait, fetch, any retries — shares one request ID (minted
-// here unless the context already carries one), so it reads as a single
-// trace in the daemons' logs.
+// Execute runs one simulation through the service: submit, wait for the
+// terminal state, and unwrap the result, turning a failed or canceled job
+// into an error. The whole operation — submit, wait, fetch, any retries —
+// shares one request ID (minted here unless the context already carries
+// one), so it reads as a single trace in the daemons' logs.
 func (c *Client) Execute(ctx context.Context, run uc.Run) (uc.Result, error) {
 	ctx, _ = obs.EnsureRequestID(ctx)
 	j, err := c.SubmitRun(ctx, run)
-	if j, err = c.await(ctx, j, err); err != nil {
-		return uc.Result{}, err
+	if err == nil && !j.Terminal() {
+		j, err = c.Wait(ctx, j.ID)
 	}
-	if j.Result == nil {
+	switch {
+	case err != nil:
+		return uc.Result{}, err
+	case j.State == StateCanceled:
+		return uc.Result{}, fmt.Errorf("unisonserved: job %s canceled", j.ID)
+	case j.State != StateDone:
+		return uc.Result{}, fmt.Errorf("unisonserved: job %s failed: %s", j.ID, j.Error)
+	case j.Result == nil:
 		return uc.Result{}, fmt.Errorf("unisonserved: job %s done without a result", j.ID)
 	}
 	return *j.Result, nil
-}
-
-// ExecuteMany is the service-side ExecuteMany: results in point order.
-func (c *Client) ExecuteMany(ctx context.Context, points []uc.Run) ([]uc.Result, error) {
-	ctx, _ = obs.EnsureRequestID(ctx)
-	j, err := c.SubmitSweep(ctx, SweepRequest{Points: points, Mode: ModeExecute})
-	if j, err = c.await(ctx, j, err); err != nil {
-		return nil, err
-	}
-	return j.Results, nil
-}
-
-// SpeedupMany is the service-side SpeedupMany: per-point speedups over
-// memoized no-DRAM-cache baselines, in point order.
-func (c *Client) SpeedupMany(ctx context.Context, points []uc.Run) ([]uc.SpeedupResult, error) {
-	ctx, _ = obs.EnsureRequestID(ctx)
-	j, err := c.SubmitSweep(ctx, SweepRequest{Points: points, Mode: ModeSpeedup})
-	if j, err = c.await(ctx, j, err); err != nil {
-		return nil, err
-	}
-	return j.Speedups, nil
 }

@@ -77,8 +77,9 @@ func TestClientExecute(t *testing.T) {
 	}
 }
 
-// TestClientSweeps: ExecuteMany and SpeedupMany return point-ordered
-// results matching the in-process engine run over the same fake.
+// TestClientSweeps: ExecuteMany and SpeedupMany over a Plan whose
+// Executor calls Client.Execute return point-ordered results matching the
+// in-process engine run over the same fake.
 func TestClientSweeps(t *testing.T) {
 	cl, _ := newFake(t)
 	ctx := context.Background()
@@ -87,12 +88,14 @@ func TestClientSweeps(t *testing.T) {
 		run("web-search", uc.DesignAlloy),
 		run("data-serving", uc.DesignUnison),
 	}
+	local := uc.Plan{Points: points, Executor: fakeExecute}
+	served := uc.Plan{Points: points, Executor: func(r uc.Run) (uc.Result, error) { return cl.Execute(ctx, r) }}
 
-	wantRes, err := uc.ExecuteMany(uc.Plan{Points: points, Executor: fakeExecute})
+	wantRes, err := uc.ExecuteMany(local)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, err := cl.ExecuteMany(ctx, points)
+	gotRes, err := uc.ExecuteMany(served)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +105,11 @@ func TestClientSweeps(t *testing.T) {
 		t.Fatalf("ExecuteMany diverges:\n got %s\nwant %s", gb, wb)
 	}
 
-	wantSp, err := uc.SpeedupMany(uc.Plan{Points: points, Executor: fakeExecute})
+	wantSp, err := uc.SpeedupMany(local)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSp, err := cl.SpeedupMany(ctx, points)
+	gotSp, err := uc.SpeedupMany(served)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	uc "unisoncache"
 	"unisoncache/internal/cluster"
@@ -17,11 +15,12 @@ import (
 
 // Cluster is a fan-out client for a sharded unisonserved deployment: it
 // builds the same consistent-hash ring the daemons build from the shared
-// member list and routes each run to the daemon that owns its key, so a
-// plan's points land directly on the nodes whose caches and stores hold
-// them. An unreachable node fails over along the ring's preference order
-// (the owner's daemon would route a misdirected run itself, so failover
-// only costs an extra hop, never a wrong answer).
+// member list and routes each run to the daemon that owns its key, so the
+// points of a plan whose Executor calls Execute land directly on the
+// nodes whose caches and stores hold them, with no proxy hop. An
+// unreachable node fails over along the ring's preference order (the
+// owner's daemon would route a misdirected run itself, so failover only
+// costs an extra hop, never a wrong answer).
 //
 //	cl, err := client.NewCluster([]string{
 //	    "http://127.0.0.1:8080",
@@ -80,29 +79,6 @@ func routeKey(r uc.Run) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// failover runs call against each node in pref order, moving on only
-// when the node was unreachable (transport-level failure). A response
-// from a daemon — success or error — is final: the work may have
-// executed, so replaying it elsewhere is wasteful at best.
-func (c *Cluster) failover(ctx context.Context, pref []string, call func(*Client) error) error {
-	var lastErr error
-	for _, addr := range pref {
-		err := call(c.nodes[addr])
-		if err == nil {
-			return nil
-		}
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return err
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return lastErr
-		}
-	}
-	return fmt.Errorf("client: every cluster node failed, last: %w", lastErr)
-}
-
 // Health checks every member and returns the first node's report; any
 // unreachable or unhealthy member fails the whole call, making this the
 // "is the cluster ready" probe.
@@ -121,121 +97,24 @@ func (c *Cluster) Health(ctx context.Context) (Health, error) {
 }
 
 // Execute routes one run to the daemon owning its key, failing over
-// along the preference order if that node is unreachable. One request ID
-// covers every attempt, so a failed-over run still reads as one trace.
+// along the preference order only when a node was unreachable
+// (transport-level failure). A response from a daemon — success or
+// error — is final: the run may have executed, so replaying it elsewhere
+// is wasteful at best. One request ID covers every attempt, so a
+// failed-over run still reads as one trace.
 func (c *Cluster) Execute(ctx context.Context, run uc.Run) (uc.Result, error) {
 	ctx, _ = obs.EnsureRequestID(ctx)
-	var res uc.Result
-	err := c.failover(ctx, c.ring.Preference(routeKey(run)), func(cl *Client) error {
-		r, err := cl.Execute(ctx, run)
-		if err == nil {
-			res = r
+	var lastErr error
+	for _, addr := range c.ring.Preference(routeKey(run)) {
+		res, err := c.nodes[addr].Execute(ctx, run)
+		var ae *apiError
+		if err == nil || errors.As(err, &ae) {
+			return res, err
 		}
-		return err
-	})
-	return res, err
-}
-
-// ExecuteMany partitions the points by owning daemon, submits each
-// partition as one sweep job in parallel, and merges the results back
-// into point order. Each daemon therefore executes (or serves from
-// cache) exactly the keys it owns — the same placement its own routing
-// would produce, without N proxy hops.
-func (c *Cluster) ExecuteMany(ctx context.Context, points []uc.Run) ([]uc.Result, error) {
-	if len(points) == 0 {
-		return nil, nil
-	}
-	ctx, _ = obs.EnsureRequestID(ctx)
-	type part struct {
-		idx  []int
-		runs []uc.Run
-		key  string // a representative key, for the failover order
-	}
-	parts := make(map[string]*part)
-	for i, p := range points {
-		key := routeKey(p)
-		owner := c.ring.Owner(key)
-		pt := parts[owner]
-		if pt == nil {
-			pt = &part{key: key}
-			parts[owner] = pt
+		lastErr = err
+		if ctx.Err() != nil {
+			return uc.Result{}, lastErr
 		}
-		pt.idx = append(pt.idx, i)
-		pt.runs = append(pt.runs, p)
 	}
-
-	results := make([]uc.Result, len(points))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, pt := range parts {
-		wg.Add(1)
-		go func(pt *part) {
-			defer wg.Done()
-			var res []uc.Result
-			err := c.failover(ctx, c.ring.Preference(pt.key), func(cl *Client) error {
-				r, err := cl.ExecuteMany(ctx, pt.runs)
-				if err == nil {
-					res = r
-				}
-				return err
-			})
-			if err == nil && len(res) != len(pt.runs) {
-				err = fmt.Errorf("client: cluster sweep returned %d results for %d points", len(res), len(pt.runs))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for j, i := range pt.idx {
-				results[i] = res[j]
-			}
-		}(pt)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
-}
-
-// coordinator picks the daemon that runs a whole-plan job (a speedup
-// sweep): a stable digest of the point keys chooses the node, so
-// resubmitting the same plan lands on the same daemon and hits its
-// plan-level caches. The coordinator's own server-side routing
-// spreads the member runs across the ring.
-func (c *Cluster) coordinator(points []uc.Run) []string {
-	keys := make([]string, len(points))
-	for i, p := range points {
-		keys[i] = routeKey(p)
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{'\n'})
-	}
-	return c.ring.Preference(hex.EncodeToString(h.Sum(nil)))
-}
-
-// SpeedupMany submits the whole plan to one coordinator daemon (chosen
-// by the plan's key digest) so baseline memoization happens once, with
-// ring failover if it is down.
-func (c *Cluster) SpeedupMany(ctx context.Context, points []uc.Run) ([]uc.SpeedupResult, error) {
-	ctx, _ = obs.EnsureRequestID(ctx)
-	var out []uc.SpeedupResult
-	err := c.failover(ctx, c.coordinator(points), func(cl *Client) error {
-		r, err := cl.SpeedupMany(ctx, points)
-		if err == nil {
-			out = r
-		}
-		return err
-	})
-	return out, err
+	return uc.Result{}, fmt.Errorf("client: every cluster node failed, last: %w", lastErr)
 }

@@ -149,9 +149,10 @@ func TestClientRetryDisabled(t *testing.T) {
 }
 
 // TestClusterFanoutAndFailover: a three-member cluster where one member
-// is a closed port. Routing must spread the points over the live nodes
-// (failing over past the dead one) and reassemble results in point
-// order, matching the in-process execution exactly.
+// is a closed port. A plan whose Executor calls Cluster.Execute must
+// spread the points over the live nodes (failing over past the dead one)
+// and return results in point order, matching the in-process execution
+// exactly.
 func TestClusterFanoutAndFailover(t *testing.T) {
 	var servers []*httptest.Server
 	var addrs []string
@@ -185,7 +186,9 @@ func TestClusterFanoutAndFailover(t *testing.T) {
 		p.Capacity = uint64(i+1) << 20
 		points = append(points, p)
 	}
-	got, err := cl.ExecuteMany(context.Background(), points)
+	got, err := uc.ExecuteMany(uc.Plan{Points: points, Executor: func(r uc.Run) (uc.Result, error) {
+		return cl.Execute(context.Background(), r)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

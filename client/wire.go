@@ -11,34 +11,16 @@ import (
 
 // This file is the service wire format, shared verbatim by the daemon
 // (internal/serve decodes requests and marshals responses with exactly
-// these types) and by this client. Simulation payloads — Run, SampleSpec,
-// Result, SpeedupResult — ride along as their public unisoncache JSON
-// forms, whose field names are stable and whose float64 values survive
-// the round trip bit-exactly (Go emits the shortest representation that
-// parses back to the same bits), which is what lets a sweep executed
-// through the service reproduce the in-process CSVs byte for byte.
+// these types) and by this client. Simulation payloads — Run and Result —
+// ride along as their public unisoncache JSON forms, whose field names
+// are stable and whose float64 values survive the round trip bit-exactly
+// (Go emits the shortest representation that parses back to the same
+// bits), which is what lets a sweep whose Plan.Executor calls the service
+// reproduce the in-process CSVs byte for byte.
 
 // RunRequest is the POST /v1/runs payload: one simulation.
 type RunRequest struct {
 	Run uc.Run `json:"run"`
-}
-
-// Sweep execution modes.
-const (
-	// ModeExecute runs every point through Execute (ExecuteMany).
-	ModeExecute = "execute"
-	// ModeSpeedup adds the memoized no-DRAM-cache baselines and returns
-	// per-point speedups (SpeedupMany).
-	ModeSpeedup = "speedup"
-)
-
-// SweepRequest is the POST /v1/sweeps payload: an ordered point list plus
-// the execution mode. Results come back in point order, bit-identical to
-// calling ExecuteMany / SpeedupMany in-process.
-type SweepRequest struct {
-	Points []uc.Run `json:"points"`
-	// Mode is ModeExecute (the default when empty) or ModeSpeedup.
-	Mode string `json:"mode,omitempty"`
 }
 
 // Job states.
@@ -50,18 +32,15 @@ const (
 	StateCanceled = "canceled"
 )
 
-// Job is a submitted request's lifecycle record, returned by the submit
-// endpoints and GET /v1/jobs/{id}. Exactly one of Result, Results or
-// Speedups is populated once State is StateDone, matching the request
-// kind and mode.
+// Job is a submitted run's lifecycle record, returned by POST /v1/runs
+// and GET /v1/jobs/{id}. Result is populated once State is StateDone.
 type Job struct {
 	ID    string `json:"id"`
-	Kind  string `json:"kind"` // "run" or "sweep"
+	Kind  string `json:"kind"` // always "run"
 	State string `json:"state"`
-	// Done counts run executions performed so far (cached or fresh);
-	// Total is the planned upper bound — in-plan memoization can finish a
-	// job below it. Treat the pair as a progress hint; State is the
-	// source of truth.
+	// Done counts the job's run executions so far (cached or fresh): 0
+	// until the run is satisfied, then 1, its Total. State is the source
+	// of truth.
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// CacheHits counts the job's executions served straight from the
@@ -71,20 +50,13 @@ type Job struct {
 
 	// RequestID is the X-Unison-Request-Id the submission carried (minted
 	// at whichever edge first saw the request); Spans is the job's stage
-	// timeline — received, queued, how each execution was satisfied
-	// (simulated, cache-hit, store-hit, peer-fill, proxied, coalesced),
-	// and the terminal state — with offsets relative to receipt.
+	// timeline — received, queued, how the run was satisfied (simulated,
+	// cache-hit, store-hit, peer-fill, proxied, coalesced), and the
+	// terminal state — with offsets relative to receipt.
 	RequestID string `json:"request_id,omitempty"`
 	Spans     []Span `json:"spans,omitempty"`
-	// SpansDropped counts timeline spans the daemon's per-job cap
-	// discarded — nonzero means Spans is a truncated trace, not a short
-	// one (a 100k-point sweep records far more executions than the cap
-	// retains).
-	SpansDropped int `json:"spans_dropped,omitempty"`
 
-	Result   *uc.Result         `json:"result,omitempty"`
-	Results  []uc.Result        `json:"results,omitempty"`
-	Speedups []uc.SpeedupResult `json:"speedups,omitempty"`
+	Result *uc.Result `json:"result,omitempty"`
 }
 
 // Terminal reports whether the job has finished (done, failed or
@@ -108,8 +80,8 @@ func decodeJob(data []byte, j *Job) error {
 }
 
 // readJob reads a Job object on the canonical path, in place as
-// encoding/json decodes one. A sweep's results or speedups, an unknown or
-// case-folded key and a Result that fails to decode fail the reader.
+// encoding/json decodes one. An unknown or case-folded key and a Result
+// that fails to decode fail the reader.
 func readJob(cr *canonjson.Reader, j *Job) {
 	cr.Begin('{')
 	for cr.Next('}') {
@@ -132,8 +104,6 @@ func readJob(cr *canonjson.Reader, j *Job) {
 			j.RequestID = cr.Str()
 		case "spans":
 			j.Spans = readSpans(cr, j.Spans)
-		case "spans_dropped":
-			j.SpansDropped = cr.Int()
 		case "result":
 			if cr.Null() {
 				j.Result = nil

@@ -50,7 +50,7 @@ func jobSeeds(tb testing.TB) []string {
 		{ID: "j17", Kind: "run", State: StateDone, Done: 1, Total: 1, CacheHits: 1, RequestID: "5f0c2a9e41d3b7c8",
 			Spans: spans, Result: golden["web-search/unison"]},
 		{ID: "j18", Kind: "run", State: StateFailed, Total: 1, Error: "unisoncache: unknown workload \"x\"",
-			RequestID: "5f0c2a9e41d3b7c9", Spans: spans[:1], SpansDropped: 2},
+			RequestID: "5f0c2a9e41d3b7c9", Spans: spans[:1]},
 	} {
 		blob, err := json.Marshal(j)
 		if err != nil {

@@ -90,8 +90,8 @@ func startExpCluster(t *testing.T) ([]*expNode, []string) {
 	return nodes, urls
 }
 
-// clusterMisses sums actually-simulated executions across the members.
-func clusterMisses(t *testing.T, urls []string) float64 {
+// clusterSum sums one metric across the members.
+func clusterSum(t *testing.T, urls []string, metric string) float64 {
 	t.Helper()
 	var total float64
 	for _, u := range urls {
@@ -99,16 +99,17 @@ func clusterMisses(t *testing.T, urls []string) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += m["unisonserved_cache_misses_total"]
+		total += m[metric]
 	}
 	return total
 }
 
 // TestFig7CSVMatchesCluster pins the cluster acceptance criterion: fig7
 // through a 3-daemon consistent-hash cluster writes CSVs byte-identical
-// to the in-process path — cold, and again after one member restarts
+// to the in-process path — cold, and again after every member restarts
 // and must serve its shard from its persistent store instead of
-// re-simulating.
+// re-simulating. The client routes each point to its owner, so no daemon
+// proxies a run.
 func TestFig7CSVMatchesCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations across an in-process cluster")
@@ -149,8 +150,6 @@ func TestFig7CSVMatchesCluster(t *testing.T) {
 
 	// Restart every member: all memory caches (and metrics counters) are
 	// gone, the stores are not — the rerun can only be fed from disk.
-	// (Restarting all of them rather than one keeps the assertions
-	// independent of which member the ring picks as plan coordinator.)
 	for _, nd := range nodes {
 		nd.halt(t)
 		nd.boot(t, urls)
@@ -168,22 +167,16 @@ func TestFig7CSVMatchesCluster(t *testing.T) {
 	if string(again) != string(want) {
 		t.Fatal("post-restart cluster rerun diverges from the in-process CSV")
 	}
-	if d := clusterMisses(t, urls); d != 0 {
+	if d := clusterSum(t, urls, "unisonserved_cache_misses_total"); d != 0 {
 		t.Errorf("post-restart rerun re-simulated %v runs, want 0 (results must come from the stores)", d)
 	}
-	var storeHits, storeRecords float64
-	for _, u := range urls {
-		m, err := client.New(u).Metrics(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		storeHits += m["unisonserved_store_hits_total"]
-		storeRecords += m["unisonserved_store_records"]
+	if n := clusterSum(t, urls, "unisonserved_proxied_total"); n != 0 {
+		t.Errorf("post-restart rerun made %v proxy hops, want 0 (the client routes each point to its owner)", n)
 	}
-	if storeHits < 1 {
+	if clusterSum(t, urls, "unisonserved_store_hits_total") < 1 {
 		t.Errorf("post-restart rerun recorded no store hits (want >= 1)")
 	}
-	if storeRecords < 1 {
+	if clusterSum(t, urls, "unisonserved_store_records") < 1 {
 		t.Errorf("restarted cluster recovered no records from disk")
 	}
 }

@@ -49,10 +49,11 @@ type options struct {
 	telemetry uc.TelemetrySpec
 	// srv, when non-nil, routes every simulation through the unisonserved
 	// service (-server, one or more comma-separated daemon URLs) instead
-	// of executing in-process. The service's determinism contract keeps
-	// all CSVs byte-identical to the local path — including through a
-	// multi-daemon cluster — and repeat invocations hit the daemons'
-	// result caches and stores.
+	// of executing in-process: the plans stay in-process, and their
+	// Executor sends each run to a daemon. The service's determinism
+	// contract keeps all CSVs byte-identical to the local path —
+	// including through a multi-daemon cluster — and repeat invocations
+	// hit the daemons' result caches and stores.
 	srv *client.Cluster
 }
 
@@ -73,26 +74,18 @@ func newService(servers string) (*client.Cluster, error) {
 	return cl, nil
 }
 
-// executeMany runs an ExecuteMany plan locally or through -server.
-func (o options) executeMany(points []uc.Run) ([]uc.Result, error) {
-	if o.srv != nil {
-		return o.srv.ExecuteMany(context.Background(), points)
-	}
-	return uc.ExecuteMany(o.plan(points))
-}
-
-// speedupMany runs a SpeedupMany plan locally or through -server.
-func (o options) speedupMany(points []uc.Run) ([]uc.SpeedupResult, error) {
-	if o.srv != nil {
-		return o.srv.SpeedupMany(context.Background(), points)
-	}
-	return uc.SpeedupMany(o.plan(points))
-}
-
 // plan wraps a point list with the sweep engine's execution policy: the
-// -jobs worker count and a live progress ticker on stderr.
+// -jobs worker count, a live progress ticker on stderr and, with -server,
+// an Executor that sends each point to the daemon owning its key. One
+// request ID covers the whole plan, so a figure reads as one trace in the
+// daemons' logs.
 func (o options) plan(points []uc.Run) uc.Plan {
-	return uc.Plan{Points: points, Jobs: o.jobs, Progress: os.Stderr}
+	p := uc.Plan{Points: points, Jobs: o.jobs, Progress: os.Stderr}
+	if o.srv != nil {
+		ctx, _ := obs.EnsureRequestID(context.Background())
+		p.Executor = func(r uc.Run) (uc.Result, error) { return o.srv.Execute(ctx, r) }
+	}
+	return p
 }
 
 // run fills the shared fields every experiment point carries.
@@ -140,7 +133,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workloadsFlag := flag.String("workloads", "", "comma-separated workload filter")
 	out := flag.String("out", "results", "CSV output directory")
-	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = one per CPU)")
+	jobs := flag.Int("jobs", 0, "concurrent simulations, or with -server points in flight (0 = one per CPU)")
 	segments := flag.Int("segments", 0, "time-parallel segments per simulation (0/1 = serial; results are byte-identical either way; telemetry points run serially)")
 	telemetryFlag := flag.Bool("telemetry", false, "record epoch-sliced counter timelines on the speedup figures and write per-epoch CSVs (fig7_epochs.csv, fig8_epochs.csv); figure CSVs stay byte-identical; telemetry points run serially whatever -segments")
 	epochEvents := flag.Int("epoch-events", 0, "telemetry epoch length in retired events per core (0 = default; implies -telemetry)")
@@ -349,7 +342,7 @@ func table5(opt options) error {
 			points = append(points, opt.run(w, d, capacity))
 		}
 	}
-	results, err := opt.executeMany(points)
+	results, err := uc.ExecuteMany(opt.plan(points))
 	if err != nil {
 		return err
 	}
@@ -391,7 +384,7 @@ func fig5(opt options) error {
 			UnisonWays: waySweep,
 		}.Points()...)
 	}
-	results, err := opt.executeMany(points)
+	results, err := uc.ExecuteMany(opt.plan(points))
 	if err != nil {
 		return err
 	}
@@ -427,7 +420,7 @@ func fig6(opt options) error {
 			Designs:    designs,
 		}.Points()...)
 	}
-	results, err := opt.executeMany(points)
+	results, err := uc.ExecuteMany(opt.plan(points))
 	if err != nil {
 		return err
 	}
@@ -468,7 +461,7 @@ func fig7(opt options) error {
 			Designs:    designs,
 		}.Points()
 	}
-	results, err := opt.speedupMany(opt.telemetryPoints(points))
+	results, err := uc.SpeedupMany(opt.plan(opt.telemetryPoints(points)))
 	if err != nil {
 		return err
 	}
@@ -519,7 +512,7 @@ func fig8(opt options) error {
 		Capacities: config.TPCHSizes(),
 		Designs:    designs,
 	}.Points()
-	results, err := opt.speedupMany(opt.telemetryPoints(points))
+	results, err := uc.SpeedupMany(opt.plan(opt.telemetryPoints(points)))
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,9 @@ import (
 // TestFig7CSVMatchesServer pins the service acceptance criterion: fig7
 // routed through a unisonserved daemon writes CSVs byte-identical to the
 // in-process path, and resubmitting the same sweep is served from the
-// daemon's content-addressed cache without re-executing.
+// daemon's content-addressed cache without re-executing. A workload
+// filter that leaves fig7 no CloudSuite point is an empty plan, which
+// writes the in-process CSV through the daemon too.
 func TestFig7CSVMatchesServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations twice (local + service)")
@@ -85,5 +87,28 @@ func TestFig7CSVMatchesServer(t *testing.T) {
 	if after["unisonserved_cache_hits_total"] <= before["unisonserved_cache_hits_total"] {
 		t.Errorf("cached rerun recorded no cache hits (before %v, after %v)",
 			before["unisonserved_cache_hits_total"], after["unisonserved_cache_hits_total"])
+	}
+
+	tpchLocal := local
+	tpchLocal.workloads = []string{"tpch"}
+	tpchLocal.outDir = t.TempDir()
+	tpchServed := served
+	tpchServed.workloads = tpchLocal.workloads
+	tpchServed.outDir = t.TempDir()
+	for _, o := range []options{tpchLocal, tpchServed} {
+		if err := fig7(o); err != nil {
+			t.Fatalf("fig7 -workloads tpch (served: %v): %v", o.srv != nil, err)
+		}
+	}
+	wantTPCH, err := os.ReadFile(filepath.Join(tpchLocal.outDir, "fig7.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTPCH, err := os.ReadFile(filepath.Join(tpchServed.outDir, "fig7.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotTPCH) != string(wantTPCH) {
+		t.Errorf("-server fig7.csv with no CloudSuite workload diverges:\n--- served ---\n%s\n--- local ---\n%s", gotTPCH, wantTPCH)
 	}
 }

@@ -96,7 +96,7 @@ func ablationWay(opt options) error {
 		}
 	}
 	// The three variants per workload share one memoized baseline.
-	results, err := opt.speedupMany(points)
+	results, err := uc.SpeedupMany(opt.plan(points))
 	if err != nil {
 		return err
 	}
@@ -134,7 +134,7 @@ func ablationSingleton(opt options) error {
 			names = append(names, name)
 		}
 	}
-	results, err := opt.speedupMany(points)
+	results, err := uc.SpeedupMany(opt.plan(points))
 	if err != nil {
 		return err
 	}
@@ -167,7 +167,7 @@ func energy(opt options) error {
 			points = append(points, opt.run(w, d, 1<<30))
 		}
 	}
-	results, err := opt.executeMany(points)
+	results, err := uc.ExecuteMany(opt.plan(points))
 	if err != nil {
 		return err
 	}
@@ -206,7 +206,7 @@ func priorArt(opt options) error {
 			points = append(points, opt.run(w, d, 1<<30))
 		}
 	}
-	results, err := opt.speedupMany(points)
+	results, err := uc.SpeedupMany(opt.plan(points))
 	if err != nil {
 		return err
 	}

@@ -3,18 +3,22 @@
 // content-addressed result cache, an optional crash-safe persistent
 // result store, and optional cluster routing, so repeated and
 // overlapping sweeps — across clients, across restarts, and across a
-// fleet of daemons — execute each distinct configuration once.
+// fleet of daemons — execute each distinct configuration once. The
+// daemon executes single runs; a client sweeps by running the sweep
+// engine over a Plan whose Executor submits each point (package
+// unisoncache/client).
 //
 // Usage:
 //
 //	unisonserved -addr :8080
-//	unisonserved -addr 127.0.0.1:8080 -workers 2 -jobs 8 -store-dir /var/lib/unison
+//	unisonserved -addr 127.0.0.1:8080 -workers 8 -store-dir /var/lib/unison
 //	unisonserved -addr 127.0.0.1:8081 -self http://127.0.0.1:8081 \
 //	    -peers http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083 \
 //	    -store-dir /var/lib/unison-1 -log-format json -pprof-addr 127.0.0.1:6061
 //
-// Endpoints: POST /v1/runs, POST /v1/sweeps, GET /v1/jobs/{id},
-// GET /v1/jobs/{id}/events (NDJSON progress), DELETE /v1/jobs/{id},
+// Endpoints: POST /v1/runs, GET /v1/jobs/{id},
+// GET /v1/jobs/{id}/events (NDJSON progress),
+// GET /v1/jobs/{id}/telemetry (NDJSON epochs), DELETE /v1/jobs/{id},
 // GET /v1/results/{key} (pure cache/store lookup), GET /healthz
 // (readiness: 503 while draining), GET /livez (liveness), GET /metrics
 // (Prometheus text: counters, gauges, latency histograms).
@@ -52,6 +56,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -64,7 +69,6 @@ import (
 // options is the parsed flag set.
 type options struct {
 	addr          string
-	jobs          int
 	workers       int
 	cacheBytes    int64
 	self          string
@@ -83,8 +87,7 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("unisonserved", flag.ContinueOnError)
 	var o options
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&o.jobs, "jobs", 0, "per-sweep concurrent simulations (0 = one per CPU)")
-	fs.IntVar(&o.workers, "workers", 2, "jobs executing concurrently; queued jobs wait FIFO")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "runs executing concurrently, one per CPU by default; queued runs wait FIFO")
 	fs.Int64Var(&o.cacheBytes, "cache-bytes", 256<<20, "in-memory result cache budget in bytes (LRU by marshaled size)")
 	fs.StringVar(&o.self, "self", "", "this daemon's base URL in the -peers list (enables cluster routing)")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated base URLs of every cluster member, including this one")
@@ -126,7 +129,6 @@ func logger(o options) *slog.Logger {
 // persistent store.
 func newServer(o options, st *store.Store, lg *slog.Logger) *serve.Server {
 	return serve.New(serve.Config{
-		Jobs:          o.jobs,
 		Workers:       o.workers,
 		CacheBytes:    o.cacheBytes,
 		Store:         st,

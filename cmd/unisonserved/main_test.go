@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != ":8080" || o.workers != 2 || o.cacheBytes != 256<<20 || o.jobs != 0 {
+	if o.addr != ":8080" || o.workers != runtime.GOMAXPROCS(0) || o.cacheBytes != 256<<20 {
 		t.Errorf("defaults = %+v", o)
 	}
 	if o.storeDir != "" || o.storeBytes != 1<<30 || o.self != "" || o.peers != "" {

@@ -1,8 +1,9 @@
 // Example service-client drives a running unisonserved daemon through
-// the public client package: it submits a small Figure 7-style speedup
-// sweep, prints the results, submits the identical sweep again, and shows
-// — straight from the daemon's /metrics — that the repeat came out of the
-// content-addressed result cache without simulating anything.
+// the public client package: it runs a small Figure 7-style speedup
+// sweep whose Plan.Executor sends each run to the daemon, prints the
+// results, runs the identical sweep again, and shows — straight from the
+// daemon's /metrics — that the repeat came out of the content-addressed
+// result cache without simulating anything.
 //
 // Start a daemon, then run the example:
 //
@@ -36,8 +37,12 @@ func main() {
 		Designs: []uc.DesignKind{uc.DesignAlloy, uc.DesignFootprint, uc.DesignUnison},
 	}.Points()
 
+	plan := uc.Plan{
+		Points:   points,
+		Executor: func(r uc.Run) (uc.Result, error) { return cl.Execute(ctx, r) },
+	}
 	sweep := func(label string) {
-		results, err := cl.SpeedupMany(ctx, points)
+		results, err := uc.SpeedupMany(plan)
 		if err != nil {
 			fatal(err)
 		}

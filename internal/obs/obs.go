@@ -43,19 +43,13 @@ type Span struct {
 	Dur   time.Duration `json:"dur_ns"`
 }
 
-// maxSpans bounds a timeline's memory: a sweep job records one span per
-// executed point, and a 100k-point sweep must not grow its job record
-// without bound. Past the cap new spans are counted but not retained.
-const maxSpans = 64
-
 // Timeline is a thread-safe span recorder for one request. The zero
 // value is not usable; construct with NewTimeline, which pins the
 // origin the span offsets are measured from.
 type Timeline struct {
-	mu      sync.Mutex
-	origin  time.Time
-	spans   []Span
-	dropped int
+	mu     sync.Mutex
+	origin time.Time
+	spans  []Span
 }
 
 // NewTimeline starts a timeline whose origin is now.
@@ -83,31 +77,12 @@ func (t *Timeline) add(s Span) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= maxSpans {
-		t.dropped++
-		return
-	}
 	t.spans = append(t.spans, s)
 }
 
-// Dropped returns how many spans the cap discarded — surfaced in job JSON
-// so a truncated trace is visible as such, not mistaken for a short one.
-func (t *Timeline) Dropped() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Spans returns a copy of the recorded spans in record order. When the
-// cap truncated the timeline, a final synthetic "truncated" span carries
-// the drop count in its Start field's place — callers render it as-is.
+// Spans returns a copy of the recorded spans in record order.
 func (t *Timeline) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans), len(t.spans)+1)
-	copy(out, t.spans)
-	if t.dropped > 0 {
-		out = append(out, Span{Stage: fmt.Sprintf("truncated (%d spans dropped)", t.dropped)})
-	}
-	return out
+	return append([]Span(nil), t.spans...)
 }

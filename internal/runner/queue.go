@@ -14,8 +14,8 @@ var ErrQueueClosed = errors.New("runner: queue closed")
 // Queue is the job-scheduling layer of the sweep engine: a long-lived
 // bounded worker pool that accepts work over time instead of draining one
 // fixed plan. Map and MapKeyed fan a known point list out and return; a
-// Queue is what a daemon schedules *jobs* on — each job typically being a
-// whole plan executed through Map/MapKeyed on its own inner pool.
+// Queue is what a daemon schedules *jobs* on — each job one run, which a
+// client's Map/MapKeyed may have sent as one point of its plan.
 //
 // Jobs run in submission order (FIFO) on a fixed number of workers.
 // Cancellation is cooperative and two-level: every job carries a

@@ -27,13 +27,14 @@ var runRequestSeeds = []string{
 	// Accepted nested specs, so the round trip covers them.
 	`{"run":{"Workload":"web-search","Design":"unison","Sampling":{"WarmupFrac":0.5,"WarmupEvents":2000,"IntervalEvents":500,"GapEvents":1500,"MinIntervals":4,"MaxIntervals":16,"Confidence":0.9,"TargetRelCI":0.02}}}`,
 	`{"run":{"Workload":"web-search","Design":"alloy","Telemetry":{"EpochEvents":5000}}}`,
+	// A sweep-shaped body, which the run decoder rejects.
 	`{"points":[{"Workload":"web-search","Design":"unison"},{"Workload":"data-serving","Design":"footprint"}],"mode":"speedup"}`,
 }
 
-// FuzzDecodeRunRequest fuzzes the service's request decoders: no input
-// may panic them, and any input they accept must survive a marshal →
-// decode round trip unchanged (acceptance is self-consistent — what the
-// daemon echoes back is resubmittable and means the same thing).
+// FuzzDecodeRunRequest fuzzes the service's request decoder: no input
+// may panic it, and any input it accepts must survive a marshal → decode
+// round trip unchanged (acceptance is self-consistent — what the daemon
+// echoes back is resubmittable and means the same thing).
 func FuzzDecodeRunRequest(f *testing.F) {
 	for _, s := range runRequestSeeds {
 		f.Add([]byte(s))
@@ -51,18 +52,6 @@ func FuzzDecodeRunRequest(f *testing.F) {
 			}
 			if req.Run != req2.Run {
 				t.Fatalf("round trip changed the run:\n was: %+v\n now: %+v", req.Run, req2.Run)
-			}
-		}
-		// The sweep decoder shares the strict-decoding core; same
-		// properties, minus struct comparability (a slice field).
-		sreq, err := DecodeSweepRequest(data)
-		if err == nil {
-			blob, err := json.Marshal(sreq)
-			if err != nil {
-				t.Fatalf("accepted sweep does not re-marshal: %v", err)
-			}
-			if _, err := DecodeSweepRequest(blob); err != nil {
-				t.Fatalf("round trip of accepted sweep rejected: %s: %v", blob, err)
 			}
 		}
 	})

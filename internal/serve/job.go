@@ -10,27 +10,23 @@ import (
 	"unisoncache/internal/obs"
 )
 
-// job is one submitted request's server-side state. All mutation goes
+// job is one submitted run's server-side state. All mutation goes
 // through the setter methods, which notify event subscribers; snapshots
 // are what every HTTP response returns.
 type job struct {
 	id        string
-	kind      string
 	requestID string
 	cancel    context.CancelFunc
 	// tl is the job's span timeline (received → queued → execution
-	// stages → terminal), internally synchronized.
+	// stage → terminal), internally synchronized.
 	tl *obs.Timeline
 
 	mu        sync.Mutex
 	state     string
 	done      int
-	total     int
 	cacheHits int
 	errText   string
 	result    *uc.Result
-	results   []uc.Result
-	speedups  []uc.SpeedupResult
 	// epochs is the job's telemetry timeline: appended live while a
 	// telemetry-enabled run simulates here, or backfilled from the
 	// finished result (cache, store, peer or proxy hits) just before the
@@ -39,12 +35,10 @@ type job struct {
 	subs   map[chan struct{}]struct{}
 }
 
-func newJob(id, kind string, total int, requestID string, cancel context.CancelFunc) *job {
+func newJob(id, requestID string, cancel context.CancelFunc) *job {
 	j := &job{
 		id:        id,
-		kind:      kind,
 		requestID: requestID,
-		total:     total,
 		state:     client.StateQueued,
 		cancel:    cancel,
 		tl:        obs.NewTimeline(),
@@ -54,26 +48,23 @@ func newJob(id, kind string, total int, requestID string, cancel context.CancelF
 	return j
 }
 
-// snapshot renders the job as its wire form.
+// snapshot renders the job as its wire form: a run job, whose one
+// execution is its total.
 func (j *job) snapshot() client.Job {
 	spans := j.tl.Spans()
-	dropped := j.tl.Dropped()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return client.Job{
-		ID:           j.id,
-		Kind:         j.kind,
-		State:        j.state,
-		Done:         j.done,
-		Total:        j.total,
-		CacheHits:    j.cacheHits,
-		Error:        j.errText,
-		RequestID:    j.requestID,
-		Spans:        spans,
-		SpansDropped: dropped,
-		Result:       j.result,
-		Results:      j.results,
-		Speedups:     j.speedups,
+		ID:        j.id,
+		Kind:      "run",
+		State:     j.state,
+		Done:      j.done,
+		Total:     1,
+		CacheHits: j.cacheHits,
+		Error:     j.errText,
+		RequestID: j.requestID,
+		Spans:     spans,
+		Result:    j.result,
 	}
 }
 
@@ -155,9 +146,9 @@ func (j *job) setRunning() {
 	j.notifyLocked()
 }
 
-// recordExecution records one completed run execution: its span, named
-// by the stage that satisfied it and covering [start, now], and its count
-// (hit: it cost nothing here).
+// recordExecution records the job's completed run execution: its span,
+// named by the stage that satisfied it and covering [start, now], and its
+// count (hit: it cost nothing here).
 func (j *job) recordExecution(stage string, start time.Time, hit bool) {
 	j.tl.Observe(stage, start)
 	j.mu.Lock()
@@ -186,11 +177,10 @@ func (j *job) markCanceledIfQueued() {
 }
 
 // finish records the terminal state: canceled if the job's context was
-// canceled, failed on err, done otherwise. The results arguments mirror
-// the wire contract (exactly one non-nil on success). The terminal state
-// is also the timeline's closing span, so the job record reads
-// received → queued → stages → done end to end.
-func (j *job) finish(ctx context.Context, err error, result *uc.Result, results []uc.Result, speedups []uc.SpeedupResult) {
+// canceled, failed on err, done (with result) otherwise. The terminal
+// state is also the timeline's closing span, so the job record reads
+// received → queued → stage → done end to end.
+func (j *job) finish(ctx context.Context, err error, result *uc.Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.terminalLocked() {
@@ -206,8 +196,6 @@ func (j *job) finish(ctx context.Context, err error, result *uc.Result, results 
 	default:
 		j.state = client.StateDone
 		j.result = result
-		j.results = results
-		j.speedups = speedups
 	}
 	j.tl.Mark(j.state)
 	j.notifyLocked()

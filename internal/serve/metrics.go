@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
-	"unisoncache/client"
 	"unisoncache/internal/obs"
 )
 
@@ -119,14 +118,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	gauge("unisonserved_draining", "1 while the daemon is draining for shutdown.", draining)
 
-	// Engine throughput: cumulative events/busy-time fed by the runner
-	// per completed simulation, plus the derived lifetime rate.
+	// Engine throughput: cumulative events/busy-time fed per completed
+	// simulation, plus the derived lifetime rate.
 	counter("unisonserved_engine_events_total", "Trace events replayed by simulations on this daemon.", s.meter.Events())
 	counter("unisonserved_engine_runs_total", "Simulations executed by the engine on this daemon.", s.meter.Runs())
 	counterFloat("unisonserved_engine_busy_seconds_total", "Cumulative wall-clock seconds spent simulating.", s.meter.BusySeconds())
 	gaugeFloat("unisonserved_engine_events_per_second", "Lifetime average engine replay rate in events per second.", s.meter.EventsPerSecond())
-	done, total := s.runningProgress()
-	gaugeFloat("unisonserved_replay_progress_ratio", "Completed fraction of executions across currently running jobs (0 when idle).", progressRatio(done, total))
 
 	// Build provenance: the Go version and core count qualify every
 	// throughput number above, as they do on perfbench's records.
@@ -144,25 +141,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.lat.peer.Write(w)
 	s.lat.epochGap.Write(w)
-}
-
-// runningProgress sums done/total across currently running jobs.
-func (s *Server) runningProgress() (done, total int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		if snap := j.snapshot(); snap.State == client.StateRunning {
-			done += snap.Done
-			total += snap.Total
-		}
-	}
-	return done, total
-}
-
-// progressRatio is done/total guarded against idle (0/0).
-func progressRatio(done, total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	return float64(done) / float64(total)
 }

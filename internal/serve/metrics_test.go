@@ -238,8 +238,8 @@ func checkHistogram(t *testing.T, name string, fam *expoFamily) {
 	}
 }
 
-// TestServeMetricsExposition: after real traffic — runs, a sweep, a
-// results lookup, health probes — /metrics is well-formed end to end:
+// TestServeMetricsExposition: after real traffic — runs, a request the
+// mux rejects, health probes — /metrics is well-formed end to end:
 // every family declared exactly once with at least one sample, every
 // sample under a declared family, histograms obeying the cumulative
 // contract, and the expected observability families present.
@@ -263,14 +263,26 @@ func TestServeMetricsExposition(t *testing.T) {
 	if _, err := cl.Execute(ctx, run); err != nil { // cache hit
 		t.Fatal(err)
 	}
-	if _, err := cl.ExecuteMany(ctx, []uc.Run{smallRun(uc.DesignAlloy), smallRun(uc.DesignLohHill)}); err != nil {
+	for _, d := range []uc.DesignKind{uc.DesignAlloy, uc.DesignLohHill} {
+		if _, err := cl.Execute(ctx, smallRun(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The daemon executes single runs only: there is no sweep endpoint,
+	// and the mux's 404 is labeled other.
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(`{}`))
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/sweeps status %d, want 404", resp.StatusCode)
 	}
 	if _, err := cl.Health(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +308,6 @@ func TestServeMetricsExposition(t *testing.T) {
 		"unisonserved_cache_hits_total",
 		"unisonserved_engine_events_total",
 		"unisonserved_engine_events_per_second",
-		"unisonserved_replay_progress_ratio",
 		"unisonserved_build_info",
 		"unisonserved_http_request_seconds",
 		"unisonserved_queue_wait_seconds",
@@ -323,7 +334,7 @@ func TestServeMetricsExposition(t *testing.T) {
 			routes[sm.labels["route"]] = true
 		}
 	}
-	for _, r := range []string{"/v1/runs", "/v1/sweeps", "/healthz", "/v1/jobs/{id}/events"} {
+	for _, r := range []string{"/v1/runs", "other", "/healthz", "/v1/jobs/{id}/events"} {
 		if !routes[r] {
 			t.Errorf("no http latency series for route %s (have %v)", r, routes)
 		}

@@ -1,14 +1,15 @@
 // Package serve implements the simulation service behind cmd/unisonserved:
-// an HTTP/JSON API that accepts Run and sweep submissions, schedules them
-// as jobs on a bounded worker pool (internal/runner.Queue), and serves
-// repeat requests from a content-addressed result cache keyed by the
-// canonical run hash (unisoncache.RunKey).
+// an HTTP/JSON API that accepts Run submissions, schedules them as jobs on
+// a bounded worker pool (internal/runner.Queue), and serves repeat
+// requests from a content-addressed result cache keyed by the canonical
+// run hash (unisoncache.RunKey). The daemon executes single runs only; a
+// sweep is the in-process sweep engine over a Plan whose Executor calls
+// the client (see package unisoncache/client).
 //
 // The API surface:
 //
 //	POST /v1/runs                submit one Run            → Job
-//	POST /v1/sweeps              submit a point list       → Job
-//	GET  /v1/jobs/{id}           job status + results      → Job
+//	GET  /v1/jobs/{id}           job status + result       → Job
 //	GET  /v1/jobs/{id}/events    NDJSON progress stream    → Event lines
 //	GET  /v1/jobs/{id}/telemetry NDJSON epoch timeline     → TimelineEpoch lines
 //	DELETE /v1/jobs/{id}         cancel a job              → Job
@@ -25,13 +26,11 @@
 // (log/slog) carry the request ID, run-key prefix and member name.
 //
 // Determinism contract: every result the service returns is bit-identical
-// to calling Execute / ExecuteMany / SpeedupMany in process. The cache
-// can only serve a result that some execution of the exact same
-// defaulted configuration produced, runs are pure functions of that
-// configuration, and sweep assembly happens through the public sweep
-// engine itself (the service merely interposes the Plan.Executor hook),
-// so caching and in-flight deduplication are observable in /metrics and
-// latency — never in payload bytes.
+// to calling Execute in process. The cache can only serve a result that
+// some execution of the exact same defaulted configuration produced, and
+// runs are pure functions of that configuration, so caching and in-flight
+// deduplication are observable in /metrics and latency — never in payload
+// bytes.
 package serve
 
 import (
@@ -42,6 +41,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,8 +57,8 @@ import (
 	"unisoncache/internal/store"
 )
 
-// maxRequestBytes bounds submit-request bodies (a 100k-point sweep is
-// ~50 MB of JSON; nobody legitimate sends that).
+// maxRequestBytes bounds submit-request bodies (a run request is well
+// under a kilobyte of JSON; nobody legitimate sends megabytes).
 const maxRequestBytes = 8 << 20
 
 // Execution-stage span names: how one run execution was satisfied.
@@ -75,18 +75,15 @@ const (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Jobs is the per-plan worker fan-out each executing sweep uses
-	// (Plan.Jobs; 0 = one worker per CPU).
-	Jobs int
-	// Workers is how many jobs execute concurrently (default 2). Queued
-	// jobs beyond that wait FIFO.
+	// Workers is how many jobs execute concurrently (0 = one per CPU,
+	// runtime.GOMAXPROCS). Queued jobs beyond that wait FIFO.
 	Workers int
 	// CacheBytes bounds the in-memory content-addressed result cache by
 	// the marshaled size of the results it holds (default 256 MiB, LRU
 	// eviction).
 	CacheBytes int64
-	// JobHistory bounds how many finished jobs (and their result
-	// payloads) stay queryable via GET /v1/jobs/{id} (default 1024;
+	// JobHistory bounds how many finished jobs (and their results) stay
+	// queryable via GET /v1/jobs/{id} (default 1024;
 	// oldest-finished evicted first). Queued and running jobs are never
 	// evicted. Results travel only through the job record, so clients
 	// must collect them before JobHistory other jobs finish — the stock
@@ -160,7 +157,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = 2
+		workers = runtime.GOMAXPROCS(0)
 	}
 	cacheBytes := cfg.CacheBytes
 	if cacheBytes <= 0 {
@@ -221,7 +218,6 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
@@ -252,14 +248,26 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// debugPatterns are the read-only probes, which log at debug so an idle
+// daemon's log stays quiet at the default level; submissions, cancels and
+// cluster lookups log at info. The patterns carry the method, so a cancel
+// (DELETE /v1/jobs/{id}) logs at info although it shares its route label
+// with the job read.
+var debugPatterns = map[string]bool{
+	"GET /v1/jobs/{id}":           true,
+	"GET /v1/jobs/{id}/events":    true,
+	"GET /v1/jobs/{id}/telemetry": true,
+	"GET /healthz":                true,
+	"GET /livez":                  true,
+	"GET /metrics":                true,
+}
+
 // instrument is the observability middleware: it adopts the caller's
 // request ID (or mints one at this edge), echoes it on the response,
 // installs it in the request context for everything downstream — job
 // records, proxy hops, peer fills — observes the per-route latency
-// histogram, and writes the structured request log line. Read-only
-// probe endpoints log at debug so an idle daemon's log stays quiet at
-// the default level; submissions, cancels and cluster lookups log at
-// info.
+// histogram, and writes the structured request log line at the level
+// debugPatterns chooses.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(obs.RequestIDHeader)
@@ -285,7 +293,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		// not work, so they never count as slow.
 		stream := route == "/v1/jobs/{id}/events" || route == "/v1/jobs/{id}/telemetry"
 		level := slog.LevelInfo
-		if stream || route == "/healthz" || route == "/livez" || route == "/metrics" || route == "/v1/jobs/{id}" {
+		if debugPatterns[req.Pattern] {
 			level = slog.LevelDebug
 		}
 		lg := s.log.With("req_id", id)
@@ -430,32 +438,24 @@ func (s *Server) held(key string) (uc.Result, string, bool) {
 // keeps carrying the request's ID, which is what threads the ID through
 // proxy hops and peer fills during execution. The job's cancel function
 // releases that context.
-func (s *Server) register(r *http.Request, kind string, total int) (*job, context.Context) {
+func (s *Server) register(r *http.Request) (*job, context.Context) {
 	requestID := obs.RequestIDFrom(r.Context())
 	ctx, cancel := context.WithCancel(obs.WithRequestID(context.Background(), requestID))
 	s.mu.Lock()
 	s.seq++
-	j := newJob("j"+strconv.Itoa(s.seq), kind, total, requestID, cancel)
+	j := newJob("j"+strconv.Itoa(s.seq), requestID, cancel)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 	s.m.jobsSubmitted.Add(1)
 	return j, ctx
 }
 
-// admit rejects submissions while draining.
-func (s *Server) admit(w http.ResponseWriter) bool {
+// handleSubmitRun accepts one Run; a draining daemon rejects it with 503.
+// A result the daemon already holds completes the job synchronously, so a
+// cached submission is a single round trip; otherwise the job is queued.
+func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "daemon is draining; not accepting new jobs")
-		return false
-	}
-	return true
-}
-
-// handleSubmitRun accepts one Run. A result the daemon already holds
-// completes the job synchronously, so a cached submission is a single
-// round trip; otherwise the job is queued.
-func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w) {
 		return
 	}
 	body, err := readBody(w, r)
@@ -468,7 +468,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	j, ctx := s.register(r, "run", 1)
+	j, ctx := s.register(r)
 
 	run := req.Run
 	forwarded := r.Header.Get(forwardedHeader) != ""
@@ -492,7 +492,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 			}
 			j.recordExecution(source, lookup, true)
 			s.backfillEpochs(j, &res)
-			j.finish(ctx, nil, &res, nil, nil)
+			j.finish(ctx, nil, &res)
 			writeJSON(w, http.StatusOK, s.countFinished(j))
 			return
 		}
@@ -514,20 +514,16 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.backfillEpochs(j, result)
-		j.finish(ctx, err, result, nil, nil)
+		j.finish(ctx, err, result)
 		s.countFinished(j)
 	}
-	s.submit(w, j, ctx, work)
-}
-
-// submit hands a job to the queue, converting a Submit failure (a race
-// with Drain closing the queue) into a terminal failed job rather than
-// leaving it queued forever with no worker ever to finish it.
-func (s *Server) submit(w http.ResponseWriter, j *job, ctx context.Context, work func(context.Context)) {
+	// A Submit failure (a race with Drain closing the queue) becomes a
+	// terminal failed job rather than one queued forever with no worker
+	// ever to finish it.
 	if err := s.queue.Submit(ctx, work); err != nil {
 		// Finish against a fresh context so the job records the Submit
 		// failure, not a cancellation; then release the job's context.
-		j.finish(context.Background(), err, nil, nil, nil)
+		j.finish(context.Background(), err, nil)
 		s.countFinished(j)
 		j.cancel()
 		writeError(w, http.StatusServiceUnavailable, err.Error())
@@ -536,72 +532,9 @@ func (s *Server) submit(w http.ResponseWriter, j *job, ctx context.Context, work
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
-// handleSubmitSweep accepts an ordered point list and executes it through
-// the public sweep engine with the cache interposed as Plan.Executor.
-func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w) {
-		return
-	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	req, err := DecodeSweepRequest(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	total := len(req.Points)
-	if req.Mode == client.ModeSpeedup {
-		total *= 2 // each point plus its (memoized) baseline — an upper bound
-	}
-	forwarded := r.Header.Get(forwardedHeader) != ""
-	j, ctx := s.register(r, "sweep", total)
-	s.reqLog(r.Context()).Info("sweep submitted",
-		"job", j.id, "points", len(req.Points), "mode", req.Mode,
-		"forwarded", forwarded)
-
-	submitted := time.Now()
-	work := func(ctx context.Context) {
-		j.tl.Observe("queued", submitted)
-		j.setRunning()
-		plan := uc.Plan{
-			Points: req.Points,
-			Jobs:   s.cfg.Jobs,
-			Executor: func(run uc.Run) (uc.Result, error) {
-				if err := ctx.Err(); err != nil {
-					return uc.Result{}, context.Cause(ctx)
-				}
-				key, err := uc.RunKey(run)
-				if err != nil {
-					return uc.Result{}, err
-				}
-				return s.executeKeyed(ctx, j, key, run, forwarded, nil)
-			},
-		}
-		var (
-			results  []uc.Result
-			speedups []uc.SpeedupResult
-			err      error
-		)
-		switch {
-		case ctx.Err() != nil:
-			err = context.Cause(ctx)
-		case req.Mode == client.ModeSpeedup:
-			speedups, err = uc.SpeedupMany(plan)
-		default:
-			results, err = uc.ExecuteMany(plan)
-		}
-		j.finish(ctx, err, nil, results, speedups)
-		s.countFinished(j)
-	}
-	s.submit(w, j, ctx, work)
-}
-
 // countFinished bumps the terminal-state counters and retires the job
 // into the bounded history: once more than JobHistory jobs have
-// finished, the oldest-finished ones — with their result payloads — are
+// finished, the oldest-finished ones — with their results — are
 // forgotten, so a long-running daemon's job registry cannot grow without
 // bound. (The result cache keeps serving the underlying runs either
 // way; only the job records age out.) It returns the terminal snapshot
@@ -617,7 +550,7 @@ func (s *Server) countFinished(j *job) client.Job {
 		s.m.jobsCanceled.Add(1)
 	}
 	s.log.Info("job finished",
-		"req_id", snap.RequestID, "job", j.id, "kind", j.kind,
+		"req_id", snap.RequestID, "job", j.id,
 		"state", snap.State, "done", snap.Done, "cache_hits", snap.CacheHits,
 		"error", snap.Error)
 	s.mu.Lock()
@@ -642,16 +575,16 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 	return j
 }
 
-// handleJob returns the job snapshot (results included once done).
+// handleJob returns the job snapshot (result included once done).
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j := s.lookupJob(w, r); j != nil {
 		writeJSON(w, http.StatusOK, j.snapshot())
 	}
 }
 
-// handleCancelJob cancels the job's context. A queued job records the
-// cancellation when a worker reaches it; a running sweep aborts at its
-// next point execution.
+// handleCancelJob cancels the job's context. A queued job turns canceled
+// at once and never executes; a running one ends canceled when its
+// execution returns.
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	j := s.lookupJob(w, r)
 	if j == nil {
@@ -816,29 +749,6 @@ func readRunRequest(data []byte) (client.RunRequest, bool) {
 		}
 	}
 	return req, cr.End()
-}
-
-// DecodeSweepRequest strictly decodes a POST /v1/sweeps body and
-// validates the mode and every point's names.
-func DecodeSweepRequest(data []byte) (client.SweepRequest, error) {
-	var req client.SweepRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return client.SweepRequest{}, fmt.Errorf("sweep request: %w", err)
-	}
-	for i, p := range req.Points {
-		if err := p.ValidateNames(); err != nil {
-			return client.SweepRequest{}, fmt.Errorf("sweep request: point %d: %w", i, err)
-		}
-	}
-	switch req.Mode {
-	case "", client.ModeExecute, client.ModeSpeedup:
-	default:
-		return client.SweepRequest{}, fmt.Errorf("sweep request: unknown mode %q (have %q, %q)", req.Mode, client.ModeExecute, client.ModeSpeedup)
-	}
-	if len(req.Points) == 0 {
-		return client.SweepRequest{}, fmt.Errorf("sweep request: empty points")
-	}
-	return req, nil
 }
 
 // decodeStrict decodes one JSON value rejecting unknown fields and

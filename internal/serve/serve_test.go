@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	uc "unisoncache"
 	"unisoncache/client"
+	"unisoncache/internal/obs"
 )
 
 // post submits body to path and decodes the response JSON into v,
@@ -262,8 +264,10 @@ func TestServeConcurrentDedup(t *testing.T) {
 	}
 }
 
-// TestServeSweepSharesCacheAcrossRequests: a second sweep whose points
-// were all executed by an earlier request is served entirely from cache.
+// TestServeSweepSharesCacheAcrossRequests: a speedup plan whose Executor
+// calls the client executes its 2 design points and their shared baseline
+// on the daemon, and equals the in-process plan; a repeat of the plan is
+// served entirely from the daemon's cache.
 func TestServeSweepSharesCacheAcrossRequests(t *testing.T) {
 	var executions atomic.Int32
 	s := New(Config{
@@ -277,45 +281,51 @@ func TestServeSweepSharesCacheAcrossRequests(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	points := []uc.Run{smallRun(uc.DesignUnison), smallRun(uc.DesignAlloy)}
-	body := `{"points":` + mustJSON(t, points) + `,"mode":"speedup"}`
-	var j client.Job
-	post(t, ts, "/v1/sweeps", body, &j)
-	first := waitJob(t, ts, j.ID)
-	if first.State != client.StateDone {
-		t.Fatalf("first sweep: %+v", first)
+	want, err := uc.SpeedupMany(uc.Plan{Points: points, Executor: fakeExecute})
+	if err != nil {
+		t.Fatal(err)
 	}
+	cl := client.New(ts.URL)
+	plan := uc.Plan{Points: points, Executor: func(r uc.Run) (uc.Result, error) {
+		return cl.Execute(context.Background(), r)
+	}}
+	sweep := func(label string) {
+		t.Helper()
+		got, err := uc.SpeedupMany(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+			t.Errorf("%s diverges from the in-process plan\n got: %s\nwant: %s", label, g, w)
+		}
+	}
+
+	sweep("first sweep")
 	// 2 design points + 1 shared memoized baseline.
 	if n := executions.Load(); n != 3 {
 		t.Fatalf("first sweep executed %d runs, want 3", n)
 	}
-
-	post(t, ts, "/v1/sweeps", body, &j)
-	second := waitJob(t, ts, j.ID)
-	if second.State != client.StateDone {
-		t.Fatalf("second sweep: %+v", second)
-	}
+	hits := s.m.cacheHits.Load()
+	sweep("repeat sweep")
 	if n := executions.Load(); n != 3 {
-		t.Errorf("cached resubmission executed %d new runs, want 0", n-3)
+		t.Errorf("repeat sweep executed %d new runs, want 0", n-3)
 	}
-	if second.CacheHits != 3 {
-		t.Errorf("second sweep cache hits = %d, want 3", second.CacheHits)
-	}
-	if got, want := mustJSON(t, second.Speedups), mustJSON(t, first.Speedups); got != want {
-		t.Errorf("cached sweep result diverges from first execution")
+	if d := s.m.cacheHits.Load() - hits; d != 3 {
+		t.Errorf("repeat sweep cache hits = %d, want 3", d)
 	}
 }
 
 // TestServeEventsStream: the NDJSON stream opens with the current state
-// and ends with the terminal line.
+// and ends with the terminal line, whose timeline is the run job's whole
+// record: received, queued, the execution stage, done.
 func TestServeEventsStream(t *testing.T) {
 	s := New(Config{Execute: fakeExecute})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	points := []uc.Run{smallRun(uc.DesignUnison), smallRun(uc.DesignAlloy), smallRun(uc.DesignFootprint)}
 	var j client.Job
-	post(t, ts, "/v1/sweeps", `{"points":`+mustJSON(t, points)+`}`, &j)
+	post(t, ts, "/v1/runs", `{"run":`+mustJSON(t, smallRun(uc.DesignUnison))+`}`, &j)
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + j.ID + "/events")
 	if err != nil {
@@ -343,8 +353,15 @@ func TestServeEventsStream(t *testing.T) {
 	if last.State != client.StateDone {
 		t.Fatalf("last event %+v, want done", last)
 	}
-	if last.Done != 3 {
-		t.Errorf("final done = %d, want 3 executions", last.Done)
+	if last.Done != 1 || last.Total != 1 {
+		t.Errorf("final done/total = %d/%d, want 1/1", last.Done, last.Total)
+	}
+	var stages []string
+	for _, sp := range last.Spans {
+		stages = append(stages, sp.Stage)
+	}
+	if got, want := strings.Join(stages, " "), "received queued simulated done"; got != want {
+		t.Errorf("final timeline %q, want %q", got, want)
 	}
 }
 
@@ -464,6 +481,49 @@ func TestServeCancel(t *testing.T) {
 	}
 }
 
+// TestServeRequestLogLevels: at info level the daemon logs submissions
+// and cancels but not the read-only probes — a cancel shares the
+// /v1/jobs/{id} route label with the job read, and still logs.
+func TestServeRequestLogLevels(t *testing.T) {
+	logs := &logBuffer{}
+	lg, err := obs.NewLogger(logs, obs.LogJSON, slog.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Execute: fakeExecute, Logger: lg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+
+	j := waitJob(t, ts, submitRun(t, ts, smallRun(uc.DesignUnison)).ID)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+j.ID, nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	logged := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct{ Msg, Method, Route string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg == "http request" {
+			logged[rec.Method+" "+rec.Route] = true
+		}
+	}
+	for pattern, want := range map[string]bool{
+		"POST /v1/runs":        true,
+		"DELETE /v1/jobs/{id}": true,
+		"GET /v1/jobs/{id}":    false,
+	} {
+		if logged[pattern] != want {
+			t.Errorf("%s logged at info = %v, want %v (logged: %v)", pattern, logged[pattern], want, logged)
+		}
+	}
+}
+
 // TestServeJobHistoryBounded: finished jobs age out of the registry
 // beyond JobHistory, so a long-running daemon cannot accumulate every
 // historical result payload.
@@ -539,9 +599,7 @@ func TestServeDecodeErrors(t *testing.T) {
 		{"unknown field", "/v1/runs", `{"run":{"Workload":"web-search","Capasity":1}}`, "Capasity"},
 		{"unknown design", "/v1/runs", `{"run":{"Workload":"web-search","Design":"unicorn"}}`, `unknown design "unicorn"`},
 		{"unknown workload", "/v1/runs", `{"run":{"Workload":"web-serch"}}`, `unknown workload "web-serch"`},
-		{"bad mode", "/v1/sweeps", `{"points":[{"Workload":"web-search"}],"mode":"turbo"}`, `unknown mode "turbo"`},
-		{"speedup sweep with sample", "/v1/sweeps", `{"points":[{"Workload":"web-search"}],"mode":"speedup","sample":{"IntervalEvents":100}}`, `unknown field "sample"`},
-		{"empty points", "/v1/sweeps", `{"points":[]}`, "empty points"},
+		{"sweep body", "/v1/runs", `{"points":[{"Workload":"web-search"}],"mode":"speedup"}`, `unknown field "points"`},
 		{"not json", "/v1/runs", `hello`, "invalid character"},
 	}
 	for _, tc := range cases {
